@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -42,6 +43,7 @@ from .sets import DyadicFamilyParams, box_dimension, comb_membership
 from .trig import TrigPoly
 from .util import DEFAULT_SEED, grid_for_degree, indexed_map, round_sig, trial_rng
 from .verify import (
+    VerificationReport,
     check_derivative_bound,
     check_localization,
     check_nikolsky,
@@ -340,18 +342,23 @@ def _load_poly(path: str) -> TrigPoly:
     return TrigPoly.from_json_dict(data)
 
 
-def _verify_report_json(name: str, rows, trend, fitted: float, worst: float,
-                        seed: int, block: dict, path: str) -> None:
+def _verify_report_json(report: VerificationReport, rows, block: dict, path: str) -> None:
     payload = {
-        "name": name,
+        "name": report.name,
         "trials": len(rows),
-        "worst_ratio": worst,
-        "fitted_constant": fitted,
-        "scale_trend": [[scale, value] for scale, value in trend],
-        "seed": seed,
+        "worst_ratio": report.worst_ratio,
+        "fitted_constant": report.fitted_constant,
+        "scale_trend": [[scale, value] for scale, value in report.scale_trend],
+        "seed": report.seed,
         "config": block,
     }
     _emit_json(payload, path)
+
+
+def _emit_verify(cfg: dict, subcommand: str, report: VerificationReport, rows) -> None:
+    _emit_csv(("trial", "seed", "scale", "ratio"), rows, cfg["csv"])
+    if cfg["out"]:
+        _verify_report_json(report, rows, _config_block("verify", subcommand, cfg), cfg["out"])
 
 
 def _run_construct_pj(cfg: dict, threads: int) -> None:
@@ -441,22 +448,12 @@ def _run_construct_witness(cfg: dict, threads: int) -> None:
     _emit_json(payload, cfg["out"])
 
 
-def _run_verify_dirichlet(cfg: dict, threads: int) -> None:
-    report, rows = dirichlet_rows(cfg["N"], cfg["strategy"], cfg["trials"], cfg["seed"])
-    _emit_csv(("trial", "seed", "scale", "ratio"), rows, cfg["csv"])
-    if cfg["out"]:
-        block = _config_block("verify", "dirichlet", cfg)
-        _verify_report_json(report.name, rows, report.scale_trend, report.fitted_constant,
-                            report.worst_ratio, cfg["seed"], block, cfg["out"])
-
-
-def _run_verify_maximal(cfg: dict, threads: int) -> None:
-    report, rows = maximal_rows(cfg["N"], cfg["alpha"], cfg["trials"], cfg["seed"])
-    _emit_csv(("trial", "seed", "scale", "ratio"), rows, cfg["csv"])
-    if cfg["out"]:
-        block = _config_block("verify", "maximal", cfg)
-        _verify_report_json(report.name, rows, report.scale_trend, report.fitted_constant,
-                            report.worst_ratio, cfg["seed"], block, cfg["out"])
+def _run_verify_scan(cfg: dict, threads: int, subcommand: str) -> None:
+    if subcommand == "dirichlet":
+        report, rows = dirichlet_rows(cfg["N"], cfg["strategy"], cfg["trials"], cfg["seed"])
+    else:
+        report, rows = maximal_rows(cfg["N"], cfg["alpha"], cfg["trials"], cfg["seed"])
+    _emit_verify(cfg, subcommand, report, rows)
 
 
 def _scale_ladder(N: int) -> list[int]:
@@ -473,12 +470,10 @@ def _run_verify_rows(cfg: dict, threads: int, name: str, ratio_fn, worst=max) ->
         return (trial, cfg["seed"], scale, ratio_fn(scale, rng))
 
     rows = indexed_map(one, tasks, threads)
-    _emit_csv(("trial", "seed", "scale", "ratio"), rows, cfg["csv"])
-    if cfg["out"]:
-        trend = [(scale, worst(row[3] for row in rows if row[2] == scale)) for scale in scales]
-        block = _config_block("verify", name, cfg)
-        _verify_report_json(name, rows, trend, trend[-1][1],
-                            worst(row[3] for row in rows), cfg["seed"], block, cfg["out"])
+    trend = [(scale, worst(row[3] for row in rows if row[2] == scale)) for scale in scales]
+    report = VerificationReport(name, cfg["trials"], worst(row[3] for row in rows), trend[-1][1],
+                                trend, cfg["seed"])
+    _emit_verify(cfg, name, report, rows)
 
 
 def _run_verify_nikolsky(cfg: dict, threads: int) -> None:
@@ -515,11 +510,7 @@ def _run_verify_holo(cfg: dict, threads: int) -> None:
         k <<= 1
     report, bounds = holo_sweep(ks, cfg["grid"], cfg["seed"])
     rows = [(i, cfg["seed"], b.k, b.c4) for i, b in enumerate(bounds)]
-    _emit_csv(("trial", "seed", "scale", "ratio"), rows, cfg["csv"])
-    if cfg["out"]:
-        block = _config_block("verify", "holo", cfg)
-        _verify_report_json(report.name, rows, report.scale_trend, report.fitted_constant,
-                            report.worst_ratio, cfg["seed"], block, cfg["out"])
+    _emit_verify(cfg, "holo", report, rows)
 
 
 def _run_analyze_index(cfg: dict, threads: int) -> None:
@@ -600,8 +591,8 @@ _HANDLERS = {
     ("construct", "holo"): _run_construct_holo,
     ("construct", "logsat"): _run_construct_logsat,
     ("construct", "witness"): _run_construct_witness,
-    ("verify", "dirichlet"): _run_verify_dirichlet,
-    ("verify", "maximal"): _run_verify_maximal,
+    ("verify", "dirichlet"): functools.partial(_run_verify_scan, subcommand="dirichlet"),
+    ("verify", "maximal"): functools.partial(_run_verify_scan, subcommand="maximal"),
     ("verify", "nikolsky"): _run_verify_nikolsky,
     ("verify", "derivative"): _run_verify_derivative,
     ("verify", "localization"): _run_verify_localization,

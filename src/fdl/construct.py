@@ -1,6 +1,7 @@
 """Explicit constructions: plateau bumps, modulated saturating polynomials,
-disjoint-spectrum families, the pole-comb kernel, its boundary log-lift, the
-log-rate saturator, and the two-scale residual witness.
+disjoint-spectrum families, the pole-comb kernel, the log-rate saturator
+built from the kernel's closed-form log series, and the two-scale residual
+witness.
 
 Everything here is deterministic. Wherever a closed form exists for the
 Fourier coefficients it is used directly, so the returned polynomials are
@@ -196,41 +197,27 @@ class HoloKernelParams:
     def eps(self) -> float:
         return 1.0 / (self.omega * self.k)
 
-    def nodes(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.k) / self.k)
-
     @property
     def comb(self) -> CombParams:
         return CombParams(self.k, self.omega)
 
 
-def _pole_sums(params: HoloKernelParams, z: np.ndarray, with_derivative: bool):
-    flat = np.asarray(z, dtype=complex).reshape(-1)
-    w = np.conj(params.nodes())
-    one = 1.0 + params.eps
-    f = np.empty(flat.size, dtype=complex)
-    d = np.empty(flat.size, dtype=complex) if with_derivative else None
-    chunk = max(1, (1 << 22) // params.k)
-    for i in range(0, flat.size, chunk):
-        den = one - np.outer(flat[i : i + chunk], w)
-        f[i : i + chunk] = (one / den).sum(axis=1) / params.k
-        if with_derivative:
-            d[i : i + chunk] = (one * w / (den * den)).sum(axis=1) / params.k
-    return f, d
-
-
 def holo_kernel(params: HoloKernelParams, z):
-    """Mean of the k pole terms; holomorphic on the closed disk, f(0) = 1."""
-    f, _ = _pole_sums(params, z, with_derivative=False)
-    out = f.reshape(np.asarray(z, dtype=complex).shape)
-    return out[()] if np.ndim(z) == 0 else out
+    """Mean of the k pole terms; holomorphic on the closed disk, f(0) = 1.
+
+    The poles sit above the k-th roots of unity, so the mean is a
+    roots-of-unity filter of the geometric series in a = z/(1+eps) and
+    sums in closed form to 1/(1 - a^k).
+    """
+    a = np.asarray(z, dtype=complex) / (1.0 + params.eps)
+    return 1.0 / (1.0 - a ** params.k)
 
 
 def holo_log_derivative(params: HoloKernelParams, z):
-    """f'/f via the analytic ratio of pole sums (no numerical differencing)."""
-    f, d = _pole_sums(params, z, with_derivative=True)
-    out = (d / f).reshape(np.asarray(z, dtype=complex).shape)
-    return out[()] if np.ndim(z) == 0 else out
+    """f'/f of the closed form: k a^(k-1) / ((1+eps)(1 - a^k)), a = z/(1+eps)."""
+    one = 1.0 + params.eps
+    a = np.asarray(z, dtype=complex) / one
+    return params.k * a ** (params.k - 1) / (one * (1.0 - a ** params.k))
 
 
 def holo_boundary(params: HoloKernelParams, M: int) -> GridSignal:
@@ -238,31 +225,6 @@ def holo_boundary(params: HoloKernelParams, M: int) -> GridSignal:
         raise ValueError("grid size must be a power of two")
     z = np.exp(2j * np.pi * np.arange(M) / M)
     return GridSignal(holo_kernel(params, z))
-
-
-def log_lift(params: HoloKernelParams, M: int) -> GridSignal:
-    """Principal-branch boundary logarithm of the comb kernel.
-
-    Re f > 0 on the closed disk keeps the argument inside (-pi/2, pi/2),
-    so the principal branch is continuous and the lift stays one-sided in
-    frequency up to grid aliasing.
-    """
-    if not is_pow2(M) or M < 64 * params.k:
-        raise ValueError(f"grid must be a power of two with M >= {64 * params.k}")
-    f = holo_boundary(params, M).samples
-    if float(f.real.min()) <= 0:
-        raise AssertionError("kernel lost positivity of the real part; log lift invalid")
-    return GridSignal(np.log(f))
-
-
-def negative_frequency_ratio(sig: GridSignal) -> float:
-    """Total modulus of negative-frequency coefficients relative to the 2-norm."""
-    spec = np.fft.fft(sig.samples) / sig.M
-    neg = spec[sig.M // 2 + 1 :]
-    total = float(np.sqrt(np.mean(np.abs(sig.samples) ** 2)))
-    if total == 0:
-        return 0.0
-    return float(np.abs(neg).sum() / total)
 
 
 def eps_floor(n: int) -> float:
@@ -282,7 +244,6 @@ class LogSaturator:
     omega: float
     k: int
     grid_M: int
-    neg_energy_ratio: float
     poly: TrigPoly
 
     @property
@@ -299,9 +260,11 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
     """Builds the saturator with rate eps_n (floored at the admissible rate).
 
     The sharpness omega and tooth count k are derived from the rate; the
-    polynomial is (2/pi) e_n sigma_n(Im g) with g the boundary log-lift,
-    computed from FFT coefficients on a grid of at least 64 samples per
-    degree and 32 per tooth.
+    polynomial is (2/pi) e_n sigma_n(Im g) with g = -log(1 - a^k) the
+    boundary logarithm of the comb kernel. Its series sum_m q^m z^(km) / m,
+    q = (1+eps)^-k, gives the Fejer-weighted coefficients in closed form,
+    one conjugate pair per multiple of k below n. The grid of at least 64
+    samples per degree and 32 per tooth only enters the certificates.
     """
     floor = eps_floor(n)
     floored = eps_n is None or eps_n < floor
@@ -311,22 +274,14 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
     if k < 3:
         raise ValueError(f"rate too aggressive at degree {n}: tooth count {k} < 3")
     params = HoloKernelParams(k, omega)
-    if M is None:
-        M = next_pow2(64 * max(k, n))
-    M = max(M, next_pow2(32 * int(omega * k) + 1), next_pow2(64 * max(k, n)))
+    M = max(M or 0, next_pow2(32 * int(omega * k) + 1), next_pow2(64 * max(k, n)))
 
-    g = log_lift(params, M)
-    ratio = negative_frequency_ratio(g)
-    if ratio > 1e-6:
-        raise ValueError(f"analyticity loss: negative-frequency mass ratio {ratio:.3e}")
-    spec = np.fft.fft(g.samples) / M
-
+    q = (1.0 + params.eps) ** -k
     coeffs = {}
-    for q in range(-(n - 1), n):
-        ghat_q = spec[q % M]
-        ghat_mq = spec[(-q) % M]
-        c = (2.0 / math.pi) * (1.0 - abs(q) / n) * (ghat_q - np.conj(ghat_mq)) / 2j
-        coeffs[n + q] = c
+    for m in range(1, (n - 1) // k + 1):
+        c = (2.0 / math.pi) * (1.0 - m * k / n) * q ** m / m
+        coeffs[n + m * k] = complex(0.0, -c / 2.0)
+        coeffs[n - m * k] = complex(0.0, c / 2.0)
     poly = TrigPoly(coeffs)
 
     window = SpectrumInterval(0, 2 * n - 1)
@@ -342,7 +297,6 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
         omega=omega,
         k=k,
         grid_M=M,
-        neg_energy_ratio=ratio,
         poly=poly,
     )
 
@@ -367,7 +321,6 @@ def logsat_certificate(sat: LogSaturator, M: int | None = None) -> dict:
         "target_level": target,
         "margin": observed - target,
         "points_per_tooth": points_per_tooth,
-        "neg_energy_ratio": sat.neg_energy_ratio,
         "grid": M,
     }
 

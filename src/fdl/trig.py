@@ -11,6 +11,7 @@ low-degree polynomials certificates rather than estimates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,7 +189,19 @@ class TrigPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrigPoly":
-        return cls({int(k): complex(re, im) for k, re, im in data["coeffs"]})
+        """Inverse of to_json_dict; rejects anything but a list of [k, re, im] triples."""
+        entries = data["coeffs"]
+        if not isinstance(entries, list):
+            raise ValueError(f"coeffs must be a list of [k, re, im] triples, got {entries!r}")
+        coeffs = {}
+        for entry in entries:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                    and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry)
+                    and isinstance(entry[0], numbers.Integral)):
+                raise ValueError(f"coefficient entry {entry!r} is not an [integer, number, number] triple")
+            k, re, im = entry
+            coeffs[int(k)] = complex(re, im)
+        return cls(coeffs)
 
 
 class GridSignal:

@@ -152,21 +152,7 @@ def check_weak_maximal(f: TrigPoly, N: int, a: float) -> float:
     c = np.zeros(2 * d + 1, dtype=complex)
     for k, v in f.items():
         c[k + d] = v
-    M = grid_for_degree(d)
-    x = np.arange(M) / M
-    e1 = np.exp(2j * np.pi * x)
-    en = np.ones(M, dtype=complex)
-    S = np.full(M, c[d], dtype=complex)
-    best = np.zeros(M)
-    n_top = max(2, min(N, d))
-    for n in range(1, n_top + 1):
-        en = en * e1
-        if n <= d:
-            S = S + c[d + n] * en + c[d - n] * np.conj(en)
-        if n >= 2:
-            w = math.log(n) ** -(2.0 * (1.0 + a))
-            np.maximum(best, (S.real * S.real + S.imag * S.imag) * w, out=best)
-    return float(np.sqrt(best).mean() / np.abs(S).mean())
+    return float(_maximal_ratios(c[None, :], N, a, grid_for_degree(d))[0])
 
 
 def maximal_rows(N: int, a: float, trials: int, seed: int = DEFAULT_SEED,

@@ -152,3 +152,13 @@ def test_spectrum_rejects_bad_arguments(tmp_path):
 def test_missing_input_file_maps_to_exit_1(tmp_path):
     assert cli.run(["analyze", "index", "--in", str(tmp_path / "absent.json"),
                     "--x", "0.5"]) == 1
+
+
+@pytest.mark.parametrize("payload", [{"coeffs": 5}, {"coeffs": [[1, "a", 0]]}])
+def test_malformed_coefficient_json_maps_to_exit_1(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert cli.run(["analyze", "index", "--in", str(path), "--x", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Saturating polynomials, pole-comb kernels, log lifts, residual witnesses."""
+"""Saturating polynomials, pole-comb kernels, log saturators, residual witnesses."""
 
 import math
 
@@ -11,12 +11,11 @@ from fdl.construct import (
     chi_coefficients,
     disjoint_family,
     eps_floor,
+    holo_boundary,
     holo_kernel,
     holo_log_derivative,
-    log_lift,
     log_saturator,
     logsat_certificate,
-    negative_frequency_ratio,
     residual_witness,
     saturator_certificate,
     saturator_pj,
@@ -114,11 +113,18 @@ def test_disjoint_family_validation():
         disjoint_family(3, 2.0, 2, 4)  # below the smallest admissible level
 
 
+def _pole_sums(params, z):
+    """Explicit mean of the k pole terms and of their z-derivatives."""
+    w = np.conj(np.exp(2j * np.pi * np.arange(params.k) / params.k))
+    one = 1.0 + params.eps
+    den = one - np.outer(z, w)
+    return (one / den).mean(axis=1), (one * w / (den * den)).mean(axis=1)
+
+
 def test_holo_kernel_closed_form():
     params = HoloKernelParams(k=16, omega=4.0)
     zs = 0.9 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 64, endpoint=False))
-    u = (zs / (1.0 + params.eps)) ** params.k
-    want = 1.0 / (1.0 - u)
+    want, _ = _pole_sums(params, zs)
     assert np.max(np.abs(holo_kernel(params, zs) - want)) < 1e-12
     assert holo_kernel(params, 0.0) == pytest.approx(1.0)
 
@@ -126,9 +132,8 @@ def test_holo_kernel_closed_form():
 def test_holo_log_derivative_closed_form():
     params = HoloKernelParams(k=16, omega=4.0)
     zs = 0.8 * np.exp(2j * np.pi * np.linspace(0.01, 0.99, 41))
-    u = (zs / (1.0 + params.eps)) ** params.k
-    want = params.k * u / (zs * (1.0 - u))
-    assert np.max(np.abs(holo_log_derivative(params, zs) - want)) < 1e-10
+    f, d = _pole_sums(params, zs)
+    assert np.max(np.abs(holo_log_derivative(params, zs) - d / f)) < 1e-10
 
 
 def test_holo_params_validation():
@@ -147,33 +152,19 @@ def test_holo_bounds_certificate():
     assert bounds.c1 > 0 and bounds.c2 > 0 and bounds.c3 > 0
 
 
-def test_log_lift_matches_principal_branch():
-    params = HoloKernelParams(k=16, omega=4.0)
-    M = 1 << 11
-    lift = log_lift(params, M)
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    u = (z / (1.0 + params.eps)) ** params.k
-    assert np.max(np.abs(lift.samples - (-np.log(1.0 - u)))) < 1e-12
-
-
-def test_log_lift_series_coefficients():
-    params = HoloKernelParams(k=16, omega=4.0)
-    M = 1 << 11
-    spec = np.fft.fft(log_lift(params, M).samples) / M
-    damp = (1.0 + params.eps) ** (-params.k)
-    assert spec[params.k] == pytest.approx(damp, abs=1e-12)
-    assert spec[2 * params.k] == pytest.approx(damp ** 2 / 2.0, abs=1e-12)
-    assert abs(spec[params.k + 1]) < 1e-12
-
-
-def test_log_lift_is_one_sided():
-    params = HoloKernelParams(k=16, omega=4.0)
-    coarse = negative_frequency_ratio(log_lift(params, 1 << 11))
-    fine = negative_frequency_ratio(log_lift(params, 1 << 12))
-    assert coarse < 1e-8
-    assert fine < 1e-12  # refining the grid collapses the aliased tail
-    with pytest.raises(ValueError):
-        log_lift(params, 1 << 9)  # under 64 samples per pole
+@pytest.mark.parametrize("n", [256, 512])
+def test_log_saturator_matches_grid_log_lift(n):
+    # oracle: Fejer-weighted imaginary part of the FFT of the principal-branch
+    # boundary logarithm of the comb kernel, on the saturator's own grid
+    sat = log_saturator(n)
+    M = sat.grid_M
+    spec = np.fft.fft(np.log(holo_boundary(HoloKernelParams(sat.k, sat.omega), M).samples)) / M
+    q = np.arange(-(n - 1), n)
+    grid = (2.0 / math.pi) * (1.0 - np.abs(q) / n) * (spec[q % M] - np.conj(spec[-q % M])) / 2j
+    got = np.array([sat.poly.coeff(n + int(f)) for f in q])
+    assert np.max(np.abs(got - grid)) < 1e-13
+    mk = sat.k * np.arange(1, (n - 1) // sat.k + 1)
+    assert sorted(sat.poly.frequencies()) == sorted(np.concatenate([n - mk, n + mk]).tolist())
 
 
 def test_eps_floor_formula_and_guard():

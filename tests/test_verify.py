@@ -8,7 +8,7 @@ import pytest
 
 from fdl.construct import HoloKernelParams
 from fdl.trig import TrigPoly, dirichlet_eval
-from fdl.util import DEFAULT_SEED, trial_rng
+from fdl.util import DEFAULT_SEED, grid_for_degree, trial_rng
 from fdl.verify import (
     _max_dirichlet_values,
     check_derivative_bound,
@@ -65,6 +65,37 @@ def test_dirichlet_rows_validation():
         dirichlet_rows(3, "greedy", 2)
     with pytest.raises(ValueError):
         dirichlet_rows(64, "clever", 2)
+
+
+def _single_row_maximal(f, N, a):
+    """One-row copy of the maximal scan on the factor-8 grid, kept as an oracle."""
+    d = max(f.degree, 1)
+    c = np.zeros(2 * d + 1, dtype=complex)
+    for k, v in f.items():
+        c[k + d] = v
+    M = grid_for_degree(d)
+    e1 = np.exp(2j * np.pi * np.arange(M) / M)
+    en = np.ones(M, dtype=complex)
+    S = np.full(M, c[d], dtype=complex)
+    best = np.zeros(M)
+    for n in range(1, max(2, min(N, d)) + 1):
+        en = en * e1
+        if n <= d:
+            S = S + c[d + n] * en + c[d - n] * np.conj(en)
+        if n >= 2:
+            w = math.log(n) ** -(2.0 * (1.0 + a))
+            np.maximum(best, (S.real * S.real + S.imag * S.imag) * w, out=best)
+    return float(np.sqrt(best).mean() / np.abs(S).mean())
+
+
+def test_weak_maximal_is_bit_identical_to_single_row_scan():
+    polys = [
+        (TrigPoly({3: 1.0}), 64),
+        (rademacher_poly(32, trial_rng(DEFAULT_SEED, 42)), 32),
+        (rademacher_poly(32, trial_rng(DEFAULT_SEED, (32 << 20) + 0)), 32),
+    ]
+    for f, N in polys:
+        assert check_weak_maximal(f, N, 0.5) == _single_row_maximal(f, N, 0.5)
 
 
 def test_weak_maximal_single_basis_closed_form():
