@@ -30,8 +30,14 @@ def dyadic_schedule(m_lo: int, m_hi: int) -> list[int]:
 def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     """S_n f(x) for every x and every n in the schedule, shape (len(xs), len(schedule)).
 
-    Coefficients are sorted by |frequency| so each schedule entry is a
-    prefix of one cumulative sum.
+    Coefficients are sorted by |frequency|, so each schedule entry adds one
+    segment of them to the previous partial sum. On the uniform grid
+    xs = arange(M)/M the point j/M sees frequency k only through k mod M:
+    each segment is folded into one length-M spectrum and S_n f on the grid
+    is M * ifft of that spectrum, exact for any degree (an evaluation, not
+    an interpolation), in O(terms + M log M) per schedule entry. Any other
+    points take the dense path, a chunked exp(2 pi i x k) outer product with
+    one cumulative sum per point.
     """
     schedule = list(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -45,6 +51,16 @@ def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     cs = np.array([f.coeff(int(k)) for k in ks])
     cuts = np.searchsorted(np.abs(ks), np.array(schedule), side="right")
     out = np.empty((xs.size, len(schedule)), dtype=complex)
+    M = xs.size
+    if xs.ndim == 1 and np.array_equal(xs, np.arange(M) / M):
+        spec = np.zeros(M, dtype=complex)
+        bins = ks % M
+        start = 0
+        for col, stop in enumerate(cuts):
+            np.add.at(spec, bins[start:stop], cs[start:stop])
+            out[:, col] = np.fft.ifft(spec) * M
+            start = stop
+        return out
     chunk = max(1, (1 << 22) // ks.size)
     for i in range(0, xs.size, chunk):
         block = xs[i : i + chunk]
@@ -71,10 +87,7 @@ def _envelope_fits(sums: np.ndarray, schedule: list[int]) -> tuple[np.ndarray, n
     env = np.log(np.maximum(run, _LOG_FLOOR))
     tail = len(schedule) // 2
     logn = np.log(np.array(schedule[tail:], dtype=float))
-    betas = np.empty(sums.shape[0])
-    r2s = np.empty(sums.shape[0])
-    for i in range(sums.shape[0]):
-        betas[i], r2s[i] = loglog_fit(logn, env[i, tail:])
+    betas, r2s = loglog_fit(logn, env[:, tail:])
     betas[vanishing] = 0.0
     r2s[vanishing] = 1.0
     return betas, r2s, env, vanishing

@@ -51,6 +51,7 @@ from .verify import (
     holo_sweep,
     maximal_rows,
     rademacher_poly,
+    scale_ladder,
 )
 
 _SEED_DEFAULT = object()
@@ -295,22 +296,23 @@ def _config_block(command: str, subcommand: str, cfg: dict) -> dict:
     return block
 
 
-def _jsonable(value):
+def _jsonable(value, path: str = "payload"):
+    """JSON-ready copy of a payload; a NaN anywhere fails the run, naming its field."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, (float, np.floating)):
         x = float(value)
+        if math.isnan(x):
+            raise AssertionError(f"{path} is NaN")
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
         return round_sig(x)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
     return value
 
 
@@ -456,12 +458,8 @@ def _run_verify_scan(cfg: dict, threads: int, subcommand: str) -> None:
     _emit_verify(cfg, subcommand, report, rows)
 
 
-def _scale_ladder(N: int) -> list[int]:
-    return sorted({max(4, N >> 3), max(4, N >> 2), max(4, N >> 1), N})
-
-
 def _run_verify_rows(cfg: dict, threads: int, name: str, ratio_fn, worst=max) -> None:
-    scales = _scale_ladder(cfg["N"])
+    scales = scale_ladder(cfg["N"])
     tasks = [(t, scale) for scale in scales for t in range(cfg["trials"])]
 
     def one(task):

@@ -130,9 +130,12 @@ def comb_membership(params: CombParams, x):
     return dist <= params.half_width + 1e-18
 
 
+_FLOAT_DEPTH = 52  # deepest level a float x is trusted at
+
+
 def _exponent_candidates(x, depth: int):
     # distance from x to the nearest k/2^j, exactly in Fraction arithmetic
-    # when x is a Fraction, in floats otherwise (reliable to depth ~48)
+    # when x is a Fraction, in floats otherwise (depth at most _FLOAT_DEPTH)
     exact = isinstance(x, Fraction)
     for j in range(1, depth + 1):
         if exact:
@@ -159,10 +162,16 @@ def dyadic_approx_exponent(x, depth: int) -> float:
     Scans levels j in [depth/2, depth] and returns the largest exponent
     alpha_j with |x - k/2^j| <= 2^(-alpha_j * j) achieved at some level;
     exact dyadic rationals give +inf. Accepts Fraction inputs for exact
-    arithmetic beyond float resolution.
+    arithmetic beyond float resolution. A float is itself a dyadic rational
+    (0.1 is exactly k/2^55), so past the 52 bits of its fraction the scan
+    would only find the float's own exactness: float input is refused
+    beyond depth 52.
     """
     if depth < 4:
         raise ValueError("depth must be at least 4")
+    if depth > _FLOAT_DEPTH and not isinstance(x, Fraction):
+        raise ValueError(f"depth {depth} exceeds float resolution ({_FLOAT_DEPTH} levels); "
+                         "pass x as a fractions.Fraction")
     lo = max(1, depth // 2)
     best = 0.0
     for j, a in _exponent_candidates(x, depth):

@@ -261,10 +261,6 @@ def dirichlet_eval(n: int, t) -> np.ndarray:
     return np.where(near, float(2 * n + 1), vals)
 
 
-def partial_sum(f: TrigPoly, n: int) -> TrigPoly:
-    return f.truncate(n)
-
-
 def fejer_mean(f: TrigPoly, n: int) -> TrigPoly:
     """Average of the first n partial sums: weight (1 - |k|/n) clipped at zero."""
     if n < 1:
@@ -290,7 +286,3 @@ def lp_norm(samples, p) -> float:
     if p == 2:
         return float(math.sqrt(np.mean(v * v)))
     return float(np.mean(v**p) ** (1 / p))
-
-
-def poly_norm(f: TrigPoly, p, M: int | None = None) -> float:
-    return f.norm(p, M)

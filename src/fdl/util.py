@@ -29,31 +29,36 @@ def grid_for_degree(degree: int, factor: int = 8, minimum: int = 16) -> int:
     return max(next_pow2(factor * max(int(degree), 1)), minimum)
 
 
-def loglog_fit(logx, logy) -> tuple[float, float]:
+def loglog_fit(logx, logy):
     """Least-squares slope and r^2 for already-logged data.
 
-    Degenerate inputs get the fixed-point conventions used throughout:
+    logy is one series (returns two floats) or a 2-d array with one series
+    per row, all against the shared logx (returns two arrays, one entry per
+    row). Degenerate inputs get the fixed-point conventions used throughout:
     constant y fits perfectly with slope 0 (r^2 = 1), fewer than two
     distinct x values yield slope 0.
     """
     x = np.asarray(logx, dtype=float)
     y = np.asarray(logy, dtype=float)
-    if x.size != y.size:
+    if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != x.size:
         raise ValueError("mismatched fit inputs")
-    if x.size < 2:
-        return 0.0, 1.0
-    vx = x - x.mean()
-    vy = y - y.mean()
-    sxx = float(vx @ vx)
-    syy = float(vy @ vy)
-    if sxx < 1e-30:
-        return 0.0, 1.0 if syy < 1e-30 else 0.0
-    slope = float(vx @ vy) / sxx
-    if syy < 1e-30:
-        return slope, 1.0
-    resid = vy - slope * vx
-    r2 = 1.0 - float(resid @ resid) / syy
-    return slope, float(r2)
+    slope = np.zeros(y.shape[:-1])
+    r2 = np.ones(y.shape[:-1])
+    if x.size >= 2:
+        vx = x - x.mean()
+        vy = y - y.mean(axis=-1, keepdims=True)
+        sxx = float((vx * vx).sum())
+        syy = (vy * vy).sum(axis=-1)
+        flat = syy < 1e-30
+        if sxx < 1e-30:
+            r2 = np.where(flat, 1.0, 0.0)
+        else:
+            slope = (vy * vx).sum(axis=-1) / sxx
+            resid = vy - slope[..., None] * vx
+            r2 = np.where(flat, 1.0, 1.0 - (resid * resid).sum(axis=-1) / np.where(flat, 1.0, syy))
+    if y.ndim == 1:
+        return float(slope), float(r2)
+    return slope, r2
 
 
 def trial_rng(seed: int, index: int = 0) -> np.random.Generator:

@@ -28,6 +28,11 @@ class VerificationReport:
     seed: int = DEFAULT_SEED
 
 
+def scale_ladder(N: int) -> list[int]:
+    """The dyadic scales N/8, N/4, N/2, N of a verify sweep, each at least 4, deduplicated."""
+    return sorted({max(4, N >> 3), max(4, N >> 2), max(4, N >> 1), N})
+
+
 def rademacher_coeffs(degree: int, rng: np.random.Generator) -> np.ndarray:
     """Independent +-1 coefficients on [-degree, degree], index 0 = -degree."""
     return rng.integers(0, 2, size=2 * degree + 1).astype(float) * 2.0 - 1.0
@@ -69,7 +74,7 @@ def dirichlet_rows(N: int, strategy: str, t_samples: int, seed: int = DEFAULT_SE
     if strategy not in ("constant", "random", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if scales is None:
-        scales = sorted({max(2, N >> 3), max(2, N >> 2), max(2, N >> 1), N})
+        scales = scale_ladder(N)
     rng = trial_rng(seed, 0)
     ts = rng.uniform(0.0, 1.0, size=t_samples)
     rows = []
@@ -163,7 +168,7 @@ def maximal_rows(N: int, a: float, trials: int, seed: int = DEFAULT_SEED,
     incremental scan; rows are (trial, seed, scale, ratio).
     """
     if scales is None:
-        scales = sorted({max(4, N >> 3), max(4, N >> 2), max(4, N >> 1), N})
+        scales = scale_ladder(N)
     rows = []
     trend = {}
     for scale in scales:

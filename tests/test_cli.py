@@ -6,6 +6,7 @@ import math
 import pytest
 
 import fdl.cli as cli
+from fdl.analysis import DivergenceEstimate
 
 
 def run_ok(argv):
@@ -162,3 +163,18 @@ def test_malformed_coefficient_json_maps_to_exit_1(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_nan_in_payload_fails_naming_the_field(tmp_path, monkeypatch, capsys):
+    def nan_estimate(f, x, schedule):
+        return DivergenceEstimate(0.1, 0.9, schedule, [0.0, 1.0, math.nan], False)
+
+    monkeypatch.setattr(cli, "divergence_index", nan_estimate)
+    poly_path = tmp_path / "g.json"
+    poly_path.write_text(json.dumps({"coeffs": [[1, 1.0, 0.0]]}))
+    out = tmp_path / "index.json"
+    code = cli.run(["analyze", "index", "--in", str(poly_path), "--x", "0.5",
+                    "--mlo", "6", "--mhi", "8", "--out", str(out)])
+    assert code == 2
+    assert "envelope[2] is NaN" in capsys.readouterr().err
+    assert not out.exists()

@@ -101,6 +101,14 @@ def test_approx_exponent_depth_guard():
         dyadic_approx_exponent(0.3, 3)
 
 
+def test_approx_exponent_refuses_floats_past_their_resolution():
+    # 0.1 is exactly k/2^55 as a float, so a depth-60 float scan would report inf
+    with pytest.raises(ValueError, match="Fraction"):
+        dyadic_approx_exponent(0.1, 60)
+    assert math.isfinite(dyadic_approx_exponent(0.1, 52))
+    assert math.isfinite(dyadic_approx_exponent(Fraction(1, 10), 60))
+
+
 def test_gauge_validation_and_monotonicity():
     spec = GaugeSpec(0.5, 4.0)
     assert gauge_eval(spec, 0.001) < gauge_eval(spec, 0.01) < gauge_eval(spec, 0.1)

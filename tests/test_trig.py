@@ -17,8 +17,6 @@ from fdl.trig import (
     fejer_mean,
     lp_norm,
     modulate,
-    partial_sum,
-    poly_norm,
     validate_norm_exponent,
 )
 from fdl.util import grid_for_degree, trial_rng
@@ -125,7 +123,7 @@ def test_parseval_identity(seed, degree):
        n=st.integers(0, 25), m=st.integers(0, 25))
 def test_partial_sum_composition_is_exact(seed, degree, n, m):
     f = random_poly(trial_rng(seed, 1), degree)
-    assert partial_sum(partial_sum(f, m), n) == partial_sum(f, min(n, m))
+    assert f.truncate(m).truncate(n) == f.truncate(min(n, m))
 
 
 def test_fejer_dual_forms_agree():
@@ -189,7 +187,7 @@ def test_norm_exponent_validation():
         validate_norm_exponent(0.5)
     assert validate_norm_exponent(math.inf) == math.inf
     with pytest.raises(ValueError):
-        poly_norm(TrigPoly.dirichlet(1), 0.0)
+        TrigPoly.dirichlet(1).norm(0.0)
 
 
 def test_json_roundtrips():

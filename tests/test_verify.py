@@ -22,6 +22,7 @@ from fdl.verify import (
     maximal_rows,
     rademacher_coeffs,
     rademacher_poly,
+    scale_ladder,
 )
 
 
@@ -58,6 +59,16 @@ def test_dirichlet_report_frozen_constants():
     assert rep.fitted_constant == pytest.approx(0.9014646634232882, rel=1e-12)
     ratios = [r for _, r in rep.scale_trend]
     assert ratios == sorted(ratios, reverse=True)  # mean/log N settles downward
+
+
+def test_verify_sweeps_share_one_scale_ladder():
+    assert scale_ladder(64) == [8, 16, 32, 64]
+    assert scale_ladder(8) == [4, 8]
+    assert scale_ladder(4) == [4]
+    _, rows = dirichlet_rows(8, "constant", 1)
+    assert [r[2] for r in rows] == [4, 8]
+    _, rows = maximal_rows(8, 0.5, 1)
+    assert [r[2] for r in rows] == [4, 8]
 
 
 def test_dirichlet_rows_validation():
