@@ -81,10 +81,12 @@ class DivergenceEstimate:
 
 
 def _envelope_fits(sums: np.ndarray, schedule: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    mods = np.abs(sums)
-    run = np.maximum.accumulate(mods, axis=1)
-    vanishing = run[:, -1] < _VANISH_TOL
-    env = np.log(np.maximum(run, _LOG_FLOOR))
+    # one M x len(schedule) array holds the moduli, their running maximum and its log
+    env = np.abs(sums)
+    np.maximum.accumulate(env, axis=1, out=env)
+    vanishing = env[:, -1] < _VANISH_TOL
+    np.maximum(env, _LOG_FLOOR, out=env)
+    np.log(env, out=env)
     tail = len(schedule) // 2
     logn = np.log(np.array(schedule[tail:], dtype=float))
     betas, r2s = loglog_fit(logn, env[:, tail:])

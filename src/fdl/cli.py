@@ -328,6 +328,11 @@ def _emit_json(payload: dict, path: str | None) -> None:
 
 
 def _emit_csv(header, rows, path: str | None) -> None:
+    """Writes the rows under the header; a NaN cell fails the run before anything is written."""
+    for i, row in enumerate(rows):
+        for name, v in zip(header, row):
+            if isinstance(v, (float, np.floating)) and math.isnan(v):
+                raise AssertionError(f"csv row {i} column {name} is NaN")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

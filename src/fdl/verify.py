@@ -43,20 +43,96 @@ def rademacher_poly(degree: int, rng: np.random.Generator) -> TrigPoly:
     return TrigPoly({k: c[k + degree] for k in range(-degree, degree + 1)})
 
 
-def _max_dirichlet_values(u: np.ndarray, N: int, block: int = 64) -> np.ndarray:
-    """max over 1 <= n <= N of |D_n(u)|, via the distance of (2n+1)u to 1/2.
+# Cap on partial quotients: a step this long is past every scan range, and
+# the cap keeps E / delta finite when delta is tiny.
+_CF_CAP = 2.0 ** 53
 
-    |D_n(u)| = |sin(pi (2n+1) u)| / |sin(pi u)| and the numerator is
-    cos(pi d) with d the distance of frac((2n+1)u) to 1/2, so the greedy
-    maximum needs one trigonometric evaluation after a pure arithmetic
-    scan over n.
+
+def _frac(x: np.ndarray) -> np.ndarray:
+    """Fractional part in [0, 1); mod of a tiny negative number rounds up to 1."""
+    f = np.mod(x, 1.0)
+    return np.where(f < 1.0, f, 0.0)
+
+
+def _first_return_argmin(alpha: np.ndarray, beta: np.ndarray, L: int) -> np.ndarray:
+    """Per point, an index m in [0, L] minimising {beta + m alpha}.
+
+    Walks the records of the orbit: from value v the next record is the
+    shortest step s whose multiple s alpha falls short of an integer by at
+    most v, and that s is a one-sided best approximation of alpha along its
+    continued fraction. At each level q_lo falls short of an integer by E
+    and q_hi exceeds one by delta (the gaps of the two latest convergents on
+    either side), so the step s = q_lo + j q_hi lowers v by E - j delta.
+    After the smallest such j with E - j delta <= v, the closing convergent
+    q_lo + a q_hi is repeated while the value and the remaining budget
+    L - m allow, and the next level starts. A point stops when the next
+    step it needs no longer fits, or when its orbit is periodic (alpha = 0
+    or a zero gap: v is then already the minimum), so each point costs
+    O(log L) levels.
+    """
+    m = np.zeros(alpha.shape)
+    idx = np.flatnonzero((alpha > 0) & (beta > 0) & (L >= 1))
+    mi, v, delta = np.zeros(idx.size), beta[idx], alpha[idx]
+    q_lo, E, q_hi = np.zeros(idx.size), np.ones(idx.size), np.ones(idx.size)
+    while idx.size:
+        dl = np.maximum(delta, E / _CF_CAP)
+        a = np.floor(E / dl)
+        # the shortest step q_lo + j q_hi that lowers v, if it fits
+        j = np.maximum(np.ceil((E - v) / dl), 1.0)
+        s, gap = q_lo + j * q_hi, E - j * dl
+        step = (j <= a) & (gap > 0) & (s <= L - mi)
+        mi += np.where(step, s, 0.0)
+        v = np.where(step, np.maximum(v - gap, 0.0), v)
+        # then the closing convergent, as often as the value and the budget allow
+        q1 = q_lo + a * q_hi
+        E1 = np.maximum(E - a * dl, 0.0)
+        r = np.floor((L - mi) / q1)
+        short = v < r * E1
+        r = np.where(short, np.floor(v / np.where(short, E1, 1.0)), r)
+        r = np.where(E1 > 0, r, 0.0)  # alpha = p/q1 exactly: the orbit repeats from here
+        mi += r * q1
+        v = np.maximum(v - r * E1, 0.0)
+        # the next convergent on the other side
+        E1 = np.maximum(E1, dl / _CF_CAP)
+        a2 = np.floor(dl / E1)
+        q2 = q_hi + a2 * q1
+        delta = np.maximum(dl - a2 * E1, 0.0)
+        m[idx] = mi
+        # every later step is at least q1 + q2 long (beyond L once E1 = 0, by the cap)
+        keep = (v > 0) & (delta > 0) & (q1 + q2 <= L - mi)
+        idx, mi, v, delta = idx[keep], mi[keep], v[keep], delta[keep]
+        q_lo, E, q_hi = q1[keep], E1[keep], q2[keep]
+    return m
+
+
+def _dirichlet_distance(u: np.ndarray, N: int) -> np.ndarray:
+    """min over 1 <= n <= N of the distance of (2n+1)u - 1/2 to the integers.
+
+    With n = m + 1 this is ||beta + m alpha|| for alpha = {2u},
+    beta = {3u - 1/2} and 0 <= m < N, an inhomogeneous Diophantine minimum:
+    its two one-sided minima come from the continued fraction of alpha in
+    O(log N) per point (three-distance theorem), and the distance is
+    evaluated at the two minimising indices as a scan over n evaluates it.
     """
     u = np.asarray(u, dtype=float)
     d = np.full(u.shape, 0.5)
-    for start in range(1, N + 1, block):
-        ns = np.arange(start, min(start + block, N + 1), dtype=float)
-        f = np.mod(np.outer(2.0 * ns + 1.0, u), 1.0)
-        np.minimum(d, np.abs(f - 0.5).min(axis=0), out=d)
+    for sign in (1.0, -1.0):  # {beta + m alpha} from above, then from below
+        alpha, beta = _frac(sign * 2.0 * u), _frac(sign * (3.0 * u - 0.5))
+        n = _first_return_argmin(alpha, beta, N - 1) + 1.0
+        np.minimum(d, np.abs(np.mod((2.0 * n + 1.0) * u, 1.0) - 0.5), out=d)
+    return d
+
+
+def _max_dirichlet_values(u: np.ndarray, N: int) -> np.ndarray:
+    """max over 1 <= n <= N of |D_n(u)|, via the distance of (2n+1)u to 1/2.
+
+    |D_n(u)| = |sin(pi (2n+1) u)| / |sin(pi u)| and the numerator is
+    cos(pi d) with d the distance of (2n+1)u - 1/2 to the integers, so the
+    greedy maximum needs one trigonometric evaluation after the
+    continued-fraction minimum of d.
+    """
+    u = np.asarray(u, dtype=float)
+    d = _dirichlet_distance(u, N)
     s = np.abs(np.sin(np.pi * u))
     near = s < 1e-12
     vals = np.cos(np.pi * d) / np.where(near, 1.0, s)
@@ -114,31 +190,69 @@ def check_variable_dirichlet(N: int, strategy: str = "greedy", t_samples: int = 
     return report
 
 
+# Columns of a maximal scan are independent, so it runs over blocks of this
+# many columns: one block's partial sums, running maximum and temporaries
+# stay in cache through all n. Rows much shorter than this make numpy's
+# broadcast multiply several times slower per element.
+_SCAN_COLUMNS = 4096
+
+
 def _maximal_ratios(coeffs: np.ndarray, N: int, a: float, M: int) -> np.ndarray:
     """Batch ratio of the capped maximal function to the 1-norm.
 
     coeffs has shape (B, 2d+1) over frequencies -d..d; every row is scanned
     with one incremental partial sum per n, tracking the squared maximum of
-    |S_n| / (log n)^(1+a) over 2 <= n <= min(N, max(d, 2)).
+    |S_n| / (log n)^(1+a) over 2 <= n <= min(N, max(d, 2)). Re S_n and
+    Im S_n are kept as real arrays; c_n e^{inx} and then c_-n e^{-inx} are
+    added in place in the order of the complex sum, so for real coefficients
+    every rounding is that of a complex scan. Complex coefficients add
+    their Im c terms after the Re c terms.
     """
     B, width = coeffs.shape
     d = (width - 1) // 2
-    x = np.arange(M) / M
-    e1 = np.exp(2j * np.pi * x)
-    en = np.ones(M, dtype=complex)
-    S = np.repeat(coeffs[:, d][:, None], M, axis=1).astype(complex)
-    best = np.zeros((B, M))
     n_top = max(2, min(N, d))
-    for n in range(1, n_top + 1):
-        en = en * e1
-        if n <= d:
-            S = S + np.outer(coeffs[:, d + n], en) + np.outer(coeffs[:, d - n], np.conj(en))
-        if n >= 2:
-            w = math.log(n) ** -(2.0 * (1.0 + a))
-            np.maximum(best, (S.real * S.real + S.imag * S.imag) * w, out=best)
-    maximal = np.sqrt(best).mean(axis=1)
-    norms = np.abs(S).mean(axis=1)
-    return maximal / norms
+    ks = np.arange(1, d + 1)
+
+    def pairs(c, sign):
+        # (c_n, sign * c_-n) for n = 1..d, shaped to multiply one row of cos nx or sin nx
+        return np.stack((c[:, d + ks].T, sign * c[:, d - ks].T), axis=1)[..., None]
+
+    re = np.asarray(coeffs.real, dtype=float)
+    im = np.asarray(coeffs.imag, dtype=float) if np.iscomplexobj(coeffs) else None
+    # (part of S_n it updates, coefficient pairs, 0 = cos nx / 1 = sin nx)
+    updates = [(0, pairs(re, 1.0), 0), (1, pairs(re, -1.0), 1)]
+    if im is not None and im.any():
+        updates += [(0, -pairs(im, -1.0), 1), (1, pairs(im, 1.0), 0)]
+    weights = [math.log(n) ** -(2.0 * (1.0 + a)) if n >= 2 else 0.0 for n in range(n_top + 1)]
+    e1 = np.exp(2j * np.pi * (np.arange(M) / M))
+    roots = np.empty((B, M))
+    mods = np.empty((B, M))
+    for lo in range(0, M, _SCAN_COLUMNS):
+        cols = slice(lo, lo + _SCAN_COLUMNS)
+        e = e1[cols]
+        en = np.ones(e.size, dtype=complex)
+        S = np.zeros((2, B, e.size))  # Re S_n, Im S_n
+        S[0] = re[:, d, None]
+        if im is not None:
+            S[1] = im[:, d, None]
+        best = np.zeros((B, e.size))
+        T = np.empty((2, B, e.size))
+        for n in range(1, n_top + 1):
+            en = en * e
+            if n <= d:
+                waves = (en.real.copy(), en.imag.copy())
+                for part, c, wave in updates:
+                    np.multiply(c[n - 1], waves[wave], out=T)
+                    S[part] += T[0]  # c_n e^{inx}
+                    S[part] += T[1]  # then c_-n e^{-inx}
+            if n >= 2:
+                np.multiply(S, S, out=T)
+                T[0] += T[1]
+                T[0] *= weights[n]
+                np.maximum(best, T[0], out=best)
+        np.sqrt(best, out=roots[:, cols])
+        mods[:, cols] = np.abs(S[0] + 1j * S[1])  # numpy's complex modulus, not hypot
+    return roots.mean(axis=1) / mods.mean(axis=1)
 
 
 def check_weak_maximal(f: TrigPoly, N: int, a: float) -> float:

@@ -7,6 +7,7 @@ import pytest
 
 import fdl.cli as cli
 from fdl.analysis import DivergenceEstimate
+from fdl.verify import VerificationReport
 
 
 def run_ok(argv):
@@ -178,3 +179,16 @@ def test_nan_in_payload_fails_naming_the_field(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "envelope[2] is NaN" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_nan_in_csv_row_fails_naming_the_cell(tmp_path, monkeypatch, capsys):
+    def nan_rows(N, alpha, trials, seed):
+        report = VerificationReport("weak-maximal", 2, 0.5, 0.5, [(4, 0.5)], seed)
+        return report, [(0, seed, 4, 0.5), (1, seed, 4, math.nan)]
+
+    monkeypatch.setattr(cli, "maximal_rows", nan_rows)
+    out, rows = tmp_path / "report.json", tmp_path / "rows.csv"
+    code = cli.run(["verify", "maximal", "--N", "4", "--trials", "2", "--out", str(out), "--csv", str(rows)])
+    assert code == 2
+    assert "csv row 1 column ratio is NaN" in capsys.readouterr().err
+    assert not rows.exists() and not out.exists()

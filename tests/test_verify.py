@@ -5,12 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdl import verify
 from fdl.construct import HoloKernelParams
 from fdl.trig import TrigPoly, dirichlet_eval
 from fdl.util import DEFAULT_SEED, grid_for_degree, trial_rng
 from fdl.verify import (
+    _dirichlet_distance,
+    _first_return_argmin,
     _max_dirichlet_values,
+    _maximal_ratios,
     check_derivative_bound,
     check_holo_bounds,
     check_localization,
@@ -43,6 +49,57 @@ def test_max_dirichlet_scan_matches_brute_force():
 
 def test_max_dirichlet_scan_at_singular_point():
     assert _max_dirichlet_values(np.array([0.0]), 40)[0] == pytest.approx(81.0)
+
+
+def _brute_dirichlet_distance(u, N, block=64):
+    """The O(N M) scan over n of the distance of frac((2n+1)u) to 1/2, kept as an oracle."""
+    u = np.asarray(u, dtype=float)
+    d = np.full(u.shape, 0.5)
+    for start in range(1, N + 1, block):
+        ns = np.arange(start, min(start + block, N + 1), dtype=float)
+        f = np.mod(np.outer(2.0 * ns + 1.0, u), 1.0)
+        np.minimum(d, np.abs(f - 0.5).min(axis=0), out=d)
+    return d
+
+
+def _brute_max_dirichlet(u, N):
+    u = np.asarray(u, dtype=float)
+    s = np.abs(np.sin(np.pi * u))
+    near = s < 1e-12
+    vals = np.cos(np.pi * _brute_dirichlet_distance(u, N)) / np.where(near, 1.0, s)
+    return np.where(near, float(2 * N + 1), vals)
+
+
+def _assert_dirichlet_matches_brute_force(u, N):
+    u = np.asarray(u, dtype=float)
+    assert np.max(np.abs(_dirichlet_distance(u, N) - _brute_dirichlet_distance(u, N))) <= 1e-11
+    # |d/dd cos(pi d)| <= pi, so the values differ by at most pi * 1e-11 / |sin(pi u)|
+    s = np.abs(np.sin(np.pi * u))
+    assert np.all(np.abs(_max_dirichlet_values(u, N) - _brute_max_dirichlet(u, N)) * s <= 4e-11)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(us=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64), N=st.integers(1, 2048))
+def test_dirichlet_distance_matches_brute_force_at_random_points(us, N):
+    _assert_dirichlet_matches_brute_force(us, N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 17, 256, 8192])
+def test_dirichlet_distance_matches_brute_force_at_rationals(N):
+    M = grid_for_degree(256)
+    t = trial_rng(DEFAULT_SEED, 0).uniform(0.0, 1.0)
+    us = np.concatenate([np.arange(-64, 65) / 64, np.arange(-7, 8) / 7, np.arange(-12, 13) / 12,
+                         np.arange(M) / M - t, [0.0, 0.5, -0.5]])
+    _assert_dirichlet_matches_brute_force(us, N)
+
+
+def test_first_return_argmin_is_the_first_minimiser_at_dyadic_rationals():
+    # on multiples of 1/64 the orbit {beta + m alpha} is exact, ties and periods included
+    grid = np.arange(64) / 64
+    alpha, beta = np.repeat(grid, 64), np.tile(grid, 64)
+    for L in (0, 1, 2, 5, 31, 63, 64, 200):
+        orbit = np.mod(beta[None, :] + np.arange(L + 1)[:, None] * alpha[None, :], 1.0)
+        assert np.array_equal(_first_return_argmin(alpha, beta, L), np.argmin(orbit, axis=0)), L
 
 
 def test_greedy_strategy_dominates_pointwise():
@@ -97,6 +154,53 @@ def _single_row_maximal(f, N, a):
             w = math.log(n) ** -(2.0 * (1.0 + a))
             np.maximum(best, (S.real * S.real + S.imag * S.imag) * w, out=best)
     return float(np.sqrt(best).mean() / np.abs(S).mean())
+
+
+def _complex_maximal_ratios(coeffs, N, a, M):
+    """The batched scan in complex arithmetic, kept as an oracle."""
+    B, width = coeffs.shape
+    d = (width - 1) // 2
+    e1 = np.exp(2j * np.pi * np.arange(M) / M)
+    en = np.ones(M, dtype=complex)
+    S = np.repeat(coeffs[:, d][:, None], M, axis=1).astype(complex)
+    best = np.zeros((B, M))
+    for n in range(1, max(2, min(N, d)) + 1):
+        en = en * e1
+        if n <= d:
+            S = S + np.outer(coeffs[:, d + n], en) + np.outer(coeffs[:, d - n], np.conj(en))
+        if n >= 2:
+            w = math.log(n) ** -(2.0 * (1.0 + a))
+            np.maximum(best, (S.real * S.real + S.imag * S.imag) * w, out=best)
+    return np.sqrt(best).mean(axis=1) / np.abs(S).mean(axis=1)
+
+
+@pytest.mark.parametrize("B", [1, 4])
+@pytest.mark.parametrize("factor", [4, 8])
+def test_real_maximal_scan_is_bit_identical_to_complex_scan(B, factor):
+    for d in (1, 2, 17, 64):
+        coeffs = np.stack([rademacher_coeffs(d, trial_rng(DEFAULT_SEED, (d << 20) + t)) for t in range(B)])
+        M = grid_for_degree(d, factor=factor)
+        for N in sorted({2, max(2, d - 1), max(2, d), d + 1}):
+            want = _complex_maximal_ratios(coeffs, N, 0.5, M)
+            assert np.array_equal(_maximal_ratios(coeffs, N, 0.5, M), want), (d, N)
+            assert np.array_equal(_maximal_ratios(coeffs.astype(complex), N, 0.5, M), want), (d, N)
+
+
+def test_real_maximal_scan_is_bit_identical_across_column_blocks(monkeypatch):
+    coeffs = np.stack([rademacher_coeffs(64, trial_rng(DEFAULT_SEED, t)) for t in range(3)])
+    M = grid_for_degree(64)
+    want = _complex_maximal_ratios(coeffs, 64, 0.5, M)
+    for columns in (48, 64, M + 1):  # a short last block, even blocks, one block
+        monkeypatch.setattr(verify, "_SCAN_COLUMNS", columns)
+        assert np.array_equal(_maximal_ratios(coeffs, 64, 0.5, M), want), columns
+
+
+def test_real_maximal_scan_matches_complex_scan_on_complex_coefficients():
+    rng = trial_rng(DEFAULT_SEED, 43)
+    coeffs = rng.normal(size=(3, 2 * 48 + 1)) + 1j * rng.normal(size=(3, 2 * 48 + 1))
+    M = grid_for_degree(48)
+    want = _complex_maximal_ratios(coeffs, 48, 0.5, M)
+    assert np.max(np.abs(_maximal_ratios(coeffs, 48, 0.5, M) - want) / want) <= 1e-13
 
 
 def test_weak_maximal_is_bit_identical_to_single_row_scan():
