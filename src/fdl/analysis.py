@@ -181,13 +181,13 @@ class ProbeConfig:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("family size must be positive")
-        if self.R <= 0:
-            raise ValueError("degenerate cube half-width rejected")
+        if not (self.R > 0 and math.isfinite(2.0 * self.R)):
+            raise ValueError(f"cube half-width R must be positive with 2R finite, got {self.R}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.depth < 1:
             raise ValueError("test depth must be positive")
-        if self.m_thresh <= 0:
+        if not self.m_thresh > 0:
             raise ValueError("growth threshold must be positive")
         if not (self.beta >= 0):
             raise ValueError("beta must be nonnegative")

@@ -38,20 +38,19 @@ from .construct import (
     residual_witness,
     saturator_certificate,
     saturator_pj,
+    witness_certificate,
 )
-from .sets import DyadicFamilyParams, box_dimension, comb_membership
+from .sets import DyadicFamilyParams, box_dimension
 from .trig import TrigPoly
-from .util import DEFAULT_SEED, grid_for_degree, indexed_map, round_sig, trial_rng
+from .util import DEFAULT_SEED, round_sig
 from .verify import (
-    VerificationReport,
-    check_derivative_bound,
-    check_localization,
-    check_nikolsky,
+    check_holo_bounds,
+    derivative_rows,
     dirichlet_rows,
     holo_sweep,
+    localization_rows,
     maximal_rows,
-    rademacher_poly,
-    scale_ladder,
+    nikolsky_rows,
 )
 
 _SEED_DEFAULT = object()
@@ -283,6 +282,8 @@ def _resolve(ns: argparse.Namespace) -> dict:
                 raise ValueError(f"missing required parameter --{param.key}")
             else:
                 value = param.default
+        if isinstance(value, float) and math.isnan(value):
+            raise ValueError(f"--{param.key} must be a number, got nan")
         cfg[param.key] = value
     return cfg
 
@@ -349,28 +350,9 @@ def _load_poly(path: str) -> TrigPoly:
     return TrigPoly.from_json_dict(data)
 
 
-def _verify_report_json(report: VerificationReport, rows, block: dict, path: str) -> None:
-    payload = {
-        "name": report.name,
-        "trials": len(rows),
-        "worst_ratio": report.worst_ratio,
-        "fitted_constant": report.fitted_constant,
-        "scale_trend": [[scale, value] for scale, value in report.scale_trend],
-        "seed": report.seed,
-        "config": block,
-    }
-    _emit_json(payload, path)
-
-
-def _emit_verify(cfg: dict, subcommand: str, report: VerificationReport, rows) -> None:
-    _emit_csv(("trial", "seed", "scale", "ratio"), rows, cfg["csv"])
-    if cfg["out"]:
-        _verify_report_json(report, rows, _config_block("verify", subcommand, cfg), cfg["out"])
-
-
 def _run_construct_pj(cfg: dict, threads: int) -> None:
     params = DyadicFamilyParams(cfg["j"], cfg["alpha"])
-    poly = saturator_pj(params, cfg["p"], cfg["grid"])
+    poly = saturator_pj(params, cfg["p"])
     cert = saturator_certificate(poly, params, cfg["p"], cfg["grid"])
     if cert["norm"] > 1.0 + 1e-9:
         raise AssertionError(f"saturator norm {cert['norm']} exceeds 1")
@@ -398,8 +380,6 @@ def _run_construct_family(cfg: dict, threads: int) -> None:
 
 
 def _run_construct_holo(cfg: dict, threads: int) -> None:
-    from .verify import check_holo_bounds
-
     if cfg["omega"] is None:
         cfg["omega"] = max(math.log(cfg["k"]), 3.0)
     params = HoloKernelParams(cfg["k"], cfg["omega"])
@@ -430,22 +410,7 @@ def _run_construct_witness(cfg: dict, threads: int) -> None:
     base = _load_poly(cfg["in"]) if cfg["in"] else TrigPoly({})
     sat = log_saturator(cfg["j"], cfg["eps"])
     witness = residual_witness(base, cfg["j"], cfg["eta"], sat.eps_n, sat)
-    diff = witness.truncate(2 * cfg["j"]) - witness.truncate(cfg["j"])
-    dsig = diff.sample(sat.grid_M)
-    mask = comb_membership(sat.comb, dsig.points())
-    observed = float(np.abs(dsig.samples[mask]).min())
-    target = cfg["eta"] * math.log(cfg["j"])
-    cert = {
-        "level": cfg["j"],
-        "eta": cfg["eta"],
-        "eps": sat.eps_n,
-        "detector_scales": [cfg["j"], 2 * cfg["j"]],
-        "min_difference_on_comb": observed,
-        "target_level": target,
-        "margin": observed - target,
-        "points_per_tooth": float(mask.sum()) / sat.k,
-        "grid": sat.grid_M,
-    }
+    cert = witness_certificate(witness, cfg["j"], cfg["eta"], sat)
     if cert["margin"] < 0.0:
         raise AssertionError(f"two-scale difference misses the rate by {-cert['margin']}")
     cfg["eps"] = sat.eps_n
@@ -455,65 +420,35 @@ def _run_construct_witness(cfg: dict, threads: int) -> None:
     _emit_json(payload, cfg["out"])
 
 
-def _run_verify_scan(cfg: dict, threads: int, subcommand: str) -> None:
+def _run_verify(cfg: dict, threads: int, subcommand: str) -> None:
+    N, seed = cfg["N"], cfg["seed"]
     if subcommand == "dirichlet":
-        report, rows = dirichlet_rows(cfg["N"], cfg["strategy"], cfg["trials"], cfg["seed"])
+        report, rows = dirichlet_rows(N, cfg["strategy"], cfg["trials"], seed)
+    elif subcommand == "maximal":
+        report, rows = maximal_rows(N, cfg["alpha"], cfg["trials"], seed)
+    elif subcommand == "nikolsky":
+        report, rows = nikolsky_rows(N, cfg["p"], cfg["q"], cfg["trials"], seed, threads)
+    elif subcommand == "derivative":
+        report, rows = derivative_rows(N, cfg["p"], cfg["trials"], seed, threads)
+    elif subcommand == "localization":
+        report, rows = localization_rows(N, cfg["p"], cfg["eps"], cfg["ifrac"], cfg["trials"], seed, threads)
     else:
-        report, rows = maximal_rows(cfg["N"], cfg["alpha"], cfg["trials"], cfg["seed"])
-    _emit_verify(cfg, subcommand, report, rows)
-
-
-def _run_verify_rows(cfg: dict, threads: int, name: str, ratio_fn, worst=max) -> None:
-    scales = scale_ladder(cfg["N"])
-    tasks = [(t, scale) for scale in scales for t in range(cfg["trials"])]
-
-    def one(task):
-        trial, scale = task
-        rng = trial_rng(cfg["seed"], (scale << 20) + trial)
-        return (trial, cfg["seed"], scale, ratio_fn(scale, rng))
-
-    rows = indexed_map(one, tasks, threads)
-    trend = [(scale, worst(row[3] for row in rows if row[2] == scale)) for scale in scales]
-    report = VerificationReport(name, cfg["trials"], worst(row[3] for row in rows), trend[-1][1],
-                                trend, cfg["seed"])
-    _emit_verify(cfg, name, report, rows)
-
-
-def _run_verify_nikolsky(cfg: dict, threads: int) -> None:
-    def ratio_fn(scale, rng):
-        return check_nikolsky(rademacher_poly(scale, rng), cfg["p"], cfg["q"])
-
-    _run_verify_rows(cfg, threads, "nikolsky", ratio_fn)
-
-
-def _run_verify_derivative(cfg: dict, threads: int) -> None:
-    def ratio_fn(scale, rng):
-        return check_derivative_bound(rademacher_poly(scale, rng), scale, cfg["p"])
-
-    _run_verify_rows(cfg, threads, "derivative", ratio_fn)
-
-
-def _run_verify_localization(cfg: dict, threads: int) -> None:
-    def ratio_fn(scale, rng):
-        poly = rademacher_poly(scale, rng)
-        sig = poly.sample(grid_for_degree(poly.degree))
-        peak = int(np.argmax(np.abs(sig.samples)))
-        return check_localization(poly, peak / sig.M, cfg["ifrac"] / scale, cfg["p"], cfg["eps"])
-
-    _run_verify_rows(cfg, threads, "localization", ratio_fn, worst=min)
-
-
-def _run_verify_holo(cfg: dict, threads: int) -> None:
-    if cfg["N"] < 8:
-        raise ValueError("N must be at least 8")
-    ks = []
-    k = 8
-    while k <= cfg["N"]:
-        ks.append(k)
-        k <<= 1
-    report, bounds = holo_sweep(ks, cfg["grid"], cfg["seed"])
-    rows = [(i, cfg["seed"], b.k, b.c4) for i, b in enumerate(bounds)]
-    _emit_verify(cfg, "holo", report, rows)
+        if N < 8:
+            raise ValueError("N must be at least 8")
+        report, bounds = holo_sweep([8 << i for i in range((N // 8).bit_length())], cfg["grid"], seed)
+        rows = [(i, seed, b.k, b.c4) for i, b in enumerate(bounds)]
+    _emit_csv(("trial", "seed", "scale", "ratio"), rows, cfg["csv"])
+    if cfg["out"]:
+        payload = {
+            "name": report.name,
+            "trials": len(rows),
+            "worst_ratio": report.worst_ratio,
+            "fitted_constant": report.fitted_constant,
+            "scale_trend": [[scale, value] for scale, value in report.scale_trend],
+            "seed": report.seed,
+            "config": _config_block("verify", subcommand, cfg),
+        }
+        _emit_json(payload, cfg["out"])
 
 
 def _run_analyze_index(cfg: dict, threads: int) -> None:
@@ -594,12 +529,8 @@ _HANDLERS = {
     ("construct", "holo"): _run_construct_holo,
     ("construct", "logsat"): _run_construct_logsat,
     ("construct", "witness"): _run_construct_witness,
-    ("verify", "dirichlet"): functools.partial(_run_verify_scan, subcommand="dirichlet"),
-    ("verify", "maximal"): functools.partial(_run_verify_scan, subcommand="maximal"),
-    ("verify", "nikolsky"): _run_verify_nikolsky,
-    ("verify", "derivative"): _run_verify_derivative,
-    ("verify", "localization"): _run_verify_localization,
-    ("verify", "holo"): _run_verify_holo,
+    **{("verify", sub): functools.partial(_run_verify, subcommand=sub)
+       for sub in ("dirichlet", "maximal", "nikolsky", "derivative", "localization", "holo")},
     ("analyze", "index"): _run_analyze_index,
     ("analyze", "levelset"): _run_analyze_levelset,
     ("analyze", "spectrum"): _run_analyze_spectrum,

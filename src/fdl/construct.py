@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import CombParams, DyadicFamilyParams, comb_membership, dyadic_family, smallest_admissible_level
-from .trig import GridSignal, SpectrumInterval, TrigPoly, modulate, validate_norm_exponent
+from .trig import GridSignal, SpectrumInterval, TrigPoly, lp_norm, modulate, validate_norm_exponent
 from .util import is_pow2, next_pow2
 
 
@@ -59,7 +59,7 @@ def saturator_scale(params: DyadicFamilyParams, p) -> float:
     return 2.0 ** (-(params.J - params.j + 2) / p)
 
 
-def saturator_pj(params: DyadicFamilyParams, p, M: int | None = None) -> TrigPoly:
+def saturator_pj(params: DyadicFamilyParams, p) -> TrigPoly:
     """Modulated Fejer-smoothed bump, normalized to unit p-norm scale.
 
     Fejer smoothing at order 2^j keeps only bump frequencies below 2^j;
@@ -67,12 +67,7 @@ def saturator_pj(params: DyadicFamilyParams, p, M: int | None = None) -> TrigPol
     the scale factor 2^(-(J-j+2)/p) caps the p-norm at 1 while the modulus
     stays above the quarter of the scale on the target intervals.
     """
-    j = params.j
-    if M is None:
-        M = next_pow2(8 * (1 << (j + 1)))
-    if not is_pow2(M) or M < 8 * (1 << (j + 1)):
-        raise ValueError(f"grid must be a power of two with M >= {8 * (1 << (j + 1))}")
-    n = 1 << j
+    n = 1 << params.j
     chi = chi_coefficients(params, kmax=n - 1)
     scale = saturator_scale(params, p)
     coeffs = {}
@@ -83,15 +78,16 @@ def saturator_pj(params: DyadicFamilyParams, p, M: int | None = None) -> TrigPol
 
 def saturator_certificate(poly: TrigPoly, params: DyadicFamilyParams, p, M: int | None = None) -> dict:
     """Grid certificate: p-norm and the modulus minimum over target points."""
+    least = 8 * (1 << (params.j + 1))
     if M is None:
-        M = next_pow2(8 * (1 << (params.j + 1)))
+        M = next_pow2(least)
+    if not is_pow2(M) or M < least:
+        raise ValueError(f"grid must be a power of two with M >= {least}")
     sig = poly.sample(M)
     fam = dyadic_family(params)
     mask = fam.contains(sig.points())
     if not mask.any():
         raise ValueError("grid resolves no target point; increase M")
-    from .trig import lp_norm
-
     required = 0.25 * saturator_scale(params, p)
     observed = float(np.abs(sig.samples[mask]).min())
     return {
@@ -343,3 +339,23 @@ def residual_witness(g: TrigPoly, j: int, eta_j: float, eps_j: float, sat: LogSa
     if sat is None:
         sat = log_saturator(j, eps_j)
     return g + (eta_j / eps_j) * modulate(sat.poly, j)
+
+
+def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> dict:
+    """The comb minimum of the two-scale difference S_2j - S_j against eta_j log j."""
+    diff = witness.truncate(2 * j) - witness.truncate(j)
+    sig = diff.sample(sat.grid_M)
+    mask = comb_membership(sat.comb, sig.points())
+    observed = float(np.abs(sig.samples[mask]).min())
+    target = eta_j * math.log(j)
+    return {
+        "level": j,
+        "eta": eta_j,
+        "eps": sat.eps_n,
+        "detector_scales": [j, 2 * j],
+        "min_difference_on_comb": observed,
+        "target_level": target,
+        "margin": observed - target,
+        "points_per_tooth": float(mask.sum()) / sat.k,
+        "grid": sat.grid_M,
+    }

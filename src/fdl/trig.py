@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ class TrigPoly:
     def degree(self) -> int:
         if not self._c:
             return 0
-        return max(abs(k) for k in self._c)
+        return max(max(self._c), -min(self._c))
 
     def coeff(self, k: int) -> complex:
         return self._c.get(int(k), 0j)
@@ -189,7 +190,8 @@ class TrigPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrigPoly":
-        """Inverse of to_json_dict; rejects anything but a list of [k, re, im] triples."""
+        """Inverse of to_json_dict; rejects anything but a list of [k, re, im] triples
+        with finite re, im and distinct k, |k| <= 2^53 (evaluate casts k to float64)."""
         entries = data["coeffs"]
         if not isinstance(entries, list):
             raise ValueError(f"coeffs must be a list of [k, re, im] triples, got {entries!r}")
@@ -200,6 +202,12 @@ class TrigPoly:
                     and isinstance(entry[0], numbers.Integral)):
                 raise ValueError(f"coefficient entry {entry!r} is not an [integer, number, number] triple")
             k, re, im = entry
+            if abs(k) > 1 << 53:
+                raise ValueError(f"coefficient entry {entry!r} has |k| above 2^53")
+            if not (abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
+                raise ValueError(f"coefficient entry {entry!r} is not finite")
+            if int(k) in coeffs:
+                raise ValueError(f"coefficient entry {entry!r} repeats frequency {k}")
             coeffs[int(k)] = complex(re, im)
         return cls(coeffs)
 
@@ -249,16 +257,16 @@ class GridSignal:
         return cls(v)
 
 
-def dirichlet_eval(n: int, t) -> np.ndarray:
-    """Closed-form kernel values sin(pi (2n+1) t) / sin(pi t)."""
-    if n < 0:
+def dirichlet_eval(n, t) -> np.ndarray:
+    """Closed-form kernel values sin(pi (2n+1) t) / sin(pi t); n is an order or an array of them."""
+    if np.min(n) < 0:
         raise ValueError("dirichlet order must be nonnegative")
     ts = np.asarray(t, dtype=float)
     s = np.sin(np.pi * ts)
     near = np.abs(s) < _SIN_EPS
     safe = np.where(near, 1.0, s)
     vals = np.sin(np.pi * (2 * n + 1) * ts) / safe
-    return np.where(near, float(2 * n + 1), vals)
+    return np.where(near, 2 * n + 1.0, vals)
 
 
 def fejer_mean(f: TrigPoly, n: int) -> TrigPoly:

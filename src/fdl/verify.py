@@ -15,7 +15,7 @@ import numpy as np
 from .construct import HoloKernelParams, holo_kernel, holo_log_derivative
 from .sets import comb_membership
 from .trig import TrigPoly, dirichlet_eval, lp_norm, validate_norm_exponent
-from .util import DEFAULT_SEED, grid_for_degree, trial_rng
+from .util import DEFAULT_SEED, grid_for_degree, indexed_map, trial_rng
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,40 @@ def _max_dirichlet_values(u: np.ndarray, N: int) -> np.ndarray:
     return np.where(near, float(2 * N + 1), vals)
 
 
-def dirichlet_rows(N: int, strategy: str, t_samples: int, seed: int = DEFAULT_SEED,
-                   scales: list[int] | None = None) -> tuple[VerificationReport, list[tuple]]:
+def _sweep(name: str, scales: list[int], trials: int, seed: int, ratios, worst=max,
+           fitted: int = -1) -> tuple[VerificationReport, list[tuple]]:
+    """The report and the (trial, seed, scale, ratio) rows of one verify sweep.
+
+    ratios(scales) yields the per-trial ratios scale by scale; it runs only
+    once the trial count is valid. The trend keeps the worst ratio at each
+    scale, and the fitted constant is the trend value at scales[fitted].
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rows = [(trial, seed, scale, float(ratio))
+            for scale, per_trial in zip(scales, ratios(scales))
+            for trial, ratio in enumerate(per_trial)]
+    trend = [(scale, worst(row[3] for row in rows if row[2] == scale)) for scale in scales]
+    report = VerificationReport(name, trials, worst(row[3] for row in rows), trend[fitted][1],
+                                sorted(trend), seed)
+    return report, rows
+
+
+def _trial_sweep(name: str, N: int, trials: int, seed: int, threads: int, ratio_fn,
+                 worst=max) -> tuple[VerificationReport, list[tuple]]:
+    """A sweep of ratio_fn(scale, rng) over every (scale, trial) task in one
+    indexed_map; each task draws its own generator, so threads change no row."""
+    def ratios(scales):
+        tasks = [(scale, t) for scale in scales for t in range(trials)]
+        flat = indexed_map(lambda task: ratio_fn(task[0], trial_rng(seed, (task[0] << 20) + task[1])),
+                           tasks, threads)
+        return [flat[i:i + trials] for i in range(0, len(flat), trials)]
+
+    return _sweep(name, scale_ladder(N), trials, seed, ratios, worst)
+
+
+def dirichlet_rows(N: int, strategy: str, t_samples: int,
+                   seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[tuple]]:
     """Variable-index Dirichlet integrals per shift t and per dyadic scale.
 
     Returns the aggregated report and (trial, seed, scale, ratio) rows.
@@ -149,45 +181,26 @@ def dirichlet_rows(N: int, strategy: str, t_samples: int, seed: int = DEFAULT_SE
         raise ValueError("N must be at least 4")
     if strategy not in ("constant", "random", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if scales is None:
-        scales = scale_ladder(N)
-    rng = trial_rng(seed, 0)
-    ts = rng.uniform(0.0, 1.0, size=t_samples)
-    rows = []
-    trend = {}
-    for scale in scales:
-        M = grid_for_degree(scale)
-        x = np.arange(M) / M
-        for trial, t in enumerate(ts):
-            u = x - t
-            if strategy == "greedy":
-                vals = _max_dirichlet_values(u, scale)
-            elif strategy == "constant":
-                vals = np.abs(dirichlet_eval(scale, u))
-            else:
-                n = trial_rng(seed, 1000 + trial).integers(1, scale + 1, size=M)
-                s = np.abs(np.sin(np.pi * u))
-                near = s < 1e-12
-                vals = np.abs(np.sin(np.pi * (2 * n + 1) * u)) / np.where(near, 1.0, s)
-                vals = np.where(near, (2 * n + 1).astype(float), vals)
-            ratio = float(vals.mean() / math.log(scale))
-            rows.append((trial, seed, scale, ratio))
-            trend[scale] = max(trend.get(scale, 0.0), ratio)
-    report = VerificationReport(
-        name=f"dirichlet-{strategy}",
-        trials=t_samples,
-        worst_ratio=max(r[3] for r in rows),
-        fitted_constant=trend[scales[-1]],
-        scale_trend=sorted(trend.items()),
-        seed=seed,
-    )
-    return report, rows
 
+    def ratios(scales):
+        ts = trial_rng(seed, 0).uniform(0.0, 1.0, size=t_samples)
+        for scale in scales:
+            M = grid_for_degree(scale)
+            x = np.arange(M) / M
+            per_trial = []
+            for trial, t in enumerate(ts):
+                u = x - t
+                if strategy == "greedy":
+                    vals = _max_dirichlet_values(u, scale)
+                elif strategy == "constant":
+                    vals = np.abs(dirichlet_eval(scale, u))
+                else:
+                    n = trial_rng(seed, 1000 + trial).integers(1, scale + 1, size=M)
+                    vals = np.abs(dirichlet_eval(n, u))
+                per_trial.append(vals.mean() / math.log(scale))
+            yield per_trial
 
-def check_variable_dirichlet(N: int, strategy: str = "greedy", t_samples: int = 2,
-                             seed: int = DEFAULT_SEED) -> VerificationReport:
-    report, _ = dirichlet_rows(N, strategy, t_samples, seed)
-    return report
+    return _sweep(f"dirichlet-{strategy}", scale_ladder(N), t_samples, seed, ratios)
 
 
 # Columns of a maximal scan are independent, so it runs over blocks of this
@@ -263,7 +276,7 @@ def check_weak_maximal(f: TrigPoly, N: int, a: float) -> float:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    if a <= 0:
+    if not a > 0:
         raise ValueError("excess exponent must be positive")
     if not len(f):
         raise ValueError("zero polynomial has no maximal ratio")
@@ -279,28 +292,20 @@ def maximal_rows(N: int, a: float, trials: int, seed: int = DEFAULT_SEED,
     """Rademacher-family maximal ratios across dyadic scales.
 
     Each scale uses fresh degree-scale polynomials, batched through one
-    incremental scan; rows are (trial, seed, scale, ratio).
+    incremental scan; rows are (trial, seed, scale, ratio). The fitted
+    constant is the worst ratio at the first scale.
     """
-    if scales is None:
-        scales = scale_ladder(N)
-    rows = []
-    trend = {}
-    for scale in scales:
-        coeffs = np.stack([rademacher_coeffs(scale, trial_rng(seed, (scale << 20) + t))
-                           for t in range(trials)])
-        ratios = _maximal_ratios(coeffs, scale, a, grid_for_degree(scale, factor=4))
-        for t, ratio in enumerate(ratios):
-            rows.append((t, seed, scale, float(ratio)))
-        trend[scale] = float(ratios.max())
-    report = VerificationReport(
-        name="weak-maximal",
-        trials=trials,
-        worst_ratio=max(r[3] for r in rows),
-        fitted_constant=trend[scales[0]],
-        scale_trend=sorted(trend.items()),
-        seed=seed,
-    )
-    return report, rows
+    if not a > 0:
+        raise ValueError("excess exponent must be positive")
+
+    def ratios(scales):
+        for scale in scales:
+            coeffs = np.stack([rademacher_coeffs(scale, trial_rng(seed, (scale << 20) + t))
+                               for t in range(trials)])
+            yield _maximal_ratios(coeffs, scale, a, grid_for_degree(scale, factor=4))
+
+    scales = scale_ladder(N) if scales is None else scales
+    return _sweep("weak-maximal", scales, trials, seed, ratios, fitted=0)
 
 
 def check_nikolsky(P: TrigPoly, p, q) -> float:
@@ -363,6 +368,36 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     else:
         rate = math.log(n) ** (-(1.0 + eps)) / math.log(1.0 / interval_length)
     return float(lp_I / (peak * interval_length ** (1.0 / p) * rate))
+
+
+def nikolsky_rows(N: int, p, q, trials: int, seed: int = DEFAULT_SEED,
+                  threads: int = 1) -> tuple[VerificationReport, list[tuple]]:
+    """Nikolsky ratios of Rademacher polynomials of each dyadic degree."""
+    return _trial_sweep("nikolsky", N, trials, seed, threads,
+                        lambda scale, rng: check_nikolsky(rademacher_poly(scale, rng), p, q))
+
+
+def derivative_rows(N: int, p, trials: int, seed: int = DEFAULT_SEED,
+                    threads: int = 1) -> tuple[VerificationReport, list[tuple]]:
+    """Derivative-bound ratios of Rademacher polynomials at index = degree."""
+    return _trial_sweep("derivative", N, trials, seed, threads,
+                        lambda scale, rng: check_derivative_bound(rademacher_poly(scale, rng), scale, p))
+
+
+def localization_rows(N: int, p, eps: float, ifrac: float, trials: int, seed: int = DEFAULT_SEED,
+                      threads: int = 1) -> tuple[VerificationReport, list[tuple]]:
+    """Localization ratios of Rademacher polynomials around their grid peak.
+
+    The interval has length ifrac / degree and is centred on the largest
+    sample of the default degree grid; the worst ratio is the smallest.
+    """
+    def ratio(scale, rng):
+        poly = rademacher_poly(scale, rng)
+        sig = poly.sample(grid_for_degree(poly.degree))
+        peak = int(np.argmax(np.abs(sig.samples)))
+        return check_localization(poly, peak / sig.M, ifrac / scale, p, eps)
+
+    return _trial_sweep("localization", N, trials, seed, threads, ratio, worst=min)
 
 
 @dataclass(frozen=True)

@@ -191,14 +191,16 @@ def test_dyadic_test_points_layout():
 def test_probe_config_validation():
     with pytest.raises(ValueError):
         ProbeConfig(s=0)
-    with pytest.raises(ValueError):
-        ProbeConfig(R=0.0)
+    for R in (0.0, math.nan, math.inf, 1e308):  # 2R must stay finite for the uniform draw
+        with pytest.raises(ValueError):
+            ProbeConfig(R=R)
     with pytest.raises(ValueError):
         ProbeConfig(trials=0)
     with pytest.raises(ValueError):
         ProbeConfig(depth=0)
-    with pytest.raises(ValueError):
-        ProbeConfig(m_thresh=0.0)
+    for m_thresh in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            ProbeConfig(m_thresh=m_thresh)
     with pytest.raises(ValueError):
         ProbeConfig(beta=-0.1)
 

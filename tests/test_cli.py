@@ -156,7 +156,14 @@ def test_missing_input_file_maps_to_exit_1(tmp_path):
                     "--x", "0.5"]) == 1
 
 
-@pytest.mark.parametrize("payload", [{"coeffs": 5}, {"coeffs": [[1, "a", 0]]}])
+@pytest.mark.parametrize("payload", [
+    {"coeffs": 5},
+    {"coeffs": [[1, "a", 0]]},
+    {"coeffs": [[1, math.nan, 0.0]]},
+    {"coeffs": [[1, 1.0, math.inf]]},
+    {"coeffs": [[10**30, 1.0, 0.0]]},
+    {"coeffs": [[1, 1.0, 0.0], [1, 2.0, 0.0]]},
+])
 def test_malformed_coefficient_json_maps_to_exit_1(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -192,3 +199,29 @@ def test_nan_in_csv_row_fails_naming_the_cell(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "csv row 1 column ratio is NaN" in capsys.readouterr().err
     assert not rows.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "prevalence", "--thresh", "nan"],
+    ["probe", "prevalence", "--R", "nan"],
+    ["probe", "prevalence", "--R", "inf"],
+    ["probe", "prevalence", "--R", "1e308"],
+    ["analyze", "index", "--in", "{poly}", "--x", "nan"],
+    ["analyze", "levelset", "--in", "{poly}", "--beta", "nan", "--csv", "{csv}"],
+    ["analyze", "levelset", "--in", "{poly}", "--beta", "0.2", "--tol", "nan", "--csv", "{csv}"],
+    ["analyze", "spectrum", "--in", "{poly}", "--p", "nan", "--csv", "{csv}"],
+    ["verify", "localization", "--N", "16", "--eps", "nan", "--csv", "{csv}"],
+    ["verify", "maximal", "--N", "16", "--alpha", "nan", "--csv", "{csv}"],
+    ["verify", "localization", "--N", "16", "--config", "{conf}", "--csv", "{csv}"],
+])
+def test_nan_or_overflowing_flag_maps_to_exit_1(tmp_path, capsys, argv):
+    paths = {"poly": tmp_path / "g.json", "conf": tmp_path / "run.conf",
+             "csv": tmp_path / "rows.csv", "out": tmp_path / "out.json"}
+    paths["poly"].write_text(json.dumps({"coeffs": [[1, 1.0, 0.0]]}))
+    paths["conf"].write_text("eps = nan\n")
+    argv = [a.format(**paths) for a in argv] + ["--out", str(paths["out"])]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not paths["csv"].exists() and not paths["out"].exists()

@@ -20,8 +20,9 @@ from fdl.construct import (
     saturator_certificate,
     saturator_pj,
     saturator_scale,
+    witness_certificate,
 )
-from fdl.sets import DyadicFamilyParams, comb_membership, dyadic_family
+from fdl.sets import DyadicFamilyParams, dyadic_family
 from fdl.trig import SpectrumInterval, TrigPoly, modulate
 from fdl.verify import check_holo_bounds
 
@@ -76,6 +77,8 @@ def test_saturator_certificate_margins():
         assert cert["norm"] <= 1.0 + 1e-9
         assert cert["bound_required"] == pytest.approx(0.25 * saturator_scale(params, p))
         assert cert["margin"] >= 0.0
+    with pytest.raises(ValueError, match="grid must be a power of two with M >= 4096"):
+        saturator_certificate(saturator_pj(params, 2), params, 2, M=2048)
 
 
 def test_disjoint_family_blocks_are_isolated_by_truncation():
@@ -218,14 +221,12 @@ def test_residual_witness_comb_margin_frozen():
     j = 128
     sat = log_saturator(j)
     w = residual_witness(TrigPoly({0: 1.0, 3: 0.25}), j, 0.05, sat.eps_n, sat)
-    diff = w.truncate(2 * j) - w.truncate(j)
-    sig = diff.sample(sat.grid_M)
-    mask = comb_membership(sat.comb, sig.points())
-    observed = float(np.abs(sig.samples[mask]).min())
-    target = 0.05 * math.log(j)
+    cert = witness_certificate(w, j, 0.05, sat)
+    target, observed = cert["target_level"], cert["min_difference_on_comb"]
     assert target == pytest.approx(0.242602, abs=5e-4)
     assert observed == pytest.approx(0.642431, abs=5e-4)
     assert observed >= target
+    assert cert["margin"] == observed - target
 
 
 def test_residual_witness_guards():

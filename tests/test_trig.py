@@ -200,6 +200,32 @@ def test_json_roundtrips():
     assert np.array_equal(back.samples, sig.samples)
 
 
+def _malformed_entry(kind, data):
+    """A coefficient list with one entry that from_json_dict must refuse, and that entry."""
+    repeat = int(kind == "repeat")
+    ks = data.draw(st.lists(st.integers(-64, 64), min_size=repeat, max_size=6, unique=True), label="ks")
+    entries = [[k, float(k), -0.5] for k in ks]
+    pos = data.draw(st.integers(repeat, len(entries)), label="pos")
+    if repeat:
+        bad = [data.draw(st.sampled_from(ks[:pos]), label="k"), 1.0, 0.0]
+    elif kind == "frequency":
+        k = data.draw(st.integers(2**53 + 1, 10**30), label="k")
+        bad = [data.draw(st.sampled_from([k, -k])), 1.0, 0.0]
+    else:
+        x = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 10**400]), label="x")
+        bad = data.draw(st.sampled_from([[1000, x, 0.0], [1000, 0.0, x]]), label="bad")
+    return entries[:pos] + [bad] + entries[pos:], bad
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["repeat", "frequency", "value"]), data=st.data())
+def test_json_refuses_entries_it_cannot_represent(kind, data):
+    entries, bad = _malformed_entry(kind, data)
+    with pytest.raises(ValueError) as err:
+        TrigPoly.from_json_dict({"coeffs": entries})
+    assert repr(bad) in str(err.value)
+
+
 def test_grid_signal_guards():
     with pytest.raises(ValueError):
         GridSignal(np.zeros(12, dtype=complex))

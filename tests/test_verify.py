@@ -21,11 +21,13 @@ from fdl.verify import (
     check_holo_bounds,
     check_localization,
     check_nikolsky,
-    check_variable_dirichlet,
     check_weak_maximal,
+    derivative_rows,
     dirichlet_rows,
     holo_sweep,
+    localization_rows,
     maximal_rows,
+    nikolsky_rows,
     rademacher_coeffs,
     rademacher_poly,
     scale_ladder,
@@ -111,7 +113,7 @@ def test_greedy_strategy_dominates_pointwise():
 
 
 def test_dirichlet_report_frozen_constants():
-    rep = check_variable_dirichlet(256, "greedy", 2)
+    rep = dirichlet_rows(256, "greedy", 2)[0]
     assert rep.worst_ratio == pytest.approx(1.060988994429415, rel=1e-12)
     assert rep.fitted_constant == pytest.approx(0.9014646634232882, rel=1e-12)
     ratios = [r for _, r in rep.scale_trend]
@@ -133,6 +135,25 @@ def test_dirichlet_rows_validation():
         dirichlet_rows(3, "greedy", 2)
     with pytest.raises(ValueError):
         dirichlet_rows(64, "clever", 2)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("sweep", [
+    lambda trials: dirichlet_rows(64, "greedy", trials),
+    lambda trials: maximal_rows(64, 0.5, trials),
+    lambda trials: nikolsky_rows(64, 2.0, math.inf, trials),
+    lambda trials: derivative_rows(64, 2.0, trials),
+    lambda trials: localization_rows(64, 2.0, 0.5, 1.0, trials),
+], ids=["dirichlet", "maximal", "nikolsky", "derivative", "localization"])
+def test_verify_sweeps_need_a_trial(sweep, trials):
+    with pytest.raises(ValueError, match="need at least one trial"):
+        sweep(trials)
+
+
+@pytest.mark.parametrize("a", [0.0, -0.5, math.nan])
+def test_maximal_rows_rejects_nonpositive_exponent(a):
+    with pytest.raises(ValueError, match="excess exponent must be positive"):
+        maximal_rows(64, a, 1)
 
 
 def _single_row_maximal(f, N, a):
