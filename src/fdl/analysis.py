@@ -145,7 +145,7 @@ def level_set(f: TrigPoly, beta: float, tolerance: float, grid: int, schedule) -
     return LevelSetOracle(points, mask, beta, tolerance)
 
 
-def spectrum_curve(f: TrigPoly, beta_grid, p, schedule, grid: int = 1 << 12,
+def spectrum_curve(f: TrigPoly, beta_grid, schedule, grid: int = 1 << 12,
                    tolerance: float = 0.05, m_lo: int = 4, m_hi: int = 10) -> list[tuple[float, BoxDimEstimate]]:
     """Box dimension of each empirical level set along a grid of betas.
 

@@ -77,7 +77,10 @@ def saturator_pj(params: DyadicFamilyParams, p) -> TrigPoly:
 
 
 def saturator_certificate(poly: TrigPoly, params: DyadicFamilyParams, p, M: int | None = None) -> dict:
-    """Grid certificate: p-norm and the modulus minimum over target points."""
+    """Grid certificate: p-norm and the modulus minimum over target points.
+
+    AssertionError when the norm exceeds 1 or the minimum misses its bound.
+    """
     least = 8 * (1 << (params.j + 1))
     if M is None:
         M = next_pow2(least)
@@ -90,13 +93,18 @@ def saturator_certificate(poly: TrigPoly, params: DyadicFamilyParams, p, M: int 
         raise ValueError("grid resolves no target point; increase M")
     required = 0.25 * saturator_scale(params, p)
     observed = float(np.abs(sig.samples[mask]).min())
-    return {
+    cert = {
         "norm": lp_norm(sig.samples, p),
         "min_on_target_set": observed,
         "bound_required": required,
         "margin": observed - required,
         "grid": M,
     }
+    if cert["norm"] > 1.0 + 1e-9:
+        raise AssertionError(f"saturator norm {cert['norm']} exceeds 1")
+    if cert["margin"] < 0.0:
+        raise AssertionError(f"target-set minimum misses the bound by {-cert['margin']}")
+    return cert
 
 
 @dataclass(frozen=True)
@@ -298,7 +306,10 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
 
 
 def logsat_certificate(sat: LogSaturator, M: int | None = None) -> dict:
-    """Sup-norm and the comb minimum of the degree-n partial sum."""
+    """Sup-norm and the comb minimum of the degree-n partial sum.
+
+    AssertionError when the sup norm exceeds 1 or the minimum misses the rate.
+    """
     M = sat.grid_M if M is None else M
     sig = sat.poly.sample(M)
     partial = sat.poly.truncate(sat.n).sample(M)
@@ -306,7 +317,7 @@ def logsat_certificate(sat: LogSaturator, M: int | None = None) -> dict:
     points_per_tooth = int(mask.sum()) / sat.k
     target = sat.target_level
     observed = float(np.abs(partial.samples[mask]).min())
-    return {
+    cert = {
         "n": sat.n,
         "eps_n": sat.eps_n,
         "omega": sat.omega,
@@ -319,6 +330,11 @@ def logsat_certificate(sat: LogSaturator, M: int | None = None) -> dict:
         "points_per_tooth": points_per_tooth,
         "grid": M,
     }
+    if cert["sup_norm"] > 1.0 + 1e-9:
+        raise AssertionError(f"sup norm {cert['sup_norm']} exceeds 1")
+    if cert["margin"] < 0.0:
+        raise AssertionError(f"comb minimum misses the rate by {-cert['margin']}")
+    return cert
 
 
 def residual_witness(g: TrigPoly, j: int, eta_j: float, eps_j: float, sat: LogSaturator | None = None) -> TrigPoly:
@@ -342,13 +358,16 @@ def residual_witness(g: TrigPoly, j: int, eta_j: float, eps_j: float, sat: LogSa
 
 
 def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> dict:
-    """The comb minimum of the two-scale difference S_2j - S_j against eta_j log j."""
+    """The comb minimum of the two-scale difference S_2j - S_j against eta_j log j.
+
+    AssertionError when the minimum misses that target.
+    """
     diff = witness.truncate(2 * j) - witness.truncate(j)
     sig = diff.sample(sat.grid_M)
     mask = comb_membership(sat.comb, sig.points())
     observed = float(np.abs(sig.samples[mask]).min())
     target = eta_j * math.log(j)
-    return {
+    cert = {
         "level": j,
         "eta": eta_j,
         "eps": sat.eps_n,
@@ -359,3 +378,6 @@ def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturat
         "points_per_tooth": float(mask.sum()) / sat.k,
         "grid": sat.grid_M,
     }
+    if cert["margin"] < 0.0:
+        raise AssertionError(f"two-scale difference misses the rate by {-cert['margin']}")
+    return cert

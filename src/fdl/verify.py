@@ -3,7 +3,8 @@
 Each checker returns a plain ratio (observed quantity over its claimed
 bound) or a VerificationReport aggregating ratios across scales and
 seeded trials. Ratios are grid quantities; the grids are sized so the
-quadrature is exact for the polynomial degrees involved.
+quadrature is exact for the polynomial degrees involved. The pole-comb
+kernel bounds other than its comb minimum are closed forms.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import HoloKernelParams, holo_kernel, holo_log_derivative
+from .construct import HoloKernelParams, holo_kernel
 from .sets import comb_membership
 from .trig import TrigPoly, dirichlet_eval, lp_norm, validate_norm_exponent
 from .util import DEFAULT_SEED, grid_for_degree, indexed_map, trial_rng
@@ -30,6 +31,8 @@ class VerificationReport:
 
 def scale_ladder(N: int) -> list[int]:
     """The dyadic scales N/8, N/4, N/2, N of a verify sweep, each at least 4, deduplicated."""
+    if N < 4:
+        raise ValueError("N must be at least 4")
     return sorted({max(4, N >> 3), max(4, N >> 2), max(4, N >> 1), N})
 
 
@@ -177,8 +180,6 @@ def dirichlet_rows(N: int, strategy: str, t_samples: int,
 
     Returns the aggregated report and (trial, seed, scale, ratio) rows.
     """
-    if N < 4:
-        raise ValueError("N must be at least 4")
     if strategy not in ("constant", "random", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -276,8 +277,8 @@ def check_weak_maximal(f: TrigPoly, N: int, a: float) -> float:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    if not a > 0:
-        raise ValueError("excess exponent must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError("excess exponent must be positive and finite")
     if not len(f):
         raise ValueError("zero polynomial has no maximal ratio")
     d = max(f.degree, 1)
@@ -295,8 +296,8 @@ def maximal_rows(N: int, a: float, trials: int, seed: int = DEFAULT_SEED,
     incremental scan; rows are (trial, seed, scale, ratio). The fitted
     constant is the worst ratio at the first scale.
     """
-    if not a > 0:
-        raise ValueError("excess exponent must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError("excess exponent must be positive and finite")
 
     def ratios(scales):
         for scale in scales:
@@ -349,6 +350,8 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     p = validate_norm_exponent(p)
     if math.isinf(p):
         raise ValueError("localization rate is defined for finite p")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     n = P.degree
     if n < 2:
         raise ValueError("degree must be at least 2")
@@ -357,8 +360,6 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     peak = float(np.abs(P.evaluate(np.array([a], dtype=float)))[0])
     if peak < P.norm(p) - 1e-9:
         raise ValueError("hypothesis |P(a)| >= ||P||_p violated")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     ts = a + np.linspace(-0.5, 0.5, 513) * interval_length
     vals = np.abs(P.evaluate(ts)) ** p
     mass = float(np.trapezoid(vals, dx=interval_length / 512))
@@ -415,29 +416,24 @@ class HoloBounds:
     grid: int
 
 
-def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14,
-                      interior_samples: int = 1000, seed: int = DEFAULT_SEED) -> HoloBounds:
-    """Boundary-grid margins of the kernel bounds, plus interior positivity.
+def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14) -> HoloBounds:
+    """Closed-form margins of the kernel bounds, plus the comb minimum on the grid.
 
-    c1 = min Re f * omega k, c2 = min |f|/omega over the comb, c3 = max
-    |f|/omega over the circle, c4 = max |f'/f| / (omega k). c4 must stay
-    at or below 1 (no constant in that bound).
+    On the closed disk a^k fills |w| <= rho = (1+eps)^-k, where f = 1/(1-w)
+    has min Re f = 1/(1+rho), sup |f| = 1/(1-rho) and sup |f'/f| =
+    k rho/(1-rho). c1 = min Re f * omega k, c2 = min |f|/omega over the
+    boundary grid's comb points, c3 = sup |f|/omega, c4 = sup |f'/f| /
+    (omega k). c4 must stay at or below 1 (no constant in that bound).
     """
     z = np.exp(2j * np.pi * np.arange(M) / M)
     f = holo_kernel(params, z)
-    fd = holo_log_derivative(params, z)
-    rng = trial_rng(seed, params.k)
-    r = np.sqrt(rng.uniform(0.0, 1.0, interior_samples))
-    zi = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, interior_samples))
-    fi = holo_kernel(params, zi)
-    fdi = holo_log_derivative(params, zi)
-    min_re = float(min(f.real.min(), fi.real.min()))
-    if min_re <= 0:
-        raise AssertionError("Re f must stay positive on the closed disk")
     mask = comb_membership(params.comb, np.arange(M) / M)
     if not mask.any():
         raise ValueError("boundary grid resolves no comb point; increase M")
-    c4 = float(max(np.abs(fd).max(), np.abs(fdi).max()) / (params.omega * params.k))
+    t = params.k * math.log1p(params.eps)
+    rho, gap = math.exp(-t), -math.expm1(-t)  # gap = 1 - rho without cancellation
+    min_re = 1.0 / (1.0 + rho)
+    c4 = rho / (gap * params.omega)
     if c4 > 1.0 + 1e-6:
         raise AssertionError(f"log-derivative bound violated: {c4}")
     return HoloBounds(
@@ -445,7 +441,7 @@ def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14,
         omega=params.omega,
         c1=min_re * params.omega * params.k,
         c2=float(np.abs(f[mask]).min() / params.omega),
-        c3=float(np.abs(f).max() / params.omega),
+        c3=1.0 / (gap * params.omega),
         c4=c4,
         min_re=min_re,
         f0_error=float(abs(holo_kernel(params, 0j) - 1.0)),
@@ -455,7 +451,7 @@ def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14,
 
 def holo_sweep(ks, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[HoloBounds]]:
     """Runs the bound check across tooth counts with omega = max(log k, 3)."""
-    bounds = [check_holo_bounds(HoloKernelParams(k, max(math.log(k), 3.0)), M, seed=seed) for k in ks]
+    bounds = [check_holo_bounds(HoloKernelParams(k, max(math.log(k), 3.0)), M) for k in ks]
     report = VerificationReport(
         name="holo-bounds",
         trials=len(bounds),

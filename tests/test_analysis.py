@@ -177,7 +177,7 @@ def test_level_set_oracle_mapping():
 
 def test_spectrum_curve_shares_one_profile():
     schedule = dyadic_schedule(6, 10)
-    curve = spectrum_curve(TrigPoly({1: 1.0}), [0.0, 0.1], 2.0, schedule, grid=1 << 8)
+    curve = spectrum_curve(TrigPoly({1: 1.0}), [0.0, 0.1], schedule, grid=1 << 8)
     assert [(b, est.slope) for b, est in curve] == [(0.0, 1.0), (0.1, 0.0)]
 
 

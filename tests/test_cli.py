@@ -201,6 +201,28 @@ def test_nan_in_csv_row_fails_naming_the_cell(tmp_path, monkeypatch, capsys):
     assert not rows.exists() and not out.exists()
 
 
+def test_failed_certificate_maps_to_exit_2(tmp_path, monkeypatch, capsys):
+    saturator_pj = cli.saturator_pj
+    monkeypatch.setattr(cli, "saturator_pj", lambda params, p: 0.1 * saturator_pj(params, p))
+    out = tmp_path / "pj.json"
+    assert cli.run(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2", "--out", str(out)]) == 2
+    assert "target-set minimum misses the bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SWEEPS = ("dirichlet", "maximal", "nikolsky", "derivative", "localization")
+# every float flag of the verify subcommands at +-inf, and every sweep below N = 4
+_VERIFY_BAD_VALUES = [
+    pytest.param(["verify", sub, "--N", "16", f"--{param.key}={value}", "--csv", "{csv}"],
+                 id=f"{sub}-{param.key}={value}")
+    for sub in (*_SWEEPS, "holo") for param in cli._SPECS[("verify", sub)] if param.conv is float
+    for value in ("inf", "-inf")
+] + [
+    pytest.param(["verify", sub, f"--N={n}", "--csv", "{csv}"], id=f"{sub}-N={n}")
+    for sub in _SWEEPS for n in (-1, 0, 1, 3)
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["probe", "prevalence", "--thresh", "nan"],
     ["probe", "prevalence", "--R", "nan"],
@@ -213,6 +235,7 @@ def test_nan_in_csv_row_fails_naming_the_cell(tmp_path, monkeypatch, capsys):
     ["verify", "localization", "--N", "16", "--eps", "nan", "--csv", "{csv}"],
     ["verify", "maximal", "--N", "16", "--alpha", "nan", "--csv", "{csv}"],
     ["verify", "localization", "--N", "16", "--config", "{conf}", "--csv", "{csv}"],
+    *_VERIFY_BAD_VALUES,
 ])
 def test_nan_or_overflowing_flag_maps_to_exit_1(tmp_path, capsys, argv):
     paths = {"poly": tmp_path / "g.json", "conf": tmp_path / "run.conf",

@@ -81,6 +81,15 @@ def test_saturator_certificate_margins():
         saturator_certificate(saturator_pj(params, 2), params, 2, M=2048)
 
 
+def test_saturator_certificate_raises_on_failed_bounds():
+    params = DyadicFamilyParams(8, 2.0)
+    poly = saturator_pj(params, 2)
+    with pytest.raises(AssertionError, match="target-set minimum misses the bound by"):
+        saturator_certificate(0.1 * poly, params, 2)
+    with pytest.raises(AssertionError, match="saturator norm .* exceeds 1"):
+        saturator_certificate(2.0 * poly, params, 2)
+
+
 def test_disjoint_family_blocks_are_isolated_by_truncation():
     fam = disjoint_family(3, 2.0, 2, 8)
     assert fam.j_min == 5
@@ -148,7 +157,7 @@ def test_holo_params_validation():
 
 
 def test_holo_bounds_certificate():
-    bounds = check_holo_bounds(HoloKernelParams(k=16, omega=4.0), M=1 << 12, interior_samples=500)
+    bounds = check_holo_bounds(HoloKernelParams(k=16, omega=4.0), M=1 << 12)
     assert bounds.f0_error <= 1e-12
     assert bounds.c4 <= 1.0 + 1e-6
     assert bounds.min_re > 0.0

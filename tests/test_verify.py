@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdl import verify
-from fdl.construct import HoloKernelParams
+from fdl.construct import HoloKernelParams, holo_kernel, holo_log_derivative
 from fdl.trig import TrigPoly, dirichlet_eval
 from fdl.util import DEFAULT_SEED, grid_for_degree, trial_rng
 from fdl.verify import (
@@ -323,13 +323,37 @@ def test_localization_guards():
 
 
 def test_holo_bounds_frozen_at_k16():
-    b = check_holo_bounds(HoloKernelParams(16, 4.0), M=1 << 12, interior_samples=500)
+    b = check_holo_bounds(HoloKernelParams(16, 4.0), M=1 << 12)
     assert b.f0_error == 0.0
     assert b.c1 == pytest.approx(35.948842423388086, rel=1e-9)
     assert b.c2 == pytest.approx(0.35167401270184656, rel=1e-9)
     assert b.c3 == pytest.approx(1.1379550818004194, rel=1e-9)
     assert b.c4 == pytest.approx(0.8879550818004192, rel=1e-9)
     assert b.min_re == pytest.approx(0.5617006628654388, rel=1e-9)
+
+
+def _holo_grid_oracle(params, M=1 << 14, interior_samples=1000, seed=DEFAULT_SEED):
+    """Grid estimates of the kernel bounds: the boundary grid plus seeded interior points."""
+    rng = trial_rng(seed, params.k)
+    r = np.sqrt(rng.uniform(0.0, 1.0, interior_samples))
+    interior = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, interior_samples))
+    z = np.concatenate([np.exp(2j * np.pi * np.arange(M) / M), interior])
+    f, fd = holo_kernel(params, z), holo_log_derivative(params, z)
+    min_re = float(f.real.min())
+    return {
+        "c1": min_re * params.omega * params.k,
+        "c3": float(np.abs(f).max() / params.omega),
+        "c4": float(np.abs(fd).max() / (params.omega * params.k)),
+        "min_re": min_re,
+    }
+
+
+def test_holo_bounds_closed_forms_match_grid_oracle():
+    for k in [*range(8, 257), 1000]:
+        params = HoloKernelParams(k, max(math.log(k), 3.0))
+        got = check_holo_bounds(params)
+        for key, want in _holo_grid_oracle(params).items():
+            assert getattr(got, key) == pytest.approx(want, rel=1e-11), (k, key)
 
 
 def test_holo_sweep_trend():
