@@ -8,7 +8,7 @@ of the schedule where the block constructions have settled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     cuts = np.searchsorted(np.abs(ks), np.array(schedule), side="right")
     out = np.empty((xs.size, len(schedule)), dtype=complex)
     M = xs.size
-    if xs.ndim == 1 and np.array_equal(xs, np.arange(M) / M):
+    if M >= 1 and xs.ndim == 1 and np.array_equal(xs, np.arange(M) / M):
         spec = np.zeros(M, dtype=complex)
         bins = ks % M
         start = 0
@@ -130,19 +130,21 @@ class LevelSetOracle:
         idx = np.mod(np.rint(np.asarray(x, dtype=float) * self.points.size).astype(int), self.points.size)
         return self.mask[idx]
 
-    @property
-    def occupancy(self) -> float:
-        return float(self.mask.mean())
+
+def _level_sets(f: TrigPoly, tolerance: float, grid: int, schedule):
+    """Profiles the grid j/grid once; returns beta -> LevelSetOracle at that level."""
+    if grid < 16:
+        raise ValueError("grid too coarse for a level set")
+    if not tolerance >= 0:
+        raise ValueError(f"level-set tolerance must be nonnegative, got {tolerance}")
+    points = np.arange(grid) / grid
+    betas, _ = divergence_profile(f, points, schedule)
+    return lambda beta: LevelSetOracle(points, np.abs(betas - beta) <= tolerance, beta, tolerance)
 
 
 def level_set(f: TrigPoly, beta: float, tolerance: float, grid: int, schedule) -> LevelSetOracle:
     """Marks grid points whose fitted divergence index is within tolerance of beta."""
-    if grid < 16:
-        raise ValueError("grid too coarse for a level set")
-    points = np.arange(grid) / grid
-    betas, _ = divergence_profile(f, points, schedule)
-    mask = np.abs(betas - beta) <= tolerance
-    return LevelSetOracle(points, mask, beta, tolerance)
+    return _level_sets(f, tolerance, grid, schedule)(beta)
 
 
 def spectrum_curve(f: TrigPoly, beta_grid, schedule, grid: int = 1 << 12,
@@ -152,15 +154,8 @@ def spectrum_curve(f: TrigPoly, beta_grid, schedule, grid: int = 1 << 12,
     One divergence profile is shared across all betas; the theoretical
     reference line is 1 - beta * p, attached by the callers that report.
     """
-    points = np.arange(grid) / grid
-    betas_hat, _ = divergence_profile(f, points, schedule)
-    out = []
-    for beta in beta_grid:
-        mask = np.abs(betas_hat - float(beta)) <= tolerance
-        oracle = LevelSetOracle(points, mask, float(beta), tolerance)
-        est = box_dimension(oracle, m_lo, m_hi)
-        out.append((float(beta), est))
-    return out
+    oracle_at = _level_sets(f, tolerance, grid, schedule)
+    return [(float(beta), box_dimension(oracle_at(float(beta)), m_lo, m_hi)) for beta in beta_grid]
 
 
 @dataclass(frozen=True)

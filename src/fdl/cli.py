@@ -41,7 +41,7 @@ from .construct import (
     witness_certificate,
 )
 from .sets import DyadicFamilyParams, box_dimension
-from .trig import TrigPoly
+from .trig import TrigPoly, validate_norm_exponent
 from .util import DEFAULT_SEED, round_sig
 from .verify import (
     check_holo_bounds,
@@ -97,7 +97,6 @@ _SPECS = {
         _Param("alpha", float, None, "approximation exponent, greater than 1", required=True),
         _Param("p", _pnorm, None, "norm exponent (number or inf)", required=True),
         _Param("jmax", int, None, "top block level", required=True),
-        _Param("grid", int, None, "sample grid size, power of two"),
         _SEED_PARAM,
         _OUT_PARAM,
     ],
@@ -364,7 +363,7 @@ def _run_construct_pj(cfg: dict, threads: int):
 
 
 def _run_construct_family(cfg: dict, threads: int):
-    fam = disjoint_family(cfg["s"], cfg["alpha"], cfg["p"], cfg["jmax"], cfg["grid"])
+    fam = disjoint_family(cfg["s"], cfg["alpha"], cfg["p"], cfg["jmax"])
     blocks = [[j, r, window.lo, window.hi]
               for (j, r), window in sorted(fam.blocks.items(), key=lambda kv: (kv[0][1], kv[0][0]))]
     payload = {
@@ -372,14 +371,13 @@ def _run_construct_family(cfg: dict, threads: int):
         "blocks": blocks,
         "tail_norm_bound": fam.tail_norm_bound,
         "freq_constant": fam.freq_constant,
-        "grid": fam.grid_M,
     }
     return payload, None
 
 
 def _run_construct_holo(cfg: dict, threads: int):
     if cfg["omega"] is None:
-        cfg["omega"] = max(math.log(cfg["k"]), 3.0)
+        cfg["omega"] = HoloKernelParams.default_omega(cfg["k"])
     params = HoloKernelParams(cfg["k"], cfg["omega"])
     bounds = check_holo_bounds(params, cfg["grid"])
     payload = holo_boundary(params, cfg["grid"]).to_json_dict()
@@ -458,7 +456,7 @@ def _run_analyze_levelset(cfg: dict, threads: int):
 
 
 def _run_analyze_spectrum(cfg: dict, threads: int):
-    if math.isinf(cfg["p"]):
+    if math.isinf(validate_norm_exponent(cfg["p"])):
         raise ValueError("the reference line needs a finite norm exponent")
     if cfg["steps"] < 1:
         raise ValueError("need at least one beta grid point")

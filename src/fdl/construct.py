@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import CombParams, DyadicFamilyParams, comb_membership, dyadic_family, smallest_admissible_level
+from .sets import CombParams, DyadicFamily, DyadicFamilyParams, comb_membership, smallest_admissible_level
 from .trig import GridSignal, SpectrumInterval, TrigPoly, lp_norm, modulate, validate_norm_exponent
 from .util import is_pow2, next_pow2
 
@@ -36,20 +36,6 @@ def chi_coefficients(params: DyadicFamilyParams, kmax: int | None = None) -> Tri
     u = q * 2.0 ** (J - j)
     vals = 3.0 * 2.0 ** (J - j) * np.sinc(3.0 * u) * np.sinc(u)
     return TrigPoly({int(qi) << J: complex(v) for qi, v in zip(q, vals)})
-
-
-def bump_chi(params: DyadicFamilyParams, M: int) -> GridSignal:
-    """Piecewise linear plateau function sampled on the grid.
-
-    Equals 1 on the level-j intervals, 0 outside the doubled intervals,
-    and ramps linearly with slope 2^j in between.
-    """
-    if not is_pow2(M) or M < 8 * (1 << params.j):
-        raise ValueError(f"grid must be a power of two with M >= {8 * (1 << params.j)}")
-    fam = dyadic_family(params)
-    dist = fam._center_distance(np.arange(M) / M)
-    vals = np.clip(2.0 - dist * (1 << params.j), 0.0, 1.0)
-    return GridSignal(vals.astype(complex))
 
 
 def saturator_scale(params: DyadicFamilyParams, p) -> float:
@@ -87,8 +73,7 @@ def saturator_certificate(poly: TrigPoly, params: DyadicFamilyParams, p, M: int 
     if not is_pow2(M) or M < least:
         raise ValueError(f"grid must be a power of two with M >= {least}")
     sig = poly.sample(M)
-    fam = dyadic_family(params)
-    mask = fam.contains(sig.points())
+    mask = DyadicFamily(params).contains(sig.points())
     if not mask.any():
         raise ValueError("grid resolves no target point; increase M")
     required = 0.25 * saturator_scale(params, p)
@@ -120,21 +105,14 @@ class SaturatorFamily:
     blocks: dict
     tail_norm_bound: float
     freq_constant: int
-    grid_M: int
 
     def member(self, r: int) -> TrigPoly:
         if not (1 <= r <= self.s):
             raise ValueError("member index out of range")
         return self.members[r - 1]
 
-    def block_window(self, j: int, r: int) -> SpectrumInterval:
-        return self.blocks[(j, r)]
 
-    def block_poly(self, j: int, r: int) -> TrigPoly:
-        return self.member(r).restrict(self.block_window(j, r))
-
-
-def disjoint_family(s: int, alpha: float, p, jmax: int, M: int | None = None) -> SaturatorFamily:
+def disjoint_family(s: int, alpha: float, p, jmax: int) -> SaturatorFamily:
     """Builds the s saturating sums with spectra shifted onto disjoint blocks.
 
     Member r is the sum over levels j of (1/j^2) times the level-j saturator
@@ -147,10 +125,6 @@ def disjoint_family(s: int, alpha: float, p, jmax: int, M: int | None = None) ->
     j_min = smallest_admissible_level(alpha)
     if jmax < j_min:
         raise ValueError(f"jmax must be at least {j_min} for alpha={alpha}")
-    if M is None:
-        M = next_pow2(8 * s * (1 << (jmax + 2)))
-    if not (2 * s * (1 << (jmax + 2)) < M // 2):
-        raise ValueError("grid too small for the top block frequency")
     validate_norm_exponent(p)
 
     saturators = {j: saturator_pj(DyadicFamilyParams(j, alpha), p) for j in range(j_min, jmax + 1)}
@@ -180,7 +154,6 @@ def disjoint_family(s: int, alpha: float, p, jmax: int, M: int | None = None) ->
         blocks=blocks,
         tail_norm_bound=tail,
         freq_constant=2 * (2 * s + 1),
-        grid_M=M,
     )
 
 
@@ -196,6 +169,11 @@ class HoloKernelParams:
             raise ValueError("need at least 3 poles")
         if self.omega < math.log(self.k):
             raise ValueError("sharpness omega must be at least log k")
+
+    @staticmethod
+    def default_omega(k: int) -> float:
+        """The sharpness max(log k, 3) used when none is given."""
+        return max(math.log(k), 3.0)
 
     @property
     def eps(self) -> float:
@@ -305,12 +283,12 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
     )
 
 
-def logsat_certificate(sat: LogSaturator, M: int | None = None) -> dict:
-    """Sup-norm and the comb minimum of the degree-n partial sum.
+def logsat_certificate(sat: LogSaturator) -> dict:
+    """Sup-norm and the comb minimum of the degree-n partial sum on the saturator's grid.
 
     AssertionError when the sup norm exceeds 1 or the minimum misses the rate.
     """
-    M = sat.grid_M if M is None else M
+    M = sat.grid_M
     sig = sat.poly.sample(M)
     partial = sat.poly.truncate(sat.n).sample(M)
     mask = comb_membership(sat.comb, sig.points())

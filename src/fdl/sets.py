@@ -1,5 +1,5 @@
 """Geometry of the exceptional sets: dyadic interval families, comb sets,
-dyadic approximation exponents, gauge functions, and box-counting dimension.
+dyadic approximation exponents, and box-counting dimension.
 
 Points live on the circle [0, 1). Dyadic families at level j consist of the
 2^J intervals of radius 2^-j around the centers K/2^J, where J is derived
@@ -64,41 +64,21 @@ def smallest_admissible_level(alpha: float) -> int:
     return j
 
 
+def _center_distance(x, n: int) -> np.ndarray:
+    """Distance on the circle from x to the nearest of the n centers i/n."""
+    frac = np.mod(np.asarray(x, dtype=float) * n, 1.0)
+    return np.minimum(frac, 1.0 - frac) / n
+
+
 @dataclass(frozen=True)
 class DyadicFamily:
-    """Concrete interval family with vectorized membership tests."""
+    """Concrete interval family with a vectorized membership test."""
 
     params: DyadicFamilyParams
 
-    def _center_distance(self, x) -> np.ndarray:
-        # distance from x to the nearest center K/2^J, computed on the circle
-        frac = np.mod(np.asarray(x, dtype=float) * (1 << self.params.J), 1.0)
-        return np.minimum(frac, 1.0 - frac) / (1 << self.params.J)
-
     def contains(self, x):
-        """Membership in the union of the radius 2^-j intervals."""
-        return self._center_distance(x) <= 2.0 ** (-self.params.j) + 1e-18
-
-    def contains_doubled(self, x):
-        """Membership in the doubled intervals of radius 2^(1-j)."""
-        return self._center_distance(x) <= 2.0 ** (1 - self.params.j) + 1e-18
-
-    def intervals(self) -> list[tuple[float, float]]:
-        """The 2^J intervals as (lo, hi) around K/2^J; K=0 extends below 0."""
-        r = 2.0 ** (-self.params.j)
-        step = 2.0 ** (-self.params.J)
-        return [(K * step - r, K * step + r) for K in range(self.params.center_count)]
-
-    def centers(self) -> np.ndarray:
-        return np.arange(self.params.center_count) / (1 << self.params.J)
-
-    @property
-    def measure(self) -> float:
-        return self.params.measure
-
-
-def dyadic_family(params: DyadicFamilyParams) -> DyadicFamily:
-    return DyadicFamily(params)
+        """Membership in the union of the radius 2^-j intervals around K/2^J."""
+        return _center_distance(x, 1 << self.params.J) <= 2.0 ** (-self.params.j) + 1e-18
 
 
 @dataclass(frozen=True)
@@ -125,9 +105,7 @@ class CombParams:
 
 def comb_membership(params: CombParams, x):
     """True where dist(x, nearest tooth center i/k) <= half-width."""
-    frac = np.mod(np.asarray(x, dtype=float) * params.k, 1.0)
-    dist = np.minimum(frac, 1.0 - frac) / params.k
-    return dist <= params.half_width + 1e-18
+    return _center_distance(x, params.k) <= params.half_width + 1e-18
 
 
 _FLOAT_DEPTH = 52  # deepest level a float x is trusted at
@@ -183,45 +161,6 @@ def dyadic_approx_exponent(x, depth: int) -> float:
 
 
 @dataclass(frozen=True)
-class GaugeSpec:
-    """Power-law gauge s^(1-beta) with a log correction of order nu."""
-
-    beta: float
-    nu: float
-
-    def __post_init__(self):
-        if not (0 <= self.beta <= 1):
-            raise ValueError("beta must lie in [0, 1]")
-        if not (self.nu > 3):
-            raise ValueError("log power nu must exceed 3")
-
-
-def gauge_eval(spec: GaugeSpec, s: float) -> float:
-    """s^(1-beta) / log(1/s)^nu on the scale range (0, 1/2)."""
-    if not (0 < s < 0.5):
-        raise ValueError("gauge defined for scales in (0, 1/2)")
-    return s ** (1.0 - spec.beta) / math.log(1.0 / s) ** spec.nu
-
-
-def limsup_membership(family_at, x, window) -> int:
-    """Number of levels j in the window whose family contains x.
-
-    family_at maps a level j to either a membership callable or an object
-    with a contains method (a DyadicFamily works directly).
-    """
-    window = list(window)
-    if not window:
-        raise ValueError("window must be non-empty")
-    hits = 0
-    for j in window:
-        member = family_at(j)
-        test = member.contains if hasattr(member, "contains") else member
-        if bool(np.asarray(test(x)).reshape(-1)[0]):
-            hits += 1
-    return hits
-
-
-@dataclass(frozen=True)
 class BoxDimEstimate:
     slope: float
     r2: float
@@ -236,10 +175,9 @@ def _probe_hits(oracle, probe_exponent: int) -> np.ndarray:
     chunk = 1 << 20
     for i in range(0, n, chunk):
         xs = (np.arange(i, min(i + chunk, n), dtype=float) + 0.5) / n
-        out = oracle(xs)
-        out = np.asarray(out, dtype=bool)
-        if out.shape != xs.shape:  # scalar-only oracle
-            out = np.fromiter((bool(oracle(float(x))) for x in xs), dtype=bool, count=xs.size)
+        out = np.asarray(oracle(xs), dtype=bool)
+        if out.shape != xs.shape:
+            raise ValueError(f"oracle returned shape {out.shape} for probes of shape {xs.shape}")
         hits[i : i + xs.size] = out
     return hits
 
@@ -252,22 +190,14 @@ def count_occupied_boxes(hits: np.ndarray, m: int, dilate: bool = True) -> int:
     return int(occ.sum())
 
 
-def box_dimension(oracle, m_lo: int, m_hi: int, probe_exponent: int | None = None) -> BoxDimEstimate:
-    """Log-log slope of dilated box counts against scale.
-
-    The oracle is probed once at the finest resolution and the counts at
-    each scale come from collapsing that single hit vector, so the counts
-    are monotone under set inclusion by construction.
-    """
+def _box_scales(m_lo: int, m_hi: int) -> list[int]:
     if not (4 <= m_lo < m_hi <= 20):
         raise ValueError("scale exponents must satisfy 4 <= m_lo < m_hi <= 20")
-    if probe_exponent is None:
-        probe_exponent = min(24, max(m_hi + 6, 18))
-    if probe_exponent < m_hi:
-        raise ValueError("probe resolution must be at least as fine as the smallest box")
-    hits = _probe_hits(oracle, probe_exponent)
-    scales = list(range(m_lo, m_hi + 1))
-    counts = [count_occupied_boxes(hits, m) for m in scales]
+    return list(range(m_lo, m_hi + 1))
+
+
+def _box_fit(scales: list[int], counts: list[int]) -> BoxDimEstimate:
+    """Log-log slope of the counts against the scales, clamped to [0, 1]; no boxes fit slope 0."""
     if counts[0] == 0:
         return BoxDimEstimate(0.0, 1.0, scales, counts)
     logx = [m * math.log(2.0) for m in scales]
@@ -276,27 +206,32 @@ def box_dimension(oracle, m_lo: int, m_hi: int, probe_exponent: int | None = Non
     return BoxDimEstimate(float(min(1.0, max(0.0, slope))), r2, scales, counts)
 
 
+def box_dimension(oracle, m_lo: int, m_hi: int) -> BoxDimEstimate:
+    """Log-log slope of dilated box counts against scale.
+
+    The oracle is probed once at 2^min(24, max(m_hi + 6, 18)) box centers
+    and the counts at each scale come from collapsing that single hit
+    vector, so the counts are monotone under set inclusion by construction.
+    """
+    scales = _box_scales(m_lo, m_hi)
+    hits = _probe_hits(oracle, min(24, max(m_hi + 6, 18)))
+    return _box_fit(scales, [count_occupied_boxes(hits, m) for m in scales])
+
+
 def scale_matched_dyadic_counts(alpha: float, m_lo: int, m_hi: int) -> BoxDimEstimate:
     """Box counts where the scale is matched to the family level.
 
     At each scale m the counted set is the level-m family itself, the
     finite-depth cover whose intersection over levels is the limsup set.
     """
-    if not (4 <= m_lo < m_hi <= 20):
-        raise ValueError("scale exponents must satisfy 4 <= m_lo < m_hi <= 20")
+    scales = _box_scales(m_lo, m_hi)
     if m_lo < smallest_admissible_level(alpha):
         raise ValueError(f"m_lo below the smallest admissible level for alpha={alpha}")
-    scales = list(range(m_lo, m_hi + 1))
     counts = []
     for m in scales:
-        fam = dyadic_family(DyadicFamilyParams(m, alpha))
-        probe_exponent = min(24, m + 6)
-        hits = _probe_hits(fam.contains, probe_exponent)
+        hits = _probe_hits(DyadicFamily(DyadicFamilyParams(m, alpha)).contains, min(24, m + 6))
         counts.append(count_occupied_boxes(hits, m))
-    logx = [m * math.log(2.0) for m in scales]
-    logy = [math.log(c) for c in counts]
-    slope, r2 = loglog_fit(logx, logy)
-    return BoxDimEstimate(float(min(1.0, max(0.0, slope))), r2, scales, counts)
+    return _box_fit(scales, counts)
 
 
 def middle_thirds_cantor(depth: int):

@@ -138,9 +138,6 @@ class TrigPoly:
             raise ValueError("truncation order must be nonnegative")
         return TrigPoly({k: v for k, v in self._c.items() if abs(k) <= n})
 
-    def restrict(self, window: SpectrumInterval) -> "TrigPoly":
-        return TrigPoly({k: v for k, v in self._c.items() if window.contains(k)})
-
     def evaluate(self, t):
         """Pointwise values at t (scalar or array), chunked to bound memory."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -236,25 +233,8 @@ class GridSignal:
     def points(self) -> np.ndarray:
         return np.arange(self.M) / self.M
 
-    def to_poly(self) -> TrigPoly:
-        """Interpolating polynomial; index i maps to frequency i or i - M."""
-        spec = np.fft.fft(self._v) / self.M
-        half = self.M // 2
-        c = {}
-        for i, v in enumerate(spec):
-            if abs(v) > PRUNE_TOL:
-                c[i if i <= half else i - self.M] = complex(v)
-        return TrigPoly(c)
-
     def to_json_dict(self) -> dict:
         return {"M": self.M, "samples": [[v.real, v.imag] for v in self._v]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GridSignal":
-        v = np.array([complex(re, im) for re, im in data["samples"]], dtype=complex)
-        if v.size != int(data["M"]):
-            raise ValueError("sample count disagrees with declared grid size")
-        return cls(v)
 
 
 def dirichlet_eval(n, t) -> np.ndarray:

@@ -20,13 +20,13 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def grid_for_degree(degree: int, factor: int = 8, minimum: int = 16) -> int:
+def grid_for_degree(degree: int, factor: int = 8) -> int:
     """Grid size for sampling a polynomial of the given degree.
 
-    Uses factor * degree rounded up to a power of two, so quadrature of
-    |f|^2 stays exact and sup norms are resolved well past the Nyquist rate.
+    Uses factor * degree rounded up to a power of two, at least 16, so quadrature
+    of |f|^2 stays exact and sup norms are resolved well past the Nyquist rate.
     """
-    return max(next_pow2(factor * max(int(degree), 1)), minimum)
+    return max(next_pow2(factor * max(int(degree), 1)), 16)
 
 
 def loglog_fit(logx, logy):

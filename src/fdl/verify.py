@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import HoloKernelParams, holo_kernel
+from .construct import HoloKernelParams, holo_boundary, holo_kernel
 from .sets import comb_membership
 from .trig import TrigPoly, dirichlet_eval, lp_norm, validate_norm_exponent
 from .util import DEFAULT_SEED, grid_for_degree, indexed_map, trial_rng
@@ -425,9 +425,8 @@ def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14) -> HoloBounds:
     boundary grid's comb points, c3 = sup |f|/omega, c4 = sup |f'/f| /
     (omega k). c4 must stay at or below 1 (no constant in that bound).
     """
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    f = holo_kernel(params, z)
-    mask = comb_membership(params.comb, np.arange(M) / M)
+    boundary = holo_boundary(params, M)
+    mask = comb_membership(params.comb, boundary.points())
     if not mask.any():
         raise ValueError("boundary grid resolves no comb point; increase M")
     t = params.k * math.log1p(params.eps)
@@ -440,7 +439,7 @@ def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14) -> HoloBounds:
         k=params.k,
         omega=params.omega,
         c1=min_re * params.omega * params.k,
-        c2=float(np.abs(f[mask]).min() / params.omega),
+        c2=float(np.abs(boundary.samples[mask]).min() / params.omega),
         c3=1.0 / (gap * params.omega),
         c4=c4,
         min_re=min_re,
@@ -450,8 +449,8 @@ def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14) -> HoloBounds:
 
 
 def holo_sweep(ks, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[HoloBounds]]:
-    """Runs the bound check across tooth counts with omega = max(log k, 3)."""
-    bounds = [check_holo_bounds(HoloKernelParams(k, max(math.log(k), 3.0)), M) for k in ks]
+    """Runs the bound check across tooth counts with the default omega = max(log k, 3)."""
+    bounds = [check_holo_bounds(HoloKernelParams(k, HoloKernelParams.default_omega(k)), M) for k in ks]
     report = VerificationReport(
         name="holo-bounds",
         trials=len(bounds),

@@ -168,11 +168,26 @@ def test_divergence_profile_agrees_with_pointwise():
 def test_level_set_oracle_mapping():
     schedule = dyadic_schedule(6, 10)
     oracle = level_set(TrigPoly({1: 1.0}), 0.0, 0.05, 1 << 8, schedule)
-    assert oracle.occupancy == 1.0
+    assert oracle.mask.mean() == 1.0
     assert oracle(np.array([0.0, 0.5, 0.999])).all()
     assert box_dimension(oracle, 4, 8).slope == pytest.approx(1.0)
     with pytest.raises(ValueError):
         level_set(TrigPoly({1: 1.0}), 0.0, 0.05, 8, schedule)
+
+
+@pytest.mark.parametrize("grid, tolerance", [(0, 0.05), (8, 0.05), (256, -1.0)])
+def test_level_set_and_spectrum_share_their_grid_and_tolerance_rules(grid, tolerance):
+    f, schedule = TrigPoly({1: 1.0}), dyadic_schedule(6, 10)
+    with pytest.raises(ValueError):
+        level_set(f, 0.0, tolerance, grid, schedule)
+    with pytest.raises(ValueError):
+        spectrum_curve(f, [0.0], schedule, grid=grid, tolerance=tolerance)
+
+
+def test_partial_sums_at_no_points():
+    schedule = dyadic_schedule(6, 10)
+    for f in (TrigPoly(), TrigPoly({1: 1.0, 300: 0.5})):
+        assert partial_sums_at(f, [], schedule).shape == (0, len(schedule))
 
 
 def test_spectrum_curve_shares_one_profile():

@@ -151,6 +151,16 @@ def test_spectrum_rejects_bad_arguments(tmp_path):
                     "--steps", "0"]) == 1
 
 
+def test_construct_family_payload(tmp_path):
+    out = tmp_path / "family.json"
+    argv = ["construct", "family", "--s", "2", "--alpha", "2", "--p", "2", "--jmax", "6"]
+    run_ok(argv + ["--out", str(out)])
+    data = json.loads(out.read_text())
+    assert set(data) == {"members", "blocks", "tail_norm_bound", "freq_constant", "config"}
+    assert len(data["members"]) == 2 and "grid" not in data["config"]
+    assert cli.run(argv + ["--grid", "4096"]) == 1
+
+
 def test_missing_input_file_maps_to_exit_1(tmp_path):
     assert cli.run(["analyze", "index", "--in", str(tmp_path / "absent.json"),
                     "--x", "0.5"]) == 1
@@ -221,6 +231,18 @@ _VERIFY_BAD_VALUES = [
     pytest.param(["verify", sub, f"--N={n}", "--csv", "{csv}"], id=f"{sub}-N={n}")
     for sub in _SWEEPS for n in (-1, 0, 1, 3)
 ]
+# the grid, tolerance and norm-exponent rules a subcommand shares with its twin
+_TWIN_RULES = [pytest.param(argv, id=" ".join(a for a in argv if not a.startswith("{"))) for argv in (
+    ["verify", "holo", "--N", "16", "--grid", "1000", "--csv", "{csv}"],
+    ["construct", "holo", "--k", "16", "--grid", "1000"],
+    ["analyze", "levelset", "--in", "{poly}", "--beta", "0.2", "--grid", "0", "--csv", "{csv}"],
+    ["analyze", "levelset", "--in", "{poly}", "--beta", "0.2", "--grid", "8", "--csv", "{csv}"],
+    ["analyze", "levelset", "--in", "{poly}", "--beta", "0.2", "--tol", "-1", "--csv", "{csv}"],
+    ["analyze", "spectrum", "--in", "{poly}", "--p", "2", "--grid", "0", "--csv", "{csv}"],
+    ["analyze", "spectrum", "--in", "{poly}", "--p", "2", "--grid", "8", "--csv", "{csv}"],
+    ["analyze", "spectrum", "--in", "{poly}", "--p", "2", "--tol", "-1", "--csv", "{csv}"],
+    ["analyze", "spectrum", "--in", "{poly}", "--p", "0.5", "--csv", "{csv}"],
+)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -236,6 +258,7 @@ _VERIFY_BAD_VALUES = [
     ["verify", "maximal", "--N", "16", "--alpha", "nan", "--csv", "{csv}"],
     ["verify", "localization", "--N", "16", "--config", "{conf}", "--csv", "{csv}"],
     *_VERIFY_BAD_VALUES,
+    *_TWIN_RULES,
 ])
 def test_nan_or_overflowing_flag_maps_to_exit_1(tmp_path, capsys, argv):
     paths = {"poly": tmp_path / "g.json", "conf": tmp_path / "run.conf",

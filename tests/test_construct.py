@@ -7,7 +7,6 @@ import pytest
 
 from fdl.construct import (
     HoloKernelParams,
-    bump_chi,
     chi_coefficients,
     disjoint_family,
     eps_floor,
@@ -22,15 +21,23 @@ from fdl.construct import (
     saturator_scale,
     witness_certificate,
 )
-from fdl.sets import DyadicFamilyParams, dyadic_family
+from fdl.sets import DyadicFamilyParams
 from fdl.trig import SpectrumInterval, TrigPoly, modulate
 from fdl.verify import check_holo_bounds
+
+
+def _bump_chi(params, M):
+    """The plateau bump on the grid j/M: 1 within 2^-j of a center K/2^J, 0 beyond
+    2^(1-j), and linear with slope 2^j in between."""
+    frac = np.mod(np.arange(M) / M * (1 << params.J), 1.0)
+    dist = np.minimum(frac, 1.0 - frac) / (1 << params.J)
+    return np.clip(2.0 - dist * (1 << params.j), 0.0, 1.0)
 
 
 def test_chi_coefficients_match_fft_of_samples():
     params = DyadicFamilyParams(8, 2.0)
     M = 1 << 15
-    spec = np.fft.fft(bump_chi(params, M).samples) / M
+    spec = np.fft.fft(_bump_chi(params, M)) / M
     chi = chi_coefficients(params)
     for k in chi.frequencies():
         assert abs(chi.coeff(k) - spec[k % M]) < 1e-5
@@ -42,7 +49,7 @@ def test_chi_mean_is_closed_form():
     params = DyadicFamilyParams(8, 2.0)
     chi = chi_coefficients(params)
     assert chi.coeff(0) == pytest.approx(3.0 * 2.0 ** (params.J - params.j), abs=1e-15)
-    assert chi.coeff(0) == pytest.approx(1.5 * dyadic_family(params).measure, abs=1e-15)
+    assert chi.coeff(0) == pytest.approx(1.5 * params.measure, abs=1e-15)
 
 
 def test_chi_spectrum_lives_on_center_lattice():
@@ -95,10 +102,10 @@ def test_disjoint_family_blocks_are_isolated_by_truncation():
     assert fam.j_min == 5
     for r in (1, 2, 3):
         for j in range(fam.j_min, fam.jmax + 1):
-            window = fam.block_window(j, r)
+            window = fam.blocks[(j, r)]
             g = fam.member(r)
             isolated = g.truncate(window.hi) - g.truncate(window.lo - 1)
-            assert isolated == fam.block_poly(j, r)
+            assert isolated == TrigPoly({k: v for k, v in g.items() if window.contains(k)})
 
 
 def test_disjoint_family_windows_never_overlap():

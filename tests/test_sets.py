@@ -9,15 +9,12 @@ import pytest
 from fdl.sets import (
     BoxDimEstimate,
     CombParams,
+    DyadicFamily,
     DyadicFamilyParams,
     box_dimension,
     comb_membership,
     count_occupied_boxes,
     dyadic_approx_exponent,
-    dyadic_family,
-    gauge_eval,
-    GaugeSpec,
-    limsup_membership,
     middle_thirds_cantor,
     scale_matched_dyadic_counts,
     smallest_admissible_level,
@@ -48,20 +45,19 @@ def test_smallest_admissible_levels():
 
 def test_membership_geometry():
     params = DyadicFamilyParams(8, 2.0)
-    fam = dyadic_family(params)
-    centers = fam.centers()
+    fam = DyadicFamily(params)
+    centers = np.arange(params.center_count) / params.center_count
     assert centers.size == 32
     assert fam.contains(centers).all()
     edge = centers[3] + 2.0 ** -8
     assert fam.contains(edge)
     outside = centers[3] + 2.0 ** -8 + 2.0 ** -11
     assert not fam.contains(outside)
-    assert fam.contains_doubled(centers[3] + 2.0 ** -7.5)
-    assert fam.measure == pytest.approx(2.0 ** (5 - 8 + 1))
+    assert params.measure == pytest.approx(2.0 ** (5 - 8 + 1))
 
 
 def test_membership_wraps_around_the_circle():
-    fam = dyadic_family(DyadicFamilyParams(8, 2.0))
+    fam = DyadicFamily(DyadicFamilyParams(8, 2.0))
     assert fam.contains(1.0 - 2.0 ** -9)
 
 
@@ -109,28 +105,6 @@ def test_approx_exponent_refuses_floats_past_their_resolution():
     assert math.isfinite(dyadic_approx_exponent(Fraction(1, 10), 60))
 
 
-def test_gauge_validation_and_monotonicity():
-    spec = GaugeSpec(0.5, 4.0)
-    assert gauge_eval(spec, 0.001) < gauge_eval(spec, 0.01) < gauge_eval(spec, 0.1)
-    with pytest.raises(ValueError):
-        GaugeSpec(1.5, 4.0)
-    with pytest.raises(ValueError):
-        GaugeSpec(0.5, 3.0)
-    with pytest.raises(ValueError):
-        gauge_eval(spec, 0.5)
-
-
-def test_limsup_membership_counts():
-    window = range(6, 11)
-    family_at = lambda j: dyadic_family(DyadicFamilyParams(j, 2.0))
-    assert limsup_membership(family_at, 0.0, window) == len(list(window))
-    assert limsup_membership(family_at, 0.5, window) == len(list(window))
-    generic = 1.0 / math.pi
-    assert limsup_membership(family_at, generic, window) <= 2
-    with pytest.raises(ValueError):
-        limsup_membership(family_at, 0.0, [])
-
-
 def test_box_dimension_full_interval_and_point():
     full = box_dimension(lambda xs: np.ones(len(xs), dtype=bool), 4, 10)
     assert full.slope == pytest.approx(1.0, abs=1e-12)
@@ -138,6 +112,14 @@ def test_box_dimension_full_interval_and_point():
     assert point.slope == pytest.approx(0.0, abs=1e-12)
     empty = box_dimension(lambda xs: np.zeros(len(xs), dtype=bool), 4, 10)
     assert (empty.slope, empty.r2) == (0.0, 1.0)
+
+
+def test_box_dimension_refuses_an_oracle_of_the_wrong_shape():
+    # m_hi = 10 probes 2^18 box centers in one chunk
+    with pytest.raises(ValueError, match=r"shape \(\) for probes of shape \(262144,\)"):
+        box_dimension(lambda xs: True, 4, 10)
+    with pytest.raises(ValueError, match=r"shape \(524288,\) for probes of shape \(262144,\)"):
+        box_dimension(lambda xs: np.ones(2 * xs.size, dtype=bool), 4, 10)
 
 
 def test_box_dimension_validation():
