@@ -397,7 +397,7 @@ def _run_construct_witness(cfg: dict, threads: int):
     base = _load_poly(cfg["in"]) if cfg["in"] else TrigPoly({})
     sat = log_saturator(cfg["j"], cfg["eps"])
     cfg["eps"] = sat.eps_n
-    witness = residual_witness(base, cfg["j"], cfg["eta"], sat.eps_n, sat)
+    witness = residual_witness(base, cfg["j"], cfg["eta"], sat)
     payload = witness.to_json_dict()
     payload["certificates"] = witness_certificate(witness, cfg["j"], cfg["eta"], sat)
     return payload, None

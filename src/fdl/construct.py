@@ -195,13 +195,6 @@ def holo_kernel(params: HoloKernelParams, z):
     return 1.0 / (1.0 - a ** params.k)
 
 
-def holo_log_derivative(params: HoloKernelParams, z):
-    """f'/f of the closed form: k a^(k-1) / ((1+eps)(1 - a^k)), a = z/(1+eps)."""
-    one = 1.0 + params.eps
-    a = np.asarray(z, dtype=complex) / one
-    return params.k * a ** (params.k - 1) / (one * (1.0 - a ** params.k))
-
-
 def holo_boundary(params: HoloKernelParams, M: int) -> GridSignal:
     if not is_pow2(M):
         raise ValueError("grid size must be a power of two")
@@ -315,8 +308,9 @@ def logsat_certificate(sat: LogSaturator) -> dict:
     return cert
 
 
-def residual_witness(g: TrigPoly, j: int, eta_j: float, eps_j: float, sat: LogSaturator | None = None) -> TrigPoly:
-    """Adds a scaled modulated saturator block on top of a low-degree function.
+def residual_witness(g: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> TrigPoly:
+    """Adds the degree-j saturator, scaled by eta_j / sat.eps_n and modulated
+    by j, on top of a low-degree function.
 
     The input spectrum must fit inside [-j, j] and the added block lives in
     [j+1, 3j-1]. The difference S_2j - S_j recovers the modulated degree-j
@@ -326,13 +320,9 @@ def residual_witness(g: TrigPoly, j: int, eta_j: float, eps_j: float, sat: LogSa
     """
     if g.degree > j:
         raise ValueError("base function degree exceeds the block level")
-    if eps_j < eps_floor(j) - 1e-15:
-        raise ValueError("rate below the admissible floor")
     if eta_j <= 0:
         raise ValueError("target rate eta_j must be positive")
-    if sat is None:
-        sat = log_saturator(j, eps_j)
-    return g + (eta_j / eps_j) * modulate(sat.poly, j)
+    return g + (eta_j / sat.eps_n) * modulate(sat.poly, j)
 
 
 def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> dict:

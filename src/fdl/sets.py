@@ -1,5 +1,5 @@
 """Geometry of the exceptional sets: dyadic interval families, comb sets,
-dyadic approximation exponents, and box-counting dimension.
+and box-counting dimension.
 
 Points live on the circle [0, 1). Dyadic families at level j consist of the
 2^J intervals of radius 2^-j around the centers K/2^J, where J is derived
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -55,13 +54,24 @@ class DyadicFamilyParams:
 
 
 def smallest_admissible_level(alpha: float) -> int:
-    """Least j with floor(j/alpha) + 1 <= j - 2."""
+    """Least j >= 3 with floor(j/alpha) + 1 <= j - 2.
+
+    The test is monotone in j, so doubling and then bisecting finds that j
+    in O(log j) steps; near alpha = 1 it lies near 2/(alpha - 1).
+    """
     if not (alpha > 1):
         raise ValueError("exponent alpha must exceed 1")
-    j = 3
-    while math.floor(j / alpha) + 1 > j - 2:
-        j += 1
-    return j
+
+    def admissible(j):
+        return math.floor(j / alpha) + 1 <= j - 2
+
+    lo, hi = 2, 3  # lo is not admissible
+    while not admissible(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if admissible(mid) else (mid, hi)
+    return hi
 
 
 def _center_distance(x, n: int) -> np.ndarray:
@@ -108,58 +118,6 @@ def comb_membership(params: CombParams, x):
     return _center_distance(x, params.k) <= params.half_width + 1e-18
 
 
-_FLOAT_DEPTH = 52  # deepest level a float x is trusted at
-
-
-def _exponent_candidates(x, depth: int):
-    # distance from x to the nearest k/2^j, exactly in Fraction arithmetic
-    # when x is a Fraction, in floats otherwise (depth at most _FLOAT_DEPTH)
-    exact = isinstance(x, Fraction)
-    for j in range(1, depth + 1):
-        if exact:
-            t = x * (1 << j)
-            r = (2 * t + 1) // 2  # nearest integer to t
-            d = abs(t - r)
-            if d == 0:
-                yield j, math.inf
-            else:
-                # alpha_j = -log2(d / 2^j) / j
-                yield j, (j + math.log2(d.denominator) - math.log2(d.numerator)) / j
-        else:
-            t = float(x) * (1 << j)
-            d = abs(t - round(t))
-            if d < 1e-300:
-                yield j, math.inf
-            else:
-                yield j, (j - math.log2(d)) / j
-
-
-def dyadic_approx_exponent(x, depth: int) -> float:
-    """Best dyadic approximation exponent observed in the tail window.
-
-    Scans levels j in [depth/2, depth] and returns the largest exponent
-    alpha_j with |x - k/2^j| <= 2^(-alpha_j * j) achieved at some level;
-    exact dyadic rationals give +inf. Accepts Fraction inputs for exact
-    arithmetic beyond float resolution. A float is itself a dyadic rational
-    (0.1 is exactly k/2^55), so past the 52 bits of its fraction the scan
-    would only find the float's own exactness: float input is refused
-    beyond depth 52.
-    """
-    if depth < 4:
-        raise ValueError("depth must be at least 4")
-    if depth > _FLOAT_DEPTH and not isinstance(x, Fraction):
-        raise ValueError(f"depth {depth} exceeds float resolution ({_FLOAT_DEPTH} levels); "
-                         "pass x as a fractions.Fraction")
-    lo = max(1, depth // 2)
-    best = 0.0
-    for j, a in _exponent_candidates(x, depth):
-        if j >= lo and a > best:
-            best = a
-            if math.isinf(best):
-                break
-    return best
-
-
 @dataclass(frozen=True)
 class BoxDimEstimate:
     slope: float
@@ -182,12 +140,10 @@ def _probe_hits(oracle, probe_exponent: int) -> np.ndarray:
     return hits
 
 
-def count_occupied_boxes(hits: np.ndarray, m: int, dilate: bool = True) -> int:
+def count_occupied_boxes(hits: np.ndarray, m: int) -> int:
     """Occupied dyadic boxes of size 2^-m, with circular one-box dilation."""
     occ = hits.reshape(1 << m, -1).any(axis=1)
-    if dilate:
-        occ = occ | np.roll(occ, 1) | np.roll(occ, -1)
-    return int(occ.sum())
+    return int((occ | np.roll(occ, 1) | np.roll(occ, -1)).sum())
 
 
 def _box_scales(m_lo: int, m_hi: int) -> list[int]:

@@ -71,10 +71,6 @@ class TrigPoly:
         self._c = c
 
     @classmethod
-    def basis(cls, k: int, c=1.0) -> "TrigPoly":
-        return cls({int(k): complex(c)})
-
-    @classmethod
     def dirichlet(cls, n: int) -> "TrigPoly":
         """Kernel with unit coefficients on |k| <= n."""
         if n < 0:
@@ -126,9 +122,6 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "TrigPoly":
-        return TrigPoly({-k: v.conjugate() for k, v in self._c.items()})
-
     def derivative(self) -> "TrigPoly":
         return TrigPoly({k: 2j * math.pi * k * v for k, v in self._c.items() if k != 0})
 
@@ -169,18 +162,13 @@ class TrigPoly:
             spec[k % M] = v
         return GridSignal(np.fft.ifft(spec) * M)
 
-    def norm(self, p, M: int | None = None) -> float:
-        """Grid L^p norm; exact for p in {1, 2, inf up to resolution}.
-
-        With the default grid the p = 2 value is exact and p = inf is a
-        dense-grid maximum.
-        """
+    def norm(self, p) -> float:
+        """L^p norm on the grid_for_degree grid: the p = 2 value is exact and
+        p = inf is a dense-grid maximum."""
         p = validate_norm_exponent(p)
         if not self._c:
             return 0.0
-        if M is None:
-            M = grid_for_degree(self.degree)
-        return lp_norm(self.sample(M).samples, p)
+        return lp_norm(self.sample(grid_for_degree(self.degree)).samples, p)
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [[k, v.real, v.imag] for k, v in self.items()]}
@@ -273,4 +261,7 @@ def lp_norm(samples, p) -> float:
         return float(v.mean())
     if p == 2:
         return float(math.sqrt(np.mean(v * v)))
-    return float(np.mean(v**p) ** (1 / p))
+    m = v.max()  # scaling by the maximum keeps |v|^p in range for large p
+    if m == 0:
+        return 0.0
+    return float(m * np.mean((v / m) ** p) ** (1 / p))

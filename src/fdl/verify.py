@@ -9,6 +9,7 @@ kernel bounds other than its comb minimum are closed forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,29 +215,21 @@ _SCAN_COLUMNS = 4096
 def _maximal_ratios(coeffs: np.ndarray, N: int, a: float, M: int) -> np.ndarray:
     """Batch ratio of the capped maximal function to the 1-norm.
 
-    coeffs has shape (B, 2d+1) over frequencies -d..d; every row is scanned
-    with one incremental partial sum per n, tracking the squared maximum of
-    |S_n| / (log n)^(1+a) over 2 <= n <= min(N, max(d, 2)). Re S_n and
-    Im S_n are kept as real arrays; c_n e^{inx} and then c_-n e^{-inx} are
-    added in place in the order of the complex sum, so for real coefficients
-    every rounding is that of a complex scan. Complex coefficients add
-    their Im c terms after the Re c terms.
+    coeffs is a real (B, 2d+1) array over frequencies -d..d; every row is
+    scanned with one incremental partial sum per n, tracking the squared
+    maximum of |S_n| / (log n)^(1+a) over 2 <= n <= min(N, max(d, 2)).
+    Re S_n gains c_n cos nx and then c_-n cos nx, Im S_n gains c_n sin nx
+    and then -c_-n sin nx, each added in place in the order of the complex
+    sum, so every rounding is that of a complex scan.
     """
     B, width = coeffs.shape
     d = (width - 1) // 2
     n_top = max(2, min(N, d))
     ks = np.arange(1, d + 1)
-
-    def pairs(c, sign):
-        # (c_n, sign * c_-n) for n = 1..d, shaped to multiply one row of cos nx or sin nx
-        return np.stack((c[:, d + ks].T, sign * c[:, d - ks].T), axis=1)[..., None]
-
-    re = np.asarray(coeffs.real, dtype=float)
-    im = np.asarray(coeffs.imag, dtype=float) if np.iscomplexobj(coeffs) else None
-    # (part of S_n it updates, coefficient pairs, 0 = cos nx / 1 = sin nx)
-    updates = [(0, pairs(re, 1.0), 0), (1, pairs(re, -1.0), 1)]
-    if im is not None and im.any():
-        updates += [(0, -pairs(im, -1.0), 1), (1, pairs(im, 1.0), 0)]
+    pos, neg = coeffs[:, d + ks].T, coeffs[:, d - ks].T
+    # (c_n, c_-n) for cos nx and (c_n, -c_-n) for sin nx, n = 1..d, shaped to multiply one row
+    cos_c = np.stack((pos, neg), axis=1)[..., None]
+    sin_c = np.stack((pos, -neg), axis=1)[..., None]
     weights = [math.log(n) ** -(2.0 * (1.0 + a)) if n >= 2 else 0.0 for n in range(n_top + 1)]
     e1 = np.exp(2j * np.pi * (np.arange(M) / M))
     roots = np.empty((B, M))
@@ -246,19 +239,16 @@ def _maximal_ratios(coeffs: np.ndarray, N: int, a: float, M: int) -> np.ndarray:
         e = e1[cols]
         en = np.ones(e.size, dtype=complex)
         S = np.zeros((2, B, e.size))  # Re S_n, Im S_n
-        S[0] = re[:, d, None]
-        if im is not None:
-            S[1] = im[:, d, None]
+        S[0] = coeffs[:, d, None]
         best = np.zeros((B, e.size))
         T = np.empty((2, B, e.size))
         for n in range(1, n_top + 1):
             en = en * e
             if n <= d:
-                waves = (en.real.copy(), en.imag.copy())
-                for part, c, wave in updates:
-                    np.multiply(c[n - 1], waves[wave], out=T)
-                    S[part] += T[0]  # c_n e^{inx}
-                    S[part] += T[1]  # then c_-n e^{-inx}
+                for part, c, wave in ((S[0], cos_c, en.real.copy()), (S[1], sin_c, en.imag.copy())):
+                    np.multiply(c[n - 1], wave, out=T)
+                    part += T[0]  # the c_n term
+                    part += T[1]  # then the c_-n term
             if n >= 2:
                 np.multiply(S, S, out=T)
                 T[0] += T[1]
@@ -269,35 +259,20 @@ def _maximal_ratios(coeffs: np.ndarray, N: int, a: float, M: int) -> np.ndarray:
     return roots.mean(axis=1) / mods.mean(axis=1)
 
 
-def check_weak_maximal(f: TrigPoly, N: int, a: float) -> float:
-    """Integral of max_{2<=n<=N} |S_n f| / (log n)^(1+a) over the 1-norm.
-
-    Beyond the degree the partial sums are constant and the weight decays,
-    so the scan stops at min(N, degree) without loss.
-    """
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    if not 0 < a < math.inf:
-        raise ValueError("excess exponent must be positive and finite")
-    if not len(f):
-        raise ValueError("zero polynomial has no maximal ratio")
-    d = max(f.degree, 1)
-    c = np.zeros(2 * d + 1, dtype=complex)
-    for k, v in f.items():
-        c[k + d] = v
-    return float(_maximal_ratios(c[None, :], N, a, grid_for_degree(d))[0])
-
-
 def maximal_rows(N: int, a: float, trials: int, seed: int = DEFAULT_SEED,
                  scales: list[int] | None = None) -> tuple[VerificationReport, list[tuple]]:
     """Rademacher-family maximal ratios across dyadic scales.
 
     Each scale uses fresh degree-scale polynomials, batched through one
     incremental scan; rows are (trial, seed, scale, ratio). The fitted
-    constant is the worst ratio at the first scale.
+    constant is the worst ratio at the first scale. The weights
+    (log n)^(-2(1+a)) peak at n = 2, where |S_2|^2 <= 25 for +-1
+    coefficients, so an a whose weighted |S_2|^2 can overflow is refused.
     """
     if not 0 < a < math.inf:
         raise ValueError("excess exponent must be positive and finite")
+    if 2.0 * (1.0 + a) * -math.log(math.log(2.0)) > math.log(sys.float_info.max / 32.0):  # 32: headroom over 25
+        raise ValueError(f"excess exponent {a} overflows the weighted maximal scan")
 
     def ratios(scales):
         for scale in scales:
@@ -345,7 +320,8 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     """Mass of P on the interval around a peak point, against the decay rate.
 
     The rate factor is (log n)^(-(1+eps)/p) for p > 1 and picks up the extra
-    1/log(1/|I|) at p = 1. The hypothesis |P(a)| >= ||P||_p is enforced.
+    1/log(1/|I|) at p = 1. The hypothesis |P(a)| >= ||P||_p is enforced, and
+    an eps whose rate falls below the normal float range is refused.
     """
     p = validate_norm_exponent(p)
     if math.isinf(p):
@@ -361,14 +337,17 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     if peak < P.norm(p) - 1e-9:
         raise ValueError("hypothesis |P(a)| >= ||P||_p violated")
     ts = a + np.linspace(-0.5, 0.5, 513) * interval_length
-    vals = np.abs(P.evaluate(ts)) ** p
+    # mass and lp_I are relative to the peak, which keeps the p-th powers in range for large p
+    vals = (np.abs(P.evaluate(ts)) / peak) ** p
     mass = float(np.trapezoid(vals, dx=interval_length / 512))
     lp_I = mass ** (1.0 / p)
     if p > 1:
         rate = math.log(n) ** (-(1.0 + eps) / p)
     else:
         rate = math.log(n) ** (-(1.0 + eps)) / math.log(1.0 / interval_length)
-    return float(lp_I / (peak * interval_length ** (1.0 / p) * rate))
+    if rate < sys.float_info.min:
+        raise ValueError(f"eps {eps} underflows the localization rate at degree {n}")
+    return float(lp_I / (interval_length ** (1.0 / p) * rate))
 
 
 def nikolsky_rows(N: int, p, q, trials: int, seed: int = DEFAULT_SEED,

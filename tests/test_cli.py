@@ -257,6 +257,10 @@ _TWIN_RULES = [pytest.param(argv, id=" ".join(a for a in argv if not a.startswit
     ["verify", "localization", "--N", "16", "--eps", "nan", "--csv", "{csv}"],
     ["verify", "maximal", "--N", "16", "--alpha", "nan", "--csv", "{csv}"],
     ["verify", "localization", "--N", "16", "--config", "{conf}", "--csv", "{csv}"],
+    ["verify", "maximal", "--N", "8", "--trials", "1", "--alpha", "966", "--csv", "{csv}"],
+    ["verify", "maximal", "--N", "8", "--trials", "1", "--alpha", "2000", "--csv", "{csv}"],
+    ["verify", "localization", "--N", "8", "--trials", "1", "--eps", "4400", "--csv", "{csv}"],
+    ["construct", "family", "--s", "1", "--alpha", "1.00000001", "--p", "2", "--jmax", "8"],
     *_VERIFY_BAD_VALUES,
     *_TWIN_RULES,
 ])

@@ -1,7 +1,6 @@
-"""Dyadic target sets, combs, approximation exponents, box counting."""
+"""Dyadic target sets, combs, box counting."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from fdl.sets import (
     box_dimension,
     comb_membership,
     count_occupied_boxes,
-    dyadic_approx_exponent,
     middle_thirds_cantor,
     scale_matched_dyadic_counts,
     smallest_admissible_level,
@@ -37,10 +35,22 @@ def test_family_params_admissibility():
         DyadicFamilyParams(0, 2.0)
 
 
+def _smallest_admissible_level_by_steps(alpha):
+    """The step-by-step search over j, kept as an oracle."""
+    j = 3
+    while math.floor(j / alpha) + 1 > j - 2:
+        j += 1
+    return j
+
+
 def test_smallest_admissible_levels():
     assert smallest_admissible_level(2.0) == 5
     assert smallest_admissible_level(1.5) == 7
     assert smallest_admissible_level(3.0) == 4
+    alphas = np.concatenate([1.001 + np.geomspace(1e-9, 0.05, 1000), np.linspace(1.05, 10.0, 2000)])
+    for alpha in alphas:
+        assert smallest_admissible_level(alpha) == _smallest_admissible_level_by_steps(alpha), alpha
+    assert smallest_admissible_level(1.0 + 1e-8) == 200000005  # the step search takes about 2e8 steps
 
 
 def test_membership_geometry():
@@ -76,33 +86,6 @@ def test_comb_params_validation():
         CombParams(2, 4.0)
     with pytest.raises(ValueError):
         CombParams(8, 1.0)
-
-
-def test_approx_exponent_fraction_paths():
-    assert dyadic_approx_exponent(Fraction(3, 8), 12) == math.inf
-    third = dyadic_approx_exponent(Fraction(1, 3), 40)
-    assert third == pytest.approx(1.0792481250360577, abs=1e-12)
-    lacunary = Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 64) + Fraction(1, 2 ** 24)
-    assert dyadic_approx_exponent(lacunary, 12) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_approx_exponent_float_path_matches_fraction():
-    # the closest double to 1/3 drifts from the exact rational at depth 40
-    assert dyadic_approx_exponent(1.0 / 3.0, 40) == pytest.approx(1.0792481250360577, abs=1e-9)
-    assert dyadic_approx_exponent(0.375, 12) == math.inf
-
-
-def test_approx_exponent_depth_guard():
-    with pytest.raises(ValueError):
-        dyadic_approx_exponent(0.3, 3)
-
-
-def test_approx_exponent_refuses_floats_past_their_resolution():
-    # 0.1 is exactly k/2^55 as a float, so a depth-60 float scan would report inf
-    with pytest.raises(ValueError, match="Fraction"):
-        dyadic_approx_exponent(0.1, 60)
-    assert math.isfinite(dyadic_approx_exponent(0.1, 52))
-    assert math.isfinite(dyadic_approx_exponent(Fraction(1, 10), 60))
 
 
 def test_box_dimension_full_interval_and_point():
@@ -142,7 +125,6 @@ def test_cantor_counts_frozen():
 def test_count_occupied_boxes_dilates_cyclically():
     hits = np.zeros(1 << 10, dtype=bool)
     hits[0] = True  # occupies box 0; dilation adds boxes 1 and 2^m - 1
-    assert count_occupied_boxes(hits, 4, dilate=False) == 1
     assert count_occupied_boxes(hits, 4) == 3
 
 

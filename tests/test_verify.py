@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdl import verify
-from fdl.construct import HoloKernelParams, holo_kernel, holo_log_derivative
+from fdl.construct import HoloKernelParams, holo_kernel
 from fdl.trig import TrigPoly, dirichlet_eval
 from fdl.util import DEFAULT_SEED, grid_for_degree, trial_rng
 from fdl.verify import (
@@ -21,7 +21,6 @@ from fdl.verify import (
     check_holo_bounds,
     check_localization,
     check_nikolsky,
-    check_weak_maximal,
     derivative_rows,
     dirichlet_rows,
     holo_sweep,
@@ -156,13 +155,12 @@ def test_maximal_rows_rejects_nonpositive_exponent(a):
         maximal_rows(64, a, 1)
 
 
-def _single_row_maximal(f, N, a):
-    """One-row copy of the maximal scan on the factor-8 grid, kept as an oracle."""
+def _single_row_maximal(f, N, a, M):
+    """One-row copy of the maximal scan on an M-point grid, kept as an oracle."""
     d = max(f.degree, 1)
     c = np.zeros(2 * d + 1, dtype=complex)
     for k, v in f.items():
         c[k + d] = v
-    M = grid_for_degree(d)
     e1 = np.exp(2j * np.pi * np.arange(M) / M)
     en = np.ones(M, dtype=complex)
     S = np.full(M, c[d], dtype=complex)
@@ -204,7 +202,6 @@ def test_real_maximal_scan_is_bit_identical_to_complex_scan(B, factor):
         for N in sorted({2, max(2, d - 1), max(2, d), d + 1}):
             want = _complex_maximal_ratios(coeffs, N, 0.5, M)
             assert np.array_equal(_maximal_ratios(coeffs, N, 0.5, M), want), (d, N)
-            assert np.array_equal(_maximal_ratios(coeffs.astype(complex), N, 0.5, M), want), (d, N)
 
 
 def test_real_maximal_scan_is_bit_identical_across_column_blocks(monkeypatch):
@@ -216,37 +213,27 @@ def test_real_maximal_scan_is_bit_identical_across_column_blocks(monkeypatch):
         assert np.array_equal(_maximal_ratios(coeffs, 64, 0.5, M), want), columns
 
 
-def test_real_maximal_scan_matches_complex_scan_on_complex_coefficients():
-    rng = trial_rng(DEFAULT_SEED, 43)
-    coeffs = rng.normal(size=(3, 2 * 48 + 1)) + 1j * rng.normal(size=(3, 2 * 48 + 1))
-    M = grid_for_degree(48)
-    want = _complex_maximal_ratios(coeffs, 48, 0.5, M)
-    assert np.max(np.abs(_maximal_ratios(coeffs, 48, 0.5, M) - want) / want) <= 1e-13
+def _real_row(f):
+    """The (1, 2d+1) real coefficient row of f over frequencies -d..d."""
+    d = max(f.degree, 1)
+    return np.array([[f.coeff(k).real for k in range(-d, d + 1)]])
 
 
 def test_weak_maximal_is_bit_identical_to_single_row_scan():
-    polys = [
-        (TrigPoly({3: 1.0}), 64),
-        (rademacher_poly(32, trial_rng(DEFAULT_SEED, 42)), 32),
-        (rademacher_poly(32, trial_rng(DEFAULT_SEED, (32 << 20) + 0)), 32),
-    ]
+    row_poly = rademacher_poly(32, trial_rng(DEFAULT_SEED, (32 << 20) + 0))  # maximal_rows' trial 0 at scale 32
+    polys = [(TrigPoly({3: 1.0}), 64), (rademacher_poly(32, trial_rng(DEFAULT_SEED, 42)), 32), (row_poly, 32)]
     for f, N in polys:
-        assert check_weak_maximal(f, N, 0.5) == _single_row_maximal(f, N, 0.5)
+        for factor in (4, 8):
+            M = grid_for_degree(f.degree, factor=factor)
+            assert _maximal_ratios(_real_row(f), N, 0.5, M)[0] == _single_row_maximal(f, N, 0.5, M)
+    _, rows = maximal_rows(32, 0.5, 1, seed=DEFAULT_SEED, scales=[32])
+    assert rows[0][3] == _single_row_maximal(row_poly, 32, 0.5, grid_for_degree(32, factor=4))
 
 
 def test_weak_maximal_single_basis_closed_form():
     a = 0.5
-    got = check_weak_maximal(TrigPoly({3: 1.0}), 64, a)
+    got = _maximal_ratios(_real_row(TrigPoly({3: 1.0})), 64, a, grid_for_degree(3))[0]
     assert got == pytest.approx(math.log(3.0) ** -(1.0 + a), rel=1e-12)
-
-
-def test_weak_maximal_validation():
-    with pytest.raises(ValueError):
-        check_weak_maximal(TrigPoly({3: 1.0}), 1, 0.5)
-    with pytest.raises(ValueError):
-        check_weak_maximal(TrigPoly({3: 1.0}), 64, 0.0)
-    with pytest.raises(ValueError):
-        check_weak_maximal(TrigPoly(), 64, 0.5)
 
 
 def test_maximal_rows_shape_and_determinism():
@@ -259,21 +246,11 @@ def test_maximal_rows_shape_and_determinism():
     assert rep_a.worst_ratio == max(r[3] for r in rows_a)
 
 
-def test_batched_maximal_agrees_with_single_scan():
-    rng = trial_rng(DEFAULT_SEED, 42)
-    coeffs = rademacher_coeffs(32, rng)
-    poly = TrigPoly({k: coeffs[k + 32] for k in range(-32, 33)})
-    single = check_weak_maximal(poly, 32, 0.5)
-    _, rows = maximal_rows(32, 0.5, 1, seed=DEFAULT_SEED, scales=[32])
-    # same polynomial only if the row rng matches; rebuild it the row way
-    row_poly = rademacher_poly(32, trial_rng(DEFAULT_SEED, (32 << 20) + 0))
-    assert rows[0][3] == pytest.approx(check_weak_maximal(row_poly, 32, 0.5), rel=2e-2)
-
-
 def test_nikolsky_closed_forms():
     assert check_nikolsky(TrigPoly({5: 1.0}), 2, math.inf) == pytest.approx(5.0 ** -0.5, rel=1e-12)
     got = check_nikolsky(TrigPoly.dirichlet(8), 2, math.inf)
     assert got == pytest.approx(math.sqrt(17.0 / 8.0), rel=1e-12)
+    assert check_nikolsky(TrigPoly({5: 3.0}), 1000, math.inf) == pytest.approx(5.0 ** (-1.0 / 1000), rel=1e-12)
 
 
 def test_nikolsky_validation():
@@ -287,6 +264,8 @@ def test_derivative_bound_closed_form():
     got = check_derivative_bound(TrigPoly({4: 1.0}), 8, 2)
     want = 2.0 * math.pi * 4.0 / (math.log(8.0) * 8.0 ** 1.5)
     assert got == pytest.approx(want, rel=1e-12)
+    got = check_derivative_bound(TrigPoly({4: 3.0}), 8, 1000)
+    assert got == pytest.approx(8.0 * math.pi / (math.log(8.0) * 8.0 ** (1.0 + 1.0 / 1000)), rel=1e-12)
 
 
 def test_derivative_bound_validation():
@@ -303,6 +282,8 @@ def test_localization_unimodular_closed_forms():
         math.log(n) ** 0.75, rel=1e-12)
     assert check_localization(P, 0.25, 1.0 / n, 1, 0.5) == pytest.approx(
         math.log(n) ** 1.5 * math.log(n), rel=1e-12)
+    assert check_localization(3.0 * P, 0.25, 1.0 / n, 1000, 0.5) == pytest.approx(
+        math.log(n) ** (1.5 / 1000), rel=1e-12)
 
 
 def test_localization_dirichlet_peak_frozen():
@@ -338,7 +319,9 @@ def _holo_grid_oracle(params, M=1 << 14, interior_samples=1000, seed=DEFAULT_SEE
     r = np.sqrt(rng.uniform(0.0, 1.0, interior_samples))
     interior = r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, interior_samples))
     z = np.concatenate([np.exp(2j * np.pi * np.arange(M) / M), interior])
-    f, fd = holo_kernel(params, z), holo_log_derivative(params, z)
+    a = z / (1.0 + params.eps)
+    f = holo_kernel(params, z)
+    fd = params.k * a ** (params.k - 1) / ((1.0 + params.eps) * (1.0 - a ** params.k))  # f'/f
     min_re = float(f.real.min())
     return {
         "c1": min_re * params.omega * params.k,
