@@ -318,6 +318,8 @@ def residual_witness(g: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> Tr
     eta_j * log j whenever the saturator certificate holds. The full block
     itself can vanish on the comb; only the two-scale difference saturates.
     """
+    if sat.n != j:
+        raise ValueError(f"saturator degree {sat.n} differs from the block level {j}")
     if g.degree > j:
         raise ValueError("base function degree exceeds the block level")
     if eta_j <= 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import grid_for_degree, is_pow2
+from .util import grid_for_degree, is_pow2, next_pow2
 
 PRUNE_TOL = 1e-15
 _SIN_EPS = 1e-12
@@ -148,6 +148,32 @@ class TrigPoly:
         out = out.reshape(ts.shape)
         return out[()] if np.ndim(t) == 0 else out
 
+    def evaluate_progression(self, t0: float, h: float, count: int) -> np.ndarray:
+        """Values at t0 + i h for i = 0..count-1, by one chirp z-transform.
+
+        Bluestein's identity k i = (k^2 + i^2 - (i-k)^2)/2 writes
+        sum_k c_k e(k t0) e(k i h) as e(i^2 h/2) times the convolution of
+        c_k e(k t0 + k^2 h/2), over the dense coefficients on [-d, d], with
+        e(-m^2 h/2), m = i - k: three FFTs of length next_pow2(2d + 1 + count).
+        Every phase is an exact integer k, k^2, m^2 or i^2 times t0 or h/2,
+        reduced mod 1 by _phase before the exponential, so no phase carries
+        the 2 pi k t rounding of evaluate (Rabiner, Schafer & Rader 1969;
+        Bluestein 1970).
+        """
+        d = self.degree
+        c = np.zeros(2 * d + 1, dtype=complex)
+        for k, v in self._c.items():
+            c[k + d] = v
+        half = 0.5 * h
+        k = np.arange(-d, d + 1, dtype=float)
+        a = c * np.exp(2j * np.pi * (_phase(k, t0) + _phase(k * k, half)))
+        m = np.arange(-d, count + d, dtype=float)
+        chirp = np.exp(-2j * np.pi * _phase(m * m, half))
+        L = next_pow2(2 * d + 1 + count)  # L >= 2d + count: the kept entries 2d..2d+count-1 do not wrap
+        conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(chirp, L))[2 * d:2 * d + count]
+        i = np.arange(count, dtype=float)
+        return np.exp(2j * np.pi * _phase(i * i, half)) * conv
+
     def sample(self, M: int) -> "GridSignal":
         """Values on the dyadic grid {j/M}, exact via inverse FFT.
 
@@ -223,6 +249,17 @@ class GridSignal:
 
     def to_json_dict(self) -> dict:
         return {"M": self.M, "samples": [[v.real, v.imag] for v in self._v]}
+
+
+def _phase(n: np.ndarray, x: float) -> np.ndarray:
+    """n x mod 1 (up to one added integer) for integers n below 2^27, within a few ulp of 1.
+
+    x splits into hi + lo with hi on 26 significant bits (Veltkamp), so n hi
+    is exact and reduces mod 1 exactly; only the small n lo is rounded.
+    """
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return np.mod(n * hi, 1.0) + n * (x - hi)
 
 
 def dirichlet_eval(n, t) -> np.ndarray:

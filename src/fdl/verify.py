@@ -212,15 +212,26 @@ def dirichlet_rows(N: int, strategy: str, t_samples: int,
 _SCAN_COLUMNS = 4096
 
 
+def _half_grid_mean(v: np.ndarray, M: int) -> np.ndarray:
+    """Row means over the M-point grid of an even function of x, given on columns 0..M/2.
+
+    Columns 1..M/2-1 stand for themselves and their mirror M - j, so the
+    weights are 1, 2, ..., 2, 1 over M.
+    """
+    return (v[:, 0] + v[:, -1] + 2.0 * v[:, 1:-1].sum(axis=1)) / M
+
+
 def _maximal_ratios(coeffs: np.ndarray, N: int, a: float, M: int) -> np.ndarray:
-    """Batch ratio of the capped maximal function to the 1-norm.
+    """Batch ratio of the capped maximal function to the 1-norm on an even M-point grid.
 
     coeffs is a real (B, 2d+1) array over frequencies -d..d; every row is
     scanned with one incremental partial sum per n, tracking the squared
     maximum of |S_n| / (log n)^(1+a) over 2 <= n <= min(N, max(d, 2)).
     Re S_n gains c_n cos nx and then c_-n cos nx, Im S_n gains c_n sin nx
     and then -c_-n sin nx, each added in place in the order of the complex
-    sum, so every rounding is that of a complex scan.
+    sum, so every rounding is that of a complex scan. Real coefficients
+    give conj S_n(x) = S_n(-x), so |S_n(j/M)| = |S_n((M-j)/M)|: only the
+    columns 0..M/2 are scanned, and both means weigh them by _half_grid_mean.
     """
     B, width = coeffs.shape
     d = (width - 1) // 2
@@ -231,11 +242,14 @@ def _maximal_ratios(coeffs: np.ndarray, N: int, a: float, M: int) -> np.ndarray:
     cos_c = np.stack((pos, neg), axis=1)[..., None]
     sin_c = np.stack((pos, -neg), axis=1)[..., None]
     weights = [math.log(n) ** -(2.0 * (1.0 + a)) if n >= 2 else 0.0 for n in range(n_top + 1)]
-    e1 = np.exp(2j * np.pi * (np.arange(M) / M))
-    roots = np.empty((B, M))
-    mods = np.empty((B, M))
-    for lo in range(0, M, _SCAN_COLUMNS):
-        cols = slice(lo, lo + _SCAN_COLUMNS)
+    half = M // 2
+    e1 = np.exp(2j * np.pi * (np.arange(half + 1) / M))
+    roots = np.empty((B, half + 1))
+    mods = np.empty((B, half + 1))
+    # the last block takes column M/2 as well, so no block is a lone column
+    edges = [*range(0, half, _SCAN_COLUMNS), half + 1]
+    for lo, hi in zip(edges, edges[1:]):
+        cols = slice(lo, hi)
         e = e1[cols]
         en = np.ones(e.size, dtype=complex)
         S = np.zeros((2, B, e.size))  # Re S_n, Im S_n
@@ -256,7 +270,7 @@ def _maximal_ratios(coeffs: np.ndarray, N: int, a: float, M: int) -> np.ndarray:
                 np.maximum(best, T[0], out=best)
         np.sqrt(best, out=roots[:, cols])
         mods[:, cols] = np.abs(S[0] + 1j * S[1])  # numpy's complex modulus, not hypot
-    return roots.mean(axis=1) / mods.mean(axis=1)
+    return _half_grid_mean(roots, M) / _half_grid_mean(mods, M)
 
 
 def maximal_rows(N: int, a: float, trials: int, seed: int = DEFAULT_SEED,
@@ -316,12 +330,20 @@ def check_derivative_bound(f: TrigPoly, n: int, p) -> float:
     return float(num / (math.log(n) * n ** (1.0 + inv_p) * f.norm(p)))
 
 
+# A float whose logarithm lies within +-708 is normal and finite (the range is
+# about -708.4..709.8), with room to spare for the rounding of the logarithm.
+_LOG_NORMAL = 708.0
+
+
 def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: float) -> float:
     """Mass of P on the interval around a peak point, against the decay rate.
 
     The rate factor is (log n)^(-(1+eps)/p) for p > 1 and picks up the extra
     1/log(1/|I|) at p = 1. The hypothesis |P(a)| >= ||P||_p is enforced, and
-    an eps whose rate falls below the normal float range is refused.
+    an eps whose rate leaves the normal float range is refused: the rate's
+    logarithm is checked before any power is taken, since log n < 1 at
+    n = 2 turns a large eps into an overflow. The 513 trapezoid points form
+    one arithmetic progression across the interval, evaluated by chirp z.
     """
     p = validate_norm_exponent(p)
     if math.isinf(p):
@@ -336,17 +358,19 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     peak = float(np.abs(P.evaluate(np.array([a], dtype=float)))[0])
     if peak < P.norm(p) - 1e-9:
         raise ValueError("hypothesis |P(a)| >= ||P||_p violated")
-    ts = a + np.linspace(-0.5, 0.5, 513) * interval_length
+    # log of the (log n)^(-(1+eps)/p) power, then of the whole rate
+    log_power = -(1.0 + eps) / p * math.log(math.log(n))
+    log_rate = log_power - (math.log(math.log(1.0 / interval_length)) if p == 1 else 0.0)
+    if max(abs(log_power), abs(log_rate)) > _LOG_NORMAL:
+        raise ValueError(f"eps {eps} takes the localization rate at degree {n} out of the float range")
+    h = interval_length / 512
     # mass and lp_I are relative to the peak, which keeps the p-th powers in range for large p
-    vals = (np.abs(P.evaluate(ts)) / peak) ** p
-    mass = float(np.trapezoid(vals, dx=interval_length / 512))
+    vals = (np.abs(P.evaluate_progression(a - interval_length / 2, h, 513)) / peak) ** p
+    mass = float(np.trapezoid(vals, dx=h))
     lp_I = mass ** (1.0 / p)
-    if p > 1:
-        rate = math.log(n) ** (-(1.0 + eps) / p)
-    else:
-        rate = math.log(n) ** (-(1.0 + eps)) / math.log(1.0 / interval_length)
-    if rate < sys.float_info.min:
-        raise ValueError(f"eps {eps} underflows the localization rate at degree {n}")
+    rate = math.log(n) ** (-(1.0 + eps) / p)
+    if p == 1:
+        rate /= math.log(1.0 / interval_length)
     return float(lp_I / (interval_length ** (1.0 / p) * rate))
 
 

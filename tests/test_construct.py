@@ -243,3 +243,5 @@ def test_residual_witness_guards():
         residual_witness(TrigPoly({200: 1.0}), j, 0.05, sat)
     with pytest.raises(ValueError):
         residual_witness(TrigPoly(), j, 0.0, sat)
+    with pytest.raises(ValueError, match="saturator degree 256 differs from the block level 128"):
+        residual_witness(TrigPoly(), j, 0.05, log_saturator(256))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdl.analysis import partial_sums_at
+from fdl.construct import saturator_pj
+from fdl.sets import DyadicFamilyParams
 from fdl.trig import (
     AliasingError,
     GridSignal,
@@ -20,6 +22,7 @@ from fdl.trig import (
     validate_norm_exponent,
 )
 from fdl.util import grid_for_degree, trial_rng
+from fdl.verify import rademacher_poly
 
 
 def random_poly(rng, degree):
@@ -107,6 +110,56 @@ def test_evaluate_matches_grid_samples():
     sig = f.sample(32)
     direct = f.evaluate(sig.points())
     assert np.abs(direct - sig.samples).max() < 1e-12
+
+
+def _peak(f):
+    """The largest sample of f on its default grid, as check_localization's callers pick a."""
+    sig = f.sample(grid_for_degree(f.degree))
+    return int(np.argmax(np.abs(sig.samples))) / sig.M
+
+
+_PROGRESSION_POLYS = {
+    "rademacher-2": lambda: rademacher_poly(2, trial_rng(15, 2)),
+    "rademacher-64": lambda: rademacher_poly(64, trial_rng(15, 64)),
+    "rademacher-1024": lambda: rademacher_poly(1024, trial_rng(15, 1024)),
+    "pj-sparse": lambda: saturator_pj(DyadicFamilyParams(8, 2.0), 2),
+    "complex": lambda: random_poly(trial_rng(15, 0), 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROGRESSION_POLYS))
+@pytest.mark.parametrize("where", ["peak", "zero", "off-grid"])
+@pytest.mark.parametrize("count", [1, 513])
+def test_evaluate_progression_matches_evaluate(name, where, count):
+    f = _PROGRESSION_POLYS[name]()
+    L = 1.0 / f.degree
+    a = {"peak": _peak(f), "zero": 0.0, "off-grid": 0.37}[where]
+    t0, h = (a, L) if count == 1 else (a - L / 2, L / 512)  # "zero": the progression starts below 0
+    want = f.evaluate(t0 + np.arange(count) * h)
+    got = f.evaluate_progression(t0, h, count)
+    assert got.shape == (count,)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_evaluate_progression_is_at_least_as_close_as_evaluate_to_long_double():
+    f = rademacher_poly(1024, trial_rng(15, 1024))
+    t0, h, count = 0.37 - 0.5 / 1024, 1.0 / (1024 * 512), 513
+    ks = np.array(f.frequencies())
+    c = np.array([f.coeff(k).real for k in ks], dtype=np.longdouble)  # +-1, real
+    t = np.longdouble(t0) + np.arange(count, dtype=np.longdouble) * np.longdouble(h)
+    two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    phase = two_pi * np.mod(np.outer(t, ks.astype(np.longdouble)), 1)
+    want = np.cos(phase) @ c + 1j * (np.sin(phase) @ c)
+    top = float(np.abs(want).max())
+    chirp_err = float(np.abs(f.evaluate_progression(t0, h, count) - want.astype(complex)).max()) / top
+    direct_err = float(np.abs(f.evaluate(t0 + np.arange(count) * h) - want.astype(complex)).max()) / top
+    assert chirp_err <= direct_err
+    assert chirp_err <= 1e-14
+
+
+def test_evaluate_progression_of_constants():
+    assert np.array_equal(TrigPoly().evaluate_progression(0.3, 0.01, 4), np.zeros(4))
+    assert np.allclose(TrigPoly({0: 2.5}).evaluate_progression(-0.3, 0.01, 3), 2.5, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

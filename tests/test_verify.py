@@ -155,8 +155,13 @@ def test_maximal_rows_rejects_nonpositive_exponent(a):
         maximal_rows(64, a, 1)
 
 
+def _half_mean(v, M):
+    """The scan's weighted mean of the columns 0..M/2 of a full-grid (B, M) array."""
+    return verify._half_grid_mean(v[:, :M // 2 + 1], M)
+
+
 def _single_row_maximal(f, N, a, M):
-    """One-row copy of the maximal scan on an M-point grid, kept as an oracle."""
+    """One-row copy of the maximal scan on the full M-point grid, kept as an oracle."""
     d = max(f.degree, 1)
     c = np.zeros(2 * d + 1, dtype=complex)
     for k, v in f.items():
@@ -172,11 +177,15 @@ def _single_row_maximal(f, N, a, M):
         if n >= 2:
             w = math.log(n) ** -(2.0 * (1.0 + a))
             np.maximum(best, (S.real * S.real + S.imag * S.imag) * w, out=best)
-    return float(np.sqrt(best).mean() / np.abs(S).mean())
+    return float(_half_mean(np.sqrt(best)[None], M)[0] / _half_mean(np.abs(S)[None], M)[0])
 
 
-def _complex_maximal_ratios(coeffs, N, a, M):
-    """The batched scan in complex arithmetic, kept as an oracle."""
+def _complex_maximal_ratios(coeffs, N, a, M, mean=_half_mean):
+    """The batched scan in complex arithmetic over the full grid, kept as an oracle.
+
+    mean reduces the (B, M) root and modulus arrays; by default it is the
+    scan's own weighted mean over columns 0..M/2, so the two agree bit for bit.
+    """
     B, width = coeffs.shape
     d = (width - 1) // 2
     e1 = np.exp(2j * np.pi * np.arange(M) / M)
@@ -190,7 +199,7 @@ def _complex_maximal_ratios(coeffs, N, a, M):
         if n >= 2:
             w = math.log(n) ** -(2.0 * (1.0 + a))
             np.maximum(best, (S.real * S.real + S.imag * S.imag) * w, out=best)
-    return np.sqrt(best).mean(axis=1) / np.abs(S).mean(axis=1)
+    return mean(np.sqrt(best), M) / mean(np.abs(S), M)
 
 
 @pytest.mark.parametrize("B", [1, 4])
@@ -211,6 +220,20 @@ def test_real_maximal_scan_is_bit_identical_across_column_blocks(monkeypatch):
     for columns in (48, 64, M + 1):  # a short last block, even blocks, one block
         monkeypatch.setattr(verify, "_SCAN_COLUMNS", columns)
         assert np.array_equal(_maximal_ratios(coeffs, 64, 0.5, M), want), columns
+
+
+@pytest.mark.parametrize("B", [1, 4])
+@pytest.mark.parametrize("factor", [4, 8])
+def test_half_grid_maximal_scan_matches_full_grid_means(B, factor):
+    def full_mean(v, M):
+        return v.mean(axis=1)
+
+    for d in (1, 2, 17, 64, 1000):
+        coeffs = np.stack([rademacher_coeffs(d, trial_rng(DEFAULT_SEED, (d << 20) + t)) for t in range(B)])
+        M = grid_for_degree(d, factor=factor)
+        want = _complex_maximal_ratios(coeffs, d, 0.5, M, mean=full_mean)
+        got = _maximal_ratios(coeffs, d, 0.5, M)
+        assert np.max(np.abs(got - want) / want) <= 1e-13, d
 
 
 def _real_row(f):
@@ -301,6 +324,11 @@ def test_localization_guards():
         check_localization(d8, 0.0, 1.0 / 8, math.inf, 0.5)
     with pytest.raises(ValueError):
         check_localization(d8, 0.0, 1.0 / 8, 2, 0.0)
+    for p in (1, 2):  # log 2 < 1: a large eps overflows the rate at degree 2 and underflows it at 8
+        with pytest.raises(ValueError, match="eps 4400 .* degree 2"):
+            check_localization(TrigPoly.dirichlet(2), 0.0, 0.5, p, 4400)
+        with pytest.raises(ValueError, match="eps 4400 .* degree 8"):
+            check_localization(d8, 0.0, 1.0 / 8, p, 4400)
 
 
 def test_holo_bounds_frozen_at_k16():
