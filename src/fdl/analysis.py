@@ -14,7 +14,7 @@ import numpy as np
 
 from .construct import SaturatorFamily, disjoint_family
 from .sets import BoxDimEstimate, box_dimension
-from .trig import TrigPoly
+from .trig import _PHASE_LIMIT, TrigPoly, _phase
 from .util import DEFAULT_SEED, loglog_fit, trial_rng
 
 _VANISH_TOL = 1e-14
@@ -27,17 +27,46 @@ def dyadic_schedule(m_lo: int, m_hi: int) -> list[int]:
     return [1 << m for m in range(m_lo, m_hi + 1)]
 
 
+def _sorted_terms(f: TrigPoly, schedule: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f's frequencies and coefficients sorted by |k|, and each schedule entry's end in them."""
+    items = f.items()
+    ks = np.array([k for k, _ in items])
+    cs = np.array([c for _, c in items])
+    order = np.argsort(np.abs(ks), kind="stable")
+    ks, cs = ks[order], cs[order]
+    return ks, cs, np.searchsorted(np.abs(ks), np.array(schedule), side="right")
+
+
+def _grid_fold(ks: np.ndarray, cs: np.ndarray, cuts: np.ndarray, M: int, shift: float = 0.0) -> np.ndarray:
+    """S_n f(j/M + shift) for j < M and each schedule cut, shape (M, len(cuts)).
+
+    The point j/M + shift sees frequency k only through k mod M and the phase
+    e(k shift): each segment of |k|-sorted terms, times that phase, is folded
+    into one length-M spectrum, and S_n f on the shifted grid is M * ifft of
+    it, exact for any degree. The phase needs |k| < 2^27 (trig._phase); at
+    shift 0 there is none.
+    """
+    if shift:
+        cs = cs * np.exp(2j * np.pi * _phase(ks, shift))
+    spec = np.zeros(M, dtype=complex)
+    out = np.empty((M, len(cuts)), dtype=complex)
+    bins = ks % M
+    start = 0
+    for col, stop in enumerate(cuts):
+        np.add.at(spec, bins[start:stop], cs[start:stop])
+        out[:, col] = np.fft.ifft(spec) * M
+        start = stop
+    return out
+
+
 def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     """S_n f(x) for every x and every n in the schedule, shape (len(xs), len(schedule)).
 
     Coefficients are sorted by |frequency|, so each schedule entry adds one
-    segment of them to the previous partial sum. On the uniform grid
-    xs = arange(M)/M the point j/M sees frequency k only through k mod M:
-    each segment is folded into one length-M spectrum and S_n f on the grid
-    is M * ifft of that spectrum, exact for any degree (an evaluation, not
-    an interpolation), in O(terms + M log M) per schedule entry. Any other
-    points take the dense path, a chunked exp(2 pi i x k) outer product with
-    one cumulative sum per point.
+    segment of them to the previous partial sum. The uniform grid
+    xs = arange(M)/M takes the grid fold (_grid_fold), in O(terms + M log M)
+    per schedule entry. Any other points take the dense path, a chunked
+    exp(2 pi i x k) outer product with one cumulative sum per point.
     """
     schedule = list(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -45,22 +74,11 @@ def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not len(f):
         return np.zeros((xs.size, len(schedule)), dtype=complex)
-    ks = np.array(f.frequencies())
-    order = np.argsort(np.abs(ks), kind="stable")
-    ks = ks[order]
-    cs = np.array([f.coeff(int(k)) for k in ks])
-    cuts = np.searchsorted(np.abs(ks), np.array(schedule), side="right")
-    out = np.empty((xs.size, len(schedule)), dtype=complex)
+    ks, cs, cuts = _sorted_terms(f, schedule)
     M = xs.size
     if M >= 1 and xs.ndim == 1 and np.array_equal(xs, np.arange(M) / M):
-        spec = np.zeros(M, dtype=complex)
-        bins = ks % M
-        start = 0
-        for col, stop in enumerate(cuts):
-            np.add.at(spec, bins[start:stop], cs[start:stop])
-            out[:, col] = np.fft.ifft(spec) * M
-            start = stop
-        return out
+        return _grid_fold(ks, cs, cuts, M)
+    out = np.empty((xs.size, len(schedule)), dtype=complex)
     chunk = max(1, (1 << 22) // ks.size)
     for i in range(0, xs.size, chunk):
         block = xs[i : i + chunk]
@@ -182,6 +200,8 @@ class ProbeConfig:
             raise ValueError("need at least one trial")
         if self.depth < 1:
             raise ValueError("test depth must be positive")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta) and math.isfinite(self.m_thresh)):
+            raise ValueError("alpha, beta and the growth threshold must be finite")
         if not self.m_thresh > 0:
             raise ValueError("growth threshold must be positive")
         if not (self.beta >= 0):
@@ -198,6 +218,12 @@ class ProbeConfig:
         return self.rate_gap > 0 and self.s > 4.0 / self.rate_gap
 
 
+def _test_shifts(alpha: float, depth: int) -> tuple[float, float, float]:
+    """The offsets 0 and +-2^(-alpha*depth)/2 of the three copies of the grid K/2^depth."""
+    gauge = 2.0 ** (-alpha * depth)
+    return 0.0, gauge / 2, -gauge / 2
+
+
 def dyadic_test_points(alpha: float, depth: int) -> np.ndarray:
     """Depth-level dyadic centers plus the canonical half-gauge perturbations.
 
@@ -205,9 +231,47 @@ def dyadic_test_points(alpha: float, depth: int) -> np.ndarray:
     theta in {0, 1/2, -1/2}, wrapped to [0, 1).
     """
     centers = np.arange(1 << depth) / (1 << depth)
-    gauge = 2.0 ** (-alpha * depth)
-    pts = np.concatenate([centers, centers + gauge / 2, centers - gauge / 2])
-    return np.mod(pts, 1.0)
+    return np.mod(np.concatenate([centers + shift for shift in _test_shifts(alpha, depth)]), 1.0)
+
+
+def _test_point_sums(f: TrigPoly, alpha: float, depth: int, schedule: list[int]) -> np.ndarray:
+    """partial_sums_at(f, dyadic_test_points(alpha, depth), schedule), one grid fold per copy.
+
+    Frequencies at or above 2^27, past what _phase reduces exactly, take the
+    dense path.
+    """
+    if not len(f) or f.degree >= _PHASE_LIMIT:
+        return partial_sums_at(f, dyadic_test_points(alpha, depth), schedule)
+    ks, cs, cuts = _sorted_terms(f, schedule)
+    return np.concatenate([_grid_fold(ks, cs, cuts, 1 << depth, shift) for shift in _test_shifts(alpha, depth)])
+
+
+def _trial_passes(base: np.ndarray, blocks: np.ndarray, growth: np.ndarray, m_thresh: float,
+                  draws: np.ndarray) -> np.ndarray:
+    """Per row c of draws, whether at every point some column has |S_n| / n^beta >= m_thresh.
+
+    S_n = base + sum_r c_r blocks[r], shape (points, schedule). Which column
+    clears a point does not matter, so the columns go from the top n down,
+    each as one real matmul over the trials of a chunk that still have an
+    open point; a trial leaves once its last point clears.
+    """
+    points, columns = base.shape
+    # (columns, s, 2 * points): Re and Im interleaved, so each column is one real matmul
+    per_column = np.ascontiguousarray(blocks.transpose(2, 0, 1)).view(float)
+    passes = np.empty(len(draws), dtype=bool)
+    chunk = max(1, (1 << 18) // points)
+    for start in range(0, len(draws), chunk):
+        c = draws[start : start + chunk]
+        open_points = np.ones((len(c), points), dtype=bool)
+        rows = np.arange(len(c))
+        for col in range(columns - 1, -1, -1):
+            sums = base[:, col] + (c[rows] @ per_column[col]).view(complex)
+            open_points[rows] &= ~(np.abs(sums) / growth[col] >= m_thresh)
+            rows = rows[open_points[rows].any(axis=1)]
+            if not rows.size:
+                break
+        passes[start : start + chunk] = ~open_points.any(axis=1)
+    return passes
 
 
 @dataclass(frozen=True)
@@ -234,33 +298,21 @@ def prevalence_probe(f: TrigPoly, config: ProbeConfig, family: SaturatorFamily |
         raise ValueError("family size disagrees with the probe config")
     top = (2 * config.s + 1) * (1 << (config.jmax + 1))
     schedule = dyadic_schedule(6, max(7, math.ceil(math.log2(top))))
-    points = dyadic_test_points(config.alpha, config.depth)
 
-    base = partial_sums_at(f, points, schedule)
-    blocks = np.stack([partial_sums_at(family.member(r), points, schedule)
+    base = _test_point_sums(f, config.alpha, config.depth, schedule)
+    blocks = np.stack([_test_point_sums(family.member(r), config.alpha, config.depth, schedule)
                        for r in range(1, config.s + 1)])
     growth = np.array(schedule, dtype=float) ** config.beta
-
-    def succeeds(c: np.ndarray) -> bool:
-        sums = base + np.tensordot(c, blocks, axes=1)
-        ratios = np.abs(sums) / growth
-        return bool(ratios.max(axis=1).min() >= config.m_thresh)
-
-    failures = []
-    hits = 0
-    for t in range(config.trials):
-        c = trial_rng(config.seed, t).uniform(-config.R, config.R, size=config.s)
-        if succeeds(c):
-            hits += 1
-        else:
-            failures.append(t)
-    unit = np.zeros(config.s)
-    unit[0] = 1.0
+    draws = [trial_rng(config.seed, t).uniform(-config.R, config.R, size=config.s) for t in range(config.trials)]
+    forced = np.zeros((2, config.s))  # all-zero c, then the first unit vector
+    forced[1, 0] = 1.0
+    passes = _trial_passes(base, blocks, growth, config.m_thresh, np.vstack([*draws, forced]))
+    failures = np.flatnonzero(~passes[: config.trials]).tolist()
     return ProbeResult(
-        fraction=hits / config.trials,
+        fraction=(config.trials - len(failures)) / config.trials,
         trials=config.trials,
         failures=failures,
-        forced_zero_success=succeeds(np.zeros(config.s)),
-        forced_unit_success=succeeds(unit),
+        forced_zero_success=bool(passes[-2]),
+        forced_unit_success=bool(passes[-1]),
         config=config,
     )

@@ -251,8 +251,11 @@ class GridSignal:
         return {"M": self.M, "samples": [[v.real, v.imag] for v in self._v]}
 
 
+_PHASE_LIMIT = 1 << 27  # _phase is exact for integers n with |n| below this
+
+
 def _phase(n: np.ndarray, x: float) -> np.ndarray:
-    """n x mod 1 (up to one added integer) for integers n below 2^27, within a few ulp of 1.
+    """n x mod 1 (up to one added integer) for integers |n| < 2^27, within a few ulp of 1.
 
     x splits into hi + lo with hi on 26 significant bits (Veltkamp), so n hi
     is exact and reduces mod 1 exactly; only the small n lo is rounded.

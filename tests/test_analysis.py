@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fdl.analysis import (
     _LOG_FLOOR,
     ProbeConfig,
+    _test_point_sums,
     divergence_index,
     divergence_profile,
     dyadic_schedule,
@@ -23,6 +24,7 @@ from fdl.construct import disjoint_family
 from fdl.sets import box_dimension
 from fdl.trig import TrigPoly
 from fdl.util import DEFAULT_SEED, loglog_fit, trial_rng
+from fdl.verify import rademacher_poly
 
 
 def test_dyadic_schedule():
@@ -220,6 +222,15 @@ def test_probe_config_validation():
         ProbeConfig(beta=-0.1)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "m_thresh"])
+def test_probe_config_refuses_non_finite(field):
+    # beta = inf or m_thresh = inf read as fraction 0.0; alpha = inf collapses the
+    # three copies of the test grid onto one and read as fraction 1.0
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ProbeConfig(**{field: value})
+
+
 def test_probe_config_rate_gap():
     cfg = ProbeConfig()
     assert cfg.rate_gap == pytest.approx(0.05)
@@ -244,3 +255,87 @@ def test_prevalence_probe_family_mismatch():
     fam = disjoint_family(3, 2.0, 2.0, 7)
     with pytest.raises(ValueError):
         prevalence_probe(TrigPoly(), cfg, fam)
+
+
+# the prevalence probe at the benchmark's shape: s = 9, jmax = 16, depth = 8, 2000 trials
+_WORKLOAD = dict(jmax=16, depth=8, trials=2000)
+
+
+def _probe_schedule(cfg: ProbeConfig) -> list[int]:
+    top = (2 * cfg.s + 1) * (1 << (cfg.jmax + 1))
+    return dyadic_schedule(6, max(7, math.ceil(math.log2(top))))
+
+
+@pytest.fixture(scope="module")
+def workload_family():
+    return disjoint_family(9, 2.0, 2.0, 16)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5, 1.3])  # 1.3 makes the shift non-dyadic
+@pytest.mark.parametrize("depth", [2, 4, 8])
+def test_shifted_grid_fold_matches_dense_path(workload_family, alpha, depth):
+    schedule = _probe_schedule(ProbeConfig(**_WORKLOAD))
+    points = dyadic_test_points(alpha, depth)
+    base = rademacher_poly(256, trial_rng(DEFAULT_SEED, 9000))
+    for g in (workload_family.member(1), workload_family.member(9), base):
+        dense = partial_sums_at(g, points, schedule)
+        scale = sum(abs(c) for _, c in g.items())
+        # the gap is the dense path's own rounding of 2 pi k x
+        assert np.abs(_test_point_sums(g, alpha, depth, schedule) - dense).max() <= 1e-9 * scale
+
+
+def test_shifted_grid_fold_takes_dense_path_past_phase_limit():
+    g = TrigPoly({3: 1.0, 1 << 27: 0.5, -(1 << 27) - 5: 0.25j})
+    schedule = dyadic_schedule(6, 28)
+    dense = partial_sums_at(g, dyadic_test_points(1.3, 4), schedule)
+    assert np.array_equal(_test_point_sums(g, 1.3, 4, schedule), dense)
+
+
+def _probe_oracle(f: TrigPoly, cfg: ProbeConfig, blocks: np.ndarray):
+    """The per-trial loop: dense partial sums and one tensordot per trial."""
+    schedule = _probe_schedule(cfg)
+    base = partial_sums_at(f, dyadic_test_points(cfg.alpha, cfg.depth), schedule)
+    growth = np.array(schedule, dtype=float) ** cfg.beta
+
+    def succeeds(c):
+        ratios = np.abs(base + np.tensordot(c, blocks, axes=1)) / growth
+        return bool(ratios.max(axis=1).min() >= cfg.m_thresh)
+
+    failures = [t for t in range(cfg.trials)
+                if not succeeds(trial_rng(cfg.seed, t).uniform(-cfg.R, cfg.R, size=cfg.s))]
+    unit = np.zeros(cfg.s)
+    unit[0] = 1.0
+    return failures, succeeds(np.zeros(cfg.s)), succeeds(unit)
+
+
+@pytest.fixture(scope="module")
+def workload_blocks(workload_family):
+    """The family members' dense partial sums at the workload's test points."""
+    cfg = ProbeConfig(**_WORKLOAD)
+    points = dyadic_test_points(cfg.alpha, cfg.depth)
+    return np.stack([partial_sums_at(workload_family.member(r), points, _probe_schedule(cfg))
+                     for r in range(1, cfg.s + 1)])
+
+
+@pytest.mark.parametrize("base", ["zero", "rademacher"])
+@pytest.mark.parametrize("seed", [20127, 7])
+def test_prevalence_probe_matches_per_trial_loop(workload_family, workload_blocks, base, seed):
+    cfg = ProbeConfig(seed=seed, **_WORKLOAD)
+    f = TrigPoly() if base == "zero" else rademacher_poly(256, trial_rng(seed, 9000))
+    res = prevalence_probe(f, cfg, workload_family)
+    failures, zero_ok, unit_ok = _probe_oracle(f, cfg, workload_blocks)
+    assert res.failures == failures
+    assert res.fraction == (cfg.trials - len(failures)) / cfg.trials
+    assert (res.forced_zero_success, res.forced_unit_success) == (zero_ok, unit_ok)
+
+
+@pytest.mark.parametrize("beta, m_thresh", [(0.45, 3e-2), (0.2, 3e-2), (0.3, 1e-2)])
+def test_prevalence_probe_matches_per_trial_loop_when_trials_fail(workload_family, workload_blocks,
+                                                                  beta, m_thresh):
+    # a failing trial keeps its open points through every column
+    cfg = ProbeConfig(beta=beta, m_thresh=m_thresh, **_WORKLOAD)
+    res = prevalence_probe(TrigPoly(), cfg, workload_family)
+    failures, zero_ok, unit_ok = _probe_oracle(TrigPoly(), cfg, workload_blocks)
+    assert len(failures) > cfg.trials // 2
+    assert res.failures == failures
+    assert (res.forced_zero_success, res.forced_unit_success) == (zero_ok, unit_ok)
