@@ -40,7 +40,7 @@ from .construct import (
     saturator_pj,
     witness_certificate,
 )
-from .sets import DyadicFamilyParams, box_dimension
+from .sets import DyadicFamilyParams
 from .trig import TrigPoly, validate_norm_exponent
 from .util import DEFAULT_SEED, round_sig
 from .verify import (
@@ -227,7 +227,13 @@ _SPECS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process.
+
+    Every flag defaults to None and _resolve fills in the defaults, so one
+    parse leaves nothing behind for the next.
+    """
     top = argparse.ArgumentParser(prog="fdl", description=__doc__.splitlines()[0])
     commands = top.add_subparsers(dest="command", required=True)
     grouped: dict[str, list[str]] = {}
@@ -448,7 +454,7 @@ def _run_analyze_levelset(cfg: dict, threads: int):
     f = _load_poly(cfg["in"])
     oracle = level_set(f, cfg["beta"], cfg["tol"], cfg["grid"],
                        dyadic_schedule(cfg["smlo"], cfg["smhi"]))
-    est = box_dimension(oracle, cfg["mlo"], cfg["mhi"])
+    est = oracle.box_dimension(cfg["mlo"], cfg["mhi"])
     rows = list(zip(est.scales, est.counts))
     # the box counts go to --csv, or to stdout when there is no --out
     table = (("scale_exponent", "m_boxes_occupied"), rows) if cfg["csv"] or not cfg["out"] else None

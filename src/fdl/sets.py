@@ -5,7 +5,9 @@ Points live on the circle [0, 1). Dyadic families at level j consist of the
 2^J intervals of radius 2^-j around the centers K/2^J, where J is derived
 from the approximation exponent alpha. Box counting works on dyadic grids
 anchored at 0 with a one-box circular dilation, which trades a constant
-factor in the counts for stability of the fitted slope.
+factor in the counts for stability of the fitted slope. box_dimension
+probes any membership oracle at box centers; grid-backed level sets count
+the same boxes from their mask (analysis.LevelSetOracle.box_dimension).
 """
 from __future__ import annotations
 
@@ -162,15 +164,20 @@ def _box_fit(scales: list[int], counts: list[int]) -> BoxDimEstimate:
     return BoxDimEstimate(float(min(1.0, max(0.0, slope))), r2, scales, counts)
 
 
+def _probe_exponent(m_hi: int) -> int:
+    """box_dimension probes 2^P box centers, P = min(24, max(m_hi + 6, 18))."""
+    return min(24, max(m_hi + 6, 18))
+
+
 def box_dimension(oracle, m_lo: int, m_hi: int) -> BoxDimEstimate:
     """Log-log slope of dilated box counts against scale.
 
-    The oracle is probed once at 2^min(24, max(m_hi + 6, 18)) box centers
-    and the counts at each scale come from collapsing that single hit
-    vector, so the counts are monotone under set inclusion by construction.
+    The oracle is probed once at 2^_probe_exponent(m_hi) box centers and
+    the counts at each scale come from collapsing that single hit vector,
+    so the counts are monotone under set inclusion by construction.
     """
     scales = _box_scales(m_lo, m_hi)
-    hits = _probe_hits(oracle, min(24, max(m_hi + 6, 18)))
+    hits = _probe_hits(oracle, _probe_exponent(m_hi))
     return _box_fit(scales, [count_occupied_boxes(hits, m) for m in scales])
 
 

@@ -45,17 +45,20 @@ def loglog_fit(logx, logy):
     slope = np.zeros(y.shape[:-1])
     r2 = np.ones(y.shape[:-1])
     if x.size >= 2:
+        # two y-sized buffers: the centered y, later the residuals, and one for each product
         vx = x - x.mean()
         vy = y - y.mean(axis=-1, keepdims=True)
+        buf = np.empty_like(vy)
         sxx = float((vx * vx).sum())
-        syy = (vy * vy).sum(axis=-1)
+        syy = np.multiply(vy, vy, out=buf).sum(axis=-1)
         flat = syy < 1e-30
         if sxx < 1e-30:
             r2 = np.where(flat, 1.0, 0.0)
         else:
-            slope = (vy * vx).sum(axis=-1) / sxx
-            resid = vy - slope[..., None] * vx
-            r2 = np.where(flat, 1.0, 1.0 - (resid * resid).sum(axis=-1) / np.where(flat, 1.0, syy))
+            slope = np.multiply(vy, vx, out=buf).sum(axis=-1) / sxx
+            resid = np.subtract(vy, np.multiply(slope[..., None], vx, out=buf), out=vy)
+            r2 = np.where(flat, 1.0,
+                          1.0 - np.multiply(resid, resid, out=buf).sum(axis=-1) / np.where(flat, 1.0, syy))
     if y.ndim == 1:
         return float(slope), float(r2)
     return slope, r2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fdl.analysis import (
     _LOG_FLOOR,
+    LevelSetOracle,
     ProbeConfig,
     _test_point_sums,
     divergence_index,
@@ -21,7 +22,7 @@ from fdl.analysis import (
     spectrum_curve,
 )
 from fdl.construct import disjoint_family
-from fdl.sets import box_dimension
+from fdl.sets import _probe_hits, box_dimension, count_occupied_boxes
 from fdl.trig import TrigPoly
 from fdl.util import DEFAULT_SEED, loglog_fit, trial_rng
 from fdl.verify import rademacher_poly
@@ -133,6 +134,26 @@ def test_batched_loglog_fit_matches_row_fits():
         loglog_fit(logx, rows[:, :3])
 
 
+def test_loglog_fit_reuses_its_buffers_with_bit_identical_fits():
+    # the envelope fit's shape: a strided tail of a running-maximum log envelope
+    env = np.maximum.accumulate(trial_rng(DEFAULT_SEED, 59).normal(size=(1000, 13)), axis=1)
+    x = np.log(np.array(dyadic_schedule(12, 18), dtype=float))
+    y = env[:, 6:]
+    before = y.copy()
+    slopes, r2s = loglog_fit(x, y)
+    # the same fit with a fresh temporary for every product
+    vx = x - x.mean()
+    vy = y - y.mean(axis=-1, keepdims=True)
+    syy = (vy * vy).sum(axis=-1)
+    slope = (vy * vx).sum(axis=-1) / float((vx * vx).sum())
+    resid = vy - slope[:, None] * vx
+    flat = syy < 1e-30  # a running maximum that settled before the tail
+    assert flat.any() and not flat.all()
+    assert np.array_equal(slopes, slope)
+    assert np.array_equal(r2s, np.where(flat, 1.0, 1.0 - (resid * resid).sum(axis=-1) / np.where(flat, 1.0, syy)))
+    assert np.array_equal(y, before)
+
+
 def test_partial_sums_schedule_must_increase():
     with pytest.raises(ValueError):
         partial_sums_at(TrigPoly({1: 1.0}), [0.1], [8, 8])
@@ -196,6 +217,46 @@ def test_spectrum_curve_shares_one_profile():
     schedule = dyadic_schedule(6, 10)
     curve = spectrum_curve(TrigPoly({1: 1.0}), [0.0, 0.1], schedule, grid=1 << 8)
     assert [(b, est.slope) for b, est in curve] == [(0.0, 1.0), (0.1, 0.0)]
+
+
+@pytest.mark.parametrize("grid", [16, 17, 100, 1000, 3 << 12, 1 << 14, 20000])
+def test_level_set_box_count_matches_the_probe_path(grid):
+    # every grid here is below 2^18, the fewest probes box_dimension takes,
+    # so the mask count reproduces its probes exactly
+    rng = trial_rng(DEFAULT_SEED, grid)
+    for density in (0.0, 0.001, 0.05, 0.5, 1.0):
+        oracle = LevelSetOracle(np.arange(grid) / grid, rng.random(grid) < density, 0.0, 0.0)
+        for m_hi in range(5, 15):
+            assert oracle.box_dimension(4, m_hi) == box_dimension(oracle, 4, m_hi), (density, m_hi)
+
+
+@pytest.mark.parametrize("grid", [(1 << 18) - 1, 1 << 18, 1 << 19, 1 << 20])
+def test_level_set_box_count_reads_every_grid_point(grid):
+    # At m_hi = 10, box_dimension probes 2^18 points: at 2^18 grid points the
+    # probes are rounding ties, past it they skip grid points, and some of
+    # these residue classes read as empty. The mask count reads every point
+    # and equals the probe path at the least 2^P > grid probes, which below
+    # 2^18 is box_dimension's own count.
+    residues = [np.arange(grid) % 4 == r for r in range(4)]
+    for mask in residues:
+        est = LevelSetOracle(np.arange(grid) / grid, mask, 0.0, 0.0).box_dimension(4, 10)
+        assert est.counts == [1 << m for m in range(4, 11)] and est.slope == 1.0
+    sparse = trial_rng(DEFAULT_SEED, grid).random(grid) < 1e-4
+    box_edges = np.zeros(grid, dtype=bool)
+    box_edges[np.rint(np.arange(0, 1 << 10, 8) * grid / (1 << 10)).astype(int) % grid] = True
+    for mask in residues + [sparse, box_edges]:
+        oracle = LevelSetOracle(np.arange(grid) / grid, mask, 0.0, 0.0)
+        hits = _probe_hits(oracle, grid.bit_length())
+        assert oracle.box_dimension(4, 10).counts == [count_occupied_boxes(hits, m) for m in range(4, 11)]
+
+
+def test_spectrum_matches_per_beta_probe_counts_on_the_criterion_08_function():
+    f = disjoint_family(3, 2.0, 2.0, 14).member(1)
+    schedule = dyadic_schedule(6, 18)
+    betas = np.linspace(0.0, 0.5, 11)
+    curve = spectrum_curve(f, betas, schedule, grid=1 << 14, tolerance=0.05, m_lo=4, m_hi=14)
+    assert curve == [(float(beta), box_dimension(level_set(f, float(beta), 0.05, 1 << 14, schedule), 4, 14))
+                     for beta in betas]
 
 
 def test_dyadic_test_points_layout():

@@ -91,6 +91,27 @@ def test_seed_precedence_env_file_flag(tmp_path, monkeypatch):
     assert recorded_seed(["--config", str(conf), "--seed", "7"]) == 7
 
 
+def test_runs_share_one_parser_and_keep_their_own_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("FDL_SEED", raising=False)
+
+    def recorded_config(argv):
+        out = tmp_path / "run.json"
+        run_ok(argv + ["--out", str(out)])
+        return json.loads(out.read_text())["config"]
+
+    pj = ["construct", "pj", "--j", "6", "--p", "2"]
+    probe = ["probe", "prevalence", "--s", "2", "--jmax", "7", "--trials", "2", "--depth", "2"]
+    first = recorded_config(pj + ["--alpha", "3", "--seed", "7"])
+    second = recorded_config(probe + ["--alpha", "2.5", "--p", "3"])
+    third = recorded_config(pj + ["--alpha", "2"])
+    fourth = recorded_config(probe)
+    assert (first["alpha"], first["seed"]) == (3.0, 7)
+    assert (second["alpha"], second["p"], second["seed"]) == (2.5, 3.0, 20127)
+    assert (third["alpha"], third["seed"]) == (2.0, 20127)
+    assert (fourth["alpha"], fourth["p"], fourth["s"]) == (2.0, 2.0, 2)
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("twist = 3\n")
