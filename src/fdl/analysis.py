@@ -4,8 +4,8 @@ readout, multifractal spectrum curves, and the finite-scale prevalence probe.
 The divergence index at a point is estimated from the running maximum of
 partial-sum moduli along a dyadic index schedule, fitted on the tail half
 of the schedule where the block constructions have settled. A level set is
-a mask over a uniform grid of such estimates, and its boxes are counted
-from the mask itself (LevelSetOracle.box_dimension).
+a mask over a uniform grid of such estimates, a sets.GridOracle whose boxes
+box_dimension counts from the mask itself.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import SaturatorFamily, disjoint_family
-from .sets import BoxDimEstimate, _box_fit, _box_scales, _probe_exponent, count_occupied_boxes
+from .sets import BoxDimEstimate, GridOracle, box_dimension
 from .trig import _PHASE_LIMIT, TrigPoly, _phase
 from .util import DEFAULT_SEED, loglog_fit, trial_rng
 
@@ -137,47 +137,14 @@ def divergence_profile(f: TrigPoly, xs, schedule) -> tuple[np.ndarray, np.ndarra
     return betas, r2s
 
 
-class LevelSetOracle:
-    """Grid-backed membership oracle for one divergence level.
-
-    On a grid of G points, x reads the nearest one: mask[rint(x G) mod G].
-    """
+class LevelSetOracle(GridOracle):
+    """Grid-backed membership oracle for one divergence level."""
 
     def __init__(self, points: np.ndarray, mask: np.ndarray, beta: float, tolerance: float):
+        super().__init__(mask)
         self.points = points
-        self.mask = mask
         self.beta = beta
         self.tolerance = tolerance
-
-    def __call__(self, x):
-        idx = np.mod(np.rint(np.asarray(x, dtype=float) * self.points.size).astype(int), self.points.size)
-        return self.mask[idx]
-
-    def box_dimension(self, m_lo: int, m_hi: int) -> BoxDimEstimate:
-        """sets.box_dimension of this oracle, counted from the mask without probes.
-
-        The count is that of 2^P probes (i + 1/2)/2^P, where P is the larger
-        of sets._probe_exponent(m_hi) and the bit length of G, the least P
-        with 2^P > G. Below G = 2^_probe_exponent(m_hi) that is
-        box_dimension's own P; from there on, its probes would round ties or
-        skip grid points. With 2^P > G, (2i + 1) G / 2^(P+1) is never a
-        rounding tie and consecutive probes step by less than one grid
-        point, so the probes of a finest box read every grid index from its
-        first probe's to its last probe's (index G is index 0), and every
-        grid point is read. A prefix sum over the mask tells whether any
-        index of such a range is marked.
-        """
-        scales = _box_scales(m_lo, m_hi)
-        G = self.mask.size
-        n = 1 << max(_probe_exponent(m_hi), G.bit_length())
-        q = n >> m_hi
-        # probe i reads index ((2i + 1) G + n) // 2n, exact in int64 while G < 2^31
-        starts = np.arange(0, n, q, dtype=np.int64)
-        first = ((2 * starts + 1) * G + n) // (2 * n)
-        last = ((2 * (starts + q) - 1) * G + n) // (2 * n)
-        marked = np.concatenate(([0], np.cumsum(np.append(self.mask, self.mask[0]))))
-        occ = marked[last + 1] > marked[first]
-        return _box_fit(scales, [count_occupied_boxes(occ, m) for m in scales])
 
 
 def _level_sets(f: TrigPoly, tolerance: float, grid: int, schedule):
@@ -204,7 +171,7 @@ def spectrum_curve(f: TrigPoly, beta_grid, schedule, grid: int = 1 << 12,
     reference line is 1 - beta * p, attached by the callers that report.
     """
     oracle_at = _level_sets(f, tolerance, grid, schedule)
-    return [(float(beta), oracle_at(float(beta)).box_dimension(m_lo, m_hi)) for beta in beta_grid]
+    return [(float(beta), box_dimension(oracle_at(float(beta)), m_lo, m_hi)) for beta in beta_grid]
 
 
 @dataclass(frozen=True)

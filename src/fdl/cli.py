@@ -40,7 +40,7 @@ from .construct import (
     saturator_pj,
     witness_certificate,
 )
-from .sets import DyadicFamilyParams
+from .sets import DyadicFamilyParams, box_dimension
 from .trig import TrigPoly, validate_norm_exponent
 from .util import DEFAULT_SEED, round_sig
 from .verify import (
@@ -454,7 +454,7 @@ def _run_analyze_levelset(cfg: dict, threads: int):
     f = _load_poly(cfg["in"])
     oracle = level_set(f, cfg["beta"], cfg["tol"], cfg["grid"],
                        dyadic_schedule(cfg["smlo"], cfg["smhi"]))
-    est = oracle.box_dimension(cfg["mlo"], cfg["mhi"])
+    est = box_dimension(oracle, cfg["mlo"], cfg["mhi"])
     rows = list(zip(est.scales, est.counts))
     # the box counts go to --csv, or to stdout when there is no --out
     table = (("scale_exponent", "m_boxes_occupied"), rows) if cfg["csv"] or not cfg["out"] else None

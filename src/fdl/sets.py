@@ -6,8 +6,8 @@ Points live on the circle [0, 1). Dyadic families at level j consist of the
 from the approximation exponent alpha. Box counting works on dyadic grids
 anchored at 0 with a one-box circular dilation, which trades a constant
 factor in the counts for stability of the fitted slope. box_dimension
-probes any membership oracle at box centers; grid-backed level sets count
-the same boxes from their mask (analysis.LevelSetOracle.box_dimension).
+probes a membership oracle at box centers; a GridOracle, a set marked on a
+uniform grid, answers those probes from its mask without evaluating them.
 """
 from __future__ import annotations
 
@@ -128,18 +128,57 @@ class BoxDimEstimate:
     counts: list[int] = field(default_factory=list)
 
 
-def _probe_hits(oracle, probe_exponent: int) -> np.ndarray:
-    """Evaluate the membership oracle at box-center probes, chunked."""
+class GridOracle:
+    """Membership in a set marked on the uniform grid j/G: x reads its nearest
+    grid point, mask[rint(x G) mod G]."""
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
+
+    def __call__(self, x):
+        idx = np.mod(np.rint(np.asarray(x, dtype=float) * self.mask.size).astype(int), self.mask.size)
+        return self.mask[idx]
+
+
+def _mask_hits(mask: np.ndarray, n: int, m: int) -> np.ndarray:
+    """_probe_hits of a GridOracle with 2^m boxes and n > G = mask.size probes.
+
+    Probe i reads index ((2i + 1) G + n) // 2n, never a rounding tie, and
+    consecutive probes step by less than one grid point. So the probes of a
+    box read every index from its first probe's to its last probe's (index
+    G is index 0), and one prefix sum over the mask tells whether any of
+    them is marked.
+    """
+    G = mask.size
+    q = n >> m
+    # exact in int64 while G < 2^31
+    starts = np.arange(0, n, q, dtype=np.int64)
+    first = ((2 * starts + 1) * G + n) // (2 * n)
+    last = ((2 * (starts + q) - 1) * G + n) // (2 * n)
+    marked = np.concatenate(([0], np.cumsum(np.append(mask, mask[0]))))
+    return marked[last + 1] > marked[first]
+
+
+def _probe_hits(oracle, probe_exponent: int, m: int) -> np.ndarray:
+    """Occupancy of the 2^m boxes [b, b + 1)/2^m by the oracle's hits among
+    the 2^probe_exponent box-center probes (i + 1/2)/2^probe_exponent.
+
+    A GridOracle with fewer grid points than probes answers from its mask;
+    any other oracle is evaluated in chunks, each collapsed into its boxes.
+    """
     n = 1 << probe_exponent
-    hits = np.empty(n, dtype=bool)
-    chunk = 1 << 20
+    if isinstance(oracle, GridOracle) and oracle.mask.size < n:
+        return _mask_hits(oracle.mask, n, m)
+    q = n >> m
+    occ = np.empty(1 << m, dtype=bool)
+    chunk = max(1 << 20, q)
     for i in range(0, n, chunk):
         xs = (np.arange(i, min(i + chunk, n), dtype=float) + 0.5) / n
         out = np.asarray(oracle(xs), dtype=bool)
         if out.shape != xs.shape:
             raise ValueError(f"oracle returned shape {out.shape} for probes of shape {xs.shape}")
-        hits[i : i + xs.size] = out
-    return hits
+        occ[i // q : (i + xs.size) // q] = out.reshape(-1, q).any(axis=1)
+    return occ
 
 
 def count_occupied_boxes(hits: np.ndarray, m: int) -> int:
@@ -164,21 +203,29 @@ def _box_fit(scales: list[int], counts: list[int]) -> BoxDimEstimate:
     return BoxDimEstimate(float(min(1.0, max(0.0, slope))), r2, scales, counts)
 
 
-def _probe_exponent(m_hi: int) -> int:
-    """box_dimension probes 2^P box centers, P = min(24, max(m_hi + 6, 18))."""
-    return min(24, max(m_hi + 6, 18))
+def _probe_exponent(m_hi: int, grid: int = 0) -> int:
+    """box_dimension probes 2^P box centers, P = min(24, max(m_hi + 6, 18)),
+    raised on a grid of G points to the least P with 2^P > G.
+
+    With 2^P <= G the probes would round ties (2^P = G) or skip grid
+    points (2^P < G); with 2^P > G every grid point is read.
+    """
+    return max(min(24, max(m_hi + 6, 18)), grid.bit_length())
 
 
 def box_dimension(oracle, m_lo: int, m_hi: int) -> BoxDimEstimate:
     """Log-log slope of dilated box counts against scale.
 
-    The oracle is probed once at 2^_probe_exponent(m_hi) box centers and
-    the counts at each scale come from collapsing that single hit vector,
-    so the counts are monotone under set inclusion by construction.
+    The oracle is probed once at 2^_probe_exponent(m_hi) box centers, or
+    2^_probe_exponent(m_hi, G) for a GridOracle of G points, which answers
+    from its mask. The counts at each scale come from collapsing that one
+    finest occupancy, so they are monotone under set inclusion by
+    construction.
     """
     scales = _box_scales(m_lo, m_hi)
-    hits = _probe_hits(oracle, _probe_exponent(m_hi))
-    return _box_fit(scales, [count_occupied_boxes(hits, m) for m in scales])
+    grid = oracle.mask.size if isinstance(oracle, GridOracle) else 0
+    occ = _probe_hits(oracle, _probe_exponent(m_hi, grid), m_hi)
+    return _box_fit(scales, [count_occupied_boxes(occ, m) for m in scales])
 
 
 def scale_matched_dyadic_counts(alpha: float, m_lo: int, m_hi: int) -> BoxDimEstimate:
@@ -192,8 +239,8 @@ def scale_matched_dyadic_counts(alpha: float, m_lo: int, m_hi: int) -> BoxDimEst
         raise ValueError(f"m_lo below the smallest admissible level for alpha={alpha}")
     counts = []
     for m in scales:
-        hits = _probe_hits(DyadicFamily(DyadicFamilyParams(m, alpha)).contains, min(24, m + 6))
-        counts.append(count_occupied_boxes(hits, m))
+        occ = _probe_hits(DyadicFamily(DyadicFamilyParams(m, alpha)).contains, min(24, m + 6), m)
+        counts.append(count_occupied_boxes(occ, m))
     return _box_fit(scales, counts)
 
 

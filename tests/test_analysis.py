@@ -219,35 +219,51 @@ def test_spectrum_curve_shares_one_profile():
     assert [(b, est.slope) for b, est in curve] == [(0.0, 1.0), (0.1, 0.0)]
 
 
+def _probed(oracle):
+    """The same membership test without the grid, so box_dimension evaluates every probe."""
+    return lambda xs: oracle(xs)
+
+
 @pytest.mark.parametrize("grid", [16, 17, 100, 1000, 3 << 12, 1 << 14, 20000])
 def test_level_set_box_count_matches_the_probe_path(grid):
     # every grid here is below 2^18, the fewest probes box_dimension takes,
-    # so the mask count reproduces its probes exactly
+    # so the mask answers exactly the probes the generic path evaluates
     rng = trial_rng(DEFAULT_SEED, grid)
     for density in (0.0, 0.001, 0.05, 0.5, 1.0):
         oracle = LevelSetOracle(np.arange(grid) / grid, rng.random(grid) < density, 0.0, 0.0)
         for m_hi in range(5, 15):
-            assert oracle.box_dimension(4, m_hi) == box_dimension(oracle, 4, m_hi), (density, m_hi)
+            assert box_dimension(oracle, 4, m_hi) == box_dimension(_probed(oracle), 4, m_hi), (density, m_hi)
 
 
 @pytest.mark.parametrize("grid", [(1 << 18) - 1, 1 << 18, 1 << 19, 1 << 20])
 def test_level_set_box_count_reads_every_grid_point(grid):
-    # At m_hi = 10, box_dimension probes 2^18 points: at 2^18 grid points the
-    # probes are rounding ties, past it they skip grid points, and some of
-    # these residue classes read as empty. The mask count reads every point
-    # and equals the probe path at the least 2^P > grid probes, which below
-    # 2^18 is box_dimension's own count.
+    # At m_hi = 10 the generic path probes 2^18 points: at 2^18 grid points
+    # the probes are rounding ties, past it they skip grid points. A level
+    # set takes the least 2^P > grid probes instead, answered from its mask,
+    # and equals the generic path at that P.
     residues = [np.arange(grid) % 4 == r for r in range(4)]
     for mask in residues:
-        est = LevelSetOracle(np.arange(grid) / grid, mask, 0.0, 0.0).box_dimension(4, 10)
+        est = box_dimension(LevelSetOracle(np.arange(grid) / grid, mask, 0.0, 0.0), 4, 10)
         assert est.counts == [1 << m for m in range(4, 11)] and est.slope == 1.0
     sparse = trial_rng(DEFAULT_SEED, grid).random(grid) < 1e-4
     box_edges = np.zeros(grid, dtype=bool)
     box_edges[np.rint(np.arange(0, 1 << 10, 8) * grid / (1 << 10)).astype(int) % grid] = True
     for mask in residues + [sparse, box_edges]:
         oracle = LevelSetOracle(np.arange(grid) / grid, mask, 0.0, 0.0)
-        hits = _probe_hits(oracle, grid.bit_length())
-        assert oracle.box_dimension(4, 10).counts == [count_occupied_boxes(hits, m) for m in range(4, 11)]
+        occ = _probe_hits(_probed(oracle), grid.bit_length(), 10)
+        assert box_dimension(oracle, 4, 10).counts == [count_occupied_boxes(occ, m) for m in range(4, 11)]
+
+
+def test_probing_a_level_set_at_its_grid_size_misses_residue_classes():
+    # the generic path at its own 2^18 probes, pinned where it loses grid points
+    def counts(grid, residue):
+        oracle = LevelSetOracle(np.arange(grid) / grid, np.arange(grid) % 4 == residue, 0.0, 0.0)
+        return box_dimension(_probed(oracle), 4, 10).counts[0]
+
+    # probe i sits on the tie (2i + 1)/2 and rounds to the even neighbour
+    assert [counts(1 << 18, r) for r in range(4)] == [16, 0, 16, 0]
+    # probe i reads grid point 4i + 2 and never another
+    assert [counts(1 << 20, r) for r in range(4)] == [0, 0, 16, 0]
 
 
 def test_spectrum_matches_per_beta_probe_counts_on_the_criterion_08_function():
@@ -255,8 +271,8 @@ def test_spectrum_matches_per_beta_probe_counts_on_the_criterion_08_function():
     schedule = dyadic_schedule(6, 18)
     betas = np.linspace(0.0, 0.5, 11)
     curve = spectrum_curve(f, betas, schedule, grid=1 << 14, tolerance=0.05, m_lo=4, m_hi=14)
-    assert curve == [(float(beta), box_dimension(level_set(f, float(beta), 0.05, 1 << 14, schedule), 4, 14))
-                     for beta in betas]
+    oracle_at = lambda beta: level_set(f, beta, 0.05, 1 << 14, schedule)
+    assert curve == [(float(beta), box_dimension(_probed(oracle_at(float(beta))), 4, 14)) for beta in betas]
 
 
 def test_dyadic_test_points_layout():

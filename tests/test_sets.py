@@ -10,6 +10,8 @@ from fdl.sets import (
     CombParams,
     DyadicFamily,
     DyadicFamilyParams,
+    GridOracle,
+    _probe_hits,
     box_dimension,
     comb_membership,
     count_occupied_boxes,
@@ -126,6 +128,25 @@ def test_count_occupied_boxes_dilates_cyclically():
     hits = np.zeros(1 << 10, dtype=bool)
     hits[0] = True  # occupies box 0; dilation adds boxes 1 and 2^m - 1
     assert count_occupied_boxes(hits, 4) == 3
+
+
+def test_probe_hits_collapse_each_chunk_into_its_boxes():
+    # 2^22 probes run in four chunks; the occupancy is that of the whole hit vector
+    oracle = middle_thirds_cantor(12)
+    n = 1 << 22
+    hits = oracle((np.arange(n) + 0.5) / n)
+    for m in (4, 16, 21):
+        assert np.array_equal(_probe_hits(oracle, 22, m), hits.reshape(1 << m, -1).any(axis=1))
+
+
+def test_grid_oracle_answers_from_its_mask_only_below_its_probe_count():
+    mask = np.arange(1 << 10) % 4 == 1
+    grid = GridOracle(mask)
+    assert np.array_equal(grid(np.array([0.0, 1 / 1024, 0.9999])), [False, True, False])
+    for exponent in (10, 11, 12):  # 2^10 probes are ties, so those are evaluated
+        assert np.array_equal(_probe_hits(grid, exponent, 8), _probe_hits(lambda xs: grid(xs), exponent, 8))
+    assert not _probe_hits(grid, 10, 8).any()
+    assert box_dimension(grid, 4, 8).counts == [1 << m for m in range(4, 9)]
 
 
 def test_scale_matched_limsup_cover():
