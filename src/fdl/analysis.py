@@ -31,11 +31,8 @@ def dyadic_schedule(m_lo: int, m_hi: int) -> list[int]:
 
 def _sorted_terms(f: TrigPoly, schedule: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f's frequencies and coefficients sorted by |k|, and each schedule entry's end in them."""
-    items = f.items()
-    ks = np.array([k for k, _ in items])
-    cs = np.array([c for _, c in items])
-    order = np.argsort(np.abs(ks), kind="stable")
-    ks, cs = ks[order], cs[order]
+    order = np.argsort(np.abs(f.k), kind="stable")
+    ks, cs = f.k[order], f.c[order]
     return ks, cs, np.searchsorted(np.abs(ks), np.array(schedule), side="right")
 
 
@@ -137,28 +134,17 @@ def divergence_profile(f: TrigPoly, xs, schedule) -> tuple[np.ndarray, np.ndarra
     return betas, r2s
 
 
-class LevelSetOracle(GridOracle):
-    """Grid-backed membership oracle for one divergence level."""
-
-    def __init__(self, points: np.ndarray, mask: np.ndarray, beta: float, tolerance: float):
-        super().__init__(mask)
-        self.points = points
-        self.beta = beta
-        self.tolerance = tolerance
-
-
 def _level_sets(f: TrigPoly, tolerance: float, grid: int, schedule):
-    """Profiles the grid j/grid once; returns beta -> LevelSetOracle at that level."""
+    """Profiles the grid j/grid once; returns beta -> the GridOracle of that level."""
     if grid < 16:
         raise ValueError("grid too coarse for a level set")
     if not tolerance >= 0:
         raise ValueError(f"level-set tolerance must be nonnegative, got {tolerance}")
-    points = np.arange(grid) / grid
-    betas, _ = divergence_profile(f, points, schedule)
-    return lambda beta: LevelSetOracle(points, np.abs(betas - beta) <= tolerance, beta, tolerance)
+    betas, _ = divergence_profile(f, np.arange(grid) / grid, schedule)
+    return lambda beta: GridOracle(np.abs(betas - beta) <= tolerance)
 
 
-def level_set(f: TrigPoly, beta: float, tolerance: float, grid: int, schedule) -> LevelSetOracle:
+def level_set(f: TrigPoly, beta: float, tolerance: float, grid: int, schedule) -> GridOracle:
     """Marks grid points whose fitted divergence index is within tolerance of beta."""
     return _level_sets(f, tolerance, grid, schedule)(beta)
 

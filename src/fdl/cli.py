@@ -386,7 +386,8 @@ def _run_construct_holo(cfg: dict, threads: int):
         cfg["omega"] = HoloKernelParams.default_omega(cfg["k"])
     params = HoloKernelParams(cfg["k"], cfg["omega"])
     bounds = check_holo_bounds(params, cfg["grid"])
-    payload = holo_boundary(params, cfg["grid"]).to_json_dict()
+    samples = holo_boundary(params, cfg["grid"])
+    payload = {"M": samples.size, "samples": [[v.real, v.imag] for v in samples]}
     payload["certificates"] = dataclasses.asdict(bounds)
     return payload, None
 
@@ -529,7 +530,7 @@ def run(argv) -> int:
     except AssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import CombParams, DyadicFamily, DyadicFamilyParams, comb_membership, smallest_admissible_level
-from .trig import GridSignal, SpectrumInterval, TrigPoly, lp_norm, modulate, validate_norm_exponent
+from .trig import SpectrumInterval, TrigPoly, fejer_mean, lp_norm, modulate, validate_norm_exponent
 from .util import is_pow2, next_pow2
 
 
@@ -35,7 +35,7 @@ def chi_coefficients(params: DyadicFamilyParams, kmax: int | None = None) -> Tri
     q = np.arange(-qmax, qmax + 1)
     u = q * 2.0 ** (J - j)
     vals = 3.0 * 2.0 ** (J - j) * np.sinc(3.0 * u) * np.sinc(u)
-    return TrigPoly({int(qi) << J: complex(v) for qi, v in zip(q, vals)})
+    return TrigPoly.from_arrays(q << J, vals)
 
 
 def saturator_scale(params: DyadicFamilyParams, p) -> float:
@@ -55,11 +55,7 @@ def saturator_pj(params: DyadicFamilyParams, p) -> TrigPoly:
     """
     n = 1 << params.j
     chi = chi_coefficients(params, kmax=n - 1)
-    scale = saturator_scale(params, p)
-    coeffs = {}
-    for k, c in chi.items():
-        coeffs[n + k] = scale * c * (1.0 - abs(k) / n)
-    return TrigPoly(coeffs)
+    return modulate(fejer_mean(saturator_scale(params, p) * chi, n), n)
 
 
 def saturator_certificate(poly: TrigPoly, params: DyadicFamilyParams, p, M: int | None = None) -> dict:
@@ -73,13 +69,13 @@ def saturator_certificate(poly: TrigPoly, params: DyadicFamilyParams, p, M: int 
     if not is_pow2(M) or M < least:
         raise ValueError(f"grid must be a power of two with M >= {least}")
     sig = poly.sample(M)
-    mask = DyadicFamily(params).contains(sig.points())
+    mask = DyadicFamily(params).contains(np.arange(M) / M)
     if not mask.any():
         raise ValueError("grid resolves no target point; increase M")
     required = 0.25 * saturator_scale(params, p)
-    observed = float(np.abs(sig.samples[mask]).min())
+    observed = float(np.abs(sig[mask]).min())
     cert = {
-        "norm": lp_norm(sig.samples, p),
+        "norm": lp_norm(sig, p),
         "min_on_target_set": observed,
         "bound_required": required,
         "margin": observed - required,
@@ -195,11 +191,11 @@ def holo_kernel(params: HoloKernelParams, z):
     return 1.0 / (1.0 - a ** params.k)
 
 
-def holo_boundary(params: HoloKernelParams, M: int) -> GridSignal:
+def holo_boundary(params: HoloKernelParams, M: int) -> np.ndarray:
+    """Kernel values at exp(2 pi i j/M) for j < M, M a power of two."""
     if not is_pow2(M):
         raise ValueError("grid size must be a power of two")
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    return GridSignal(holo_kernel(params, z))
+    return holo_kernel(params, np.exp(2j * np.pi * np.arange(M) / M))
 
 
 def eps_floor(n: int) -> float:
@@ -252,17 +248,17 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
     M = max(M or 0, next_pow2(32 * int(omega * k) + 1), next_pow2(64 * max(k, n)))
 
     q = (1.0 + params.eps) ** -k
-    coeffs = {}
-    for m in range(1, (n - 1) // k + 1):
-        c = (2.0 / math.pi) * (1.0 - m * k / n) * q ** m / m
-        coeffs[n + m * k] = complex(0.0, -c / 2.0)
-        coeffs[n - m * k] = complex(0.0, c / 2.0)
-    poly = TrigPoly(coeffs)
+    m = np.arange(1, (n - 1) // k + 1)
+    # float_power rounds as libm pow, as q ** m on floats does; numpy's power differs in the last ulp
+    c = (2.0 / math.pi) * (1.0 - m * k / n) * np.float_power(q, m) / m
+    coeffs = np.zeros(2 * m.size, dtype=complex)
+    coeffs.imag = np.concatenate((c / 2.0, -c / 2.0))
+    poly = TrigPoly.from_arrays(np.concatenate((n - m * k, n + m * k)), coeffs)
 
     window = SpectrumInterval(0, 2 * n - 1)
     if not window.contains_spectrum(poly):
         raise AssertionError("saturator spectrum escaped [1, 2n-1]")
-    sup = float(np.abs(poly.sample(M).samples).max())
+    sup = float(np.abs(poly.sample(M)).max())
     if sup > 1.0 + 1e-9:
         raise AssertionError(f"sup norm certificate failed: {sup}")
     return LogSaturator(
@@ -284,17 +280,17 @@ def logsat_certificate(sat: LogSaturator) -> dict:
     M = sat.grid_M
     sig = sat.poly.sample(M)
     partial = sat.poly.truncate(sat.n).sample(M)
-    mask = comb_membership(sat.comb, sig.points())
+    mask = comb_membership(sat.comb, np.arange(M) / M)
     points_per_tooth = int(mask.sum()) / sat.k
     target = sat.target_level
-    observed = float(np.abs(partial.samples[mask]).min())
+    observed = float(np.abs(partial[mask]).min())
     cert = {
         "n": sat.n,
         "eps_n": sat.eps_n,
         "omega": sat.omega,
         "k": sat.k,
         "floored": sat.floored,
-        "sup_norm": float(np.abs(sig.samples).max()),
+        "sup_norm": float(np.abs(sig).max()),
         "min_partial_on_comb": observed,
         "target_level": target,
         "margin": observed - target,
@@ -334,8 +330,8 @@ def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturat
     """
     diff = witness.truncate(2 * j) - witness.truncate(j)
     sig = diff.sample(sat.grid_M)
-    mask = comb_membership(sat.comb, sig.points())
-    observed = float(np.abs(sig.samples[mask]).min())
+    mask = comb_membership(sat.comb, np.arange(sat.grid_M) / sat.grid_M)
+    observed = float(np.abs(sig[mask]).min())
     target = eta_j * math.log(j)
     cert = {
         "level": j,

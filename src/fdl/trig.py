@@ -1,12 +1,14 @@
-"""Sparse trigonometric polynomials on the unit circle and dyadic grid signals.
+"""Sparse trigonometric polynomials on the unit circle and their grid samples.
 
 Frequencies are integers and the basis function at frequency k is
-exp(2*pi*i*k*t) for t in [0, 1). A polynomial is a dict from frequency to
-complex coefficient, pruned below PRUNE_TOL so sparsity is preserved under
-arithmetic. Grids always carry a power-of-two number of points M: the FFT
-round trip is then exact, and the uniform Riemann sum integrates every
-polynomial of degree < M exactly, which is what makes the grid norms of
-low-degree polynomials certificates rather than estimates.
+exp(2*pi*i*k*t) for t in [0, 1). A polynomial holds two arrays, its
+frequencies in increasing order and their coefficients, pruned below
+PRUNE_TOL so sparsity is preserved under arithmetic; the arithmetic rounds
+exactly as Python's complex arithmetic on each coefficient. Samples are plain
+arrays over grids j/M with M a power of two: the FFT round trip is then exact,
+and the uniform Riemann sum integrates every polynomial of degree < M
+exactly, which is what makes the grid norms of low-degree polynomials
+certificates rather than estimates.
 """
 from __future__ import annotations
 
@@ -50,103 +52,122 @@ class SpectrumInterval:
         return self.lo < k <= self.hi
 
     def contains_spectrum(self, poly: "TrigPoly") -> bool:
-        return all(self.contains(k) for k in poly.frequencies())
+        return not len(poly) or bool(self.contains(poly.k[0]) and self.contains(poly.k[-1]))
 
     def overlaps(self, other: "SpectrumInterval") -> bool:
         return max(self.lo, other.lo) < min(self.hi, other.hi)
 
 
 class TrigPoly:
-    """Trigonometric polynomial with sparse integer spectrum."""
+    """Trigonometric polynomial with sparse integer spectrum.
 
-    __slots__ = ("_c",)
+    k holds the frequencies (int64, strictly increasing) and c their
+    coefficients (complex128, each above PRUNE_TOL in modulus); both arrays
+    are read-only.
+    """
+
+    __slots__ = ("k", "c")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for k, v in dict(coeffs).items():
-                v = complex(v)
-                if abs(v) > PRUNE_TOL:
-                    c[int(k)] = v
-        self._c = c
+        """From a mapping frequency -> coefficient."""
+        c = {int(k): complex(v) for k, v in dict(coeffs or {}).items()}
+        self._store(np.fromiter(c, dtype=np.int64, count=len(c)),
+                    np.fromiter(c.values(), dtype=complex, count=len(c)))
+
+    @classmethod
+    def from_arrays(cls, k, c) -> "TrigPoly":
+        """From distinct integer frequencies k and their coefficients c, in any order."""
+        poly = cls.__new__(cls)
+        poly._store(np.asarray(k, dtype=np.int64), np.asarray(c, dtype=complex))
+        return poly
+
+    def _store(self, k: np.ndarray, c: np.ndarray) -> None:
+        order = np.argsort(k, kind="stable")
+        keep = np.abs(c[order]) > PRUNE_TOL
+        k, c = k[order][keep], c[order][keep]
+        if np.any(k[1:] == k[:-1]):
+            raise ValueError("frequencies must be distinct")
+        k.flags.writeable = c.flags.writeable = False
+        self.k, self.c = k, c
 
     @classmethod
     def dirichlet(cls, n: int) -> "TrigPoly":
         """Kernel with unit coefficients on |k| <= n."""
         if n < 0:
             raise ValueError("dirichlet order must be nonnegative")
-        return cls({k: 1.0 for k in range(-n, n + 1)})
+        return cls.from_arrays(np.arange(-n, n + 1), np.ones(2 * n + 1))
 
     @property
     def degree(self) -> int:
-        if not self._c:
-            return 0
-        return max(max(self._c), -min(self._c))
+        return int(max(self.k[-1], -self.k[0])) if self.k.size else 0
 
     def coeff(self, k: int) -> complex:
-        return self._c.get(int(k), 0j)
+        i = int(np.searchsorted(self.k, k))
+        return complex(self.c[i]) if i < self.k.size and self.k[i] == k else 0j
 
     def items(self):
-        return sorted(self._c.items())
+        return list(zip(self.k.tolist(), self.c.tolist()))
 
     def frequencies(self):
-        return sorted(self._c)
+        return self.k.tolist()
 
     def __len__(self) -> int:
-        return len(self._c)
+        return self.k.size
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TrigPoly) and self._c == other._c
+        return (isinstance(other, TrigPoly) and np.array_equal(self.k, other.k)
+                and np.array_equal(self.c, other.c))
 
     def __hash__(self):
         return hash(tuple(self.items()))
 
     def __repr__(self) -> str:
-        return f"TrigPoly({len(self._c)} terms, degree {self.degree})"
+        return f"TrigPoly({len(self)} terms, degree {self.degree})"
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0j) + v
-        return TrigPoly(c)
+        k = np.concatenate((self.k, other.k))
+        k = k[np.argsort(k, kind="stable")]
+        first = np.ones(k.size, dtype=bool)
+        first[1:] = k[1:] != k[:-1]
+        k = k[first]
+        c = np.zeros(k.size, dtype=complex)
+        c[np.searchsorted(k, self.k)] = self.c
+        c[np.searchsorted(k, other.k)] += other.c  # 0j + v where only other has k
+        return TrigPoly.from_arrays(k, c)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + (-other)
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly({k: -v for k, v in self._c.items()})
+        return TrigPoly.from_arrays(self.k, -self.c)
 
     def __mul__(self, scalar) -> "TrigPoly":
-        s = complex(scalar)
-        return TrigPoly({k: s * v for k, v in self._c.items()})
+        return TrigPoly.from_arrays(self.k, _cmul(complex(scalar), self.c))
 
     __rmul__ = __mul__
 
     def derivative(self) -> "TrigPoly":
-        return TrigPoly({k: 2j * math.pi * k * v for k, v in self._c.items() if k != 0})
+        nonzero = self.k != 0
+        k = self.k[nonzero]
+        return TrigPoly.from_arrays(k, _cmul(_cmul(2j * math.pi, k), self.c[nonzero]))
 
     def truncate(self, n: int) -> "TrigPoly":
         """Partial sum: keep frequencies with |k| <= n."""
         if n < 0:
             raise ValueError("truncation order must be nonnegative")
-        return TrigPoly({k: v for k, v in self._c.items() if abs(k) <= n})
+        keep = np.abs(self.k) <= n
+        return TrigPoly.from_arrays(self.k[keep], self.c[keep])
 
     def evaluate(self, t):
-        """Pointwise values at t (scalar or array), chunked to bound memory."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if not self._c:
-            out = np.zeros(ts.shape, dtype=complex)
-            return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
-        ks = np.array(self.frequencies(), dtype=float)
-        cs = np.array([self._c[int(k)] for k in ks], dtype=complex)
-        flat = ts.reshape(-1)
+        """Pointwise values at t, in t's shape (a scalar for scalar t), chunked to bound memory."""
+        flat = np.asarray(t, dtype=float).reshape(-1)
+        ks = self.k.astype(float)
         out = np.empty(flat.size, dtype=complex)
         chunk = max(1, (1 << 22) // max(ks.size, 1))
         for i in range(0, flat.size, chunk):
             block = flat[i : i + chunk]
-            out[i : i + chunk] = np.exp(2j * np.pi * np.outer(block, ks)) @ cs
-        out = out.reshape(ts.shape)
-        return out[()] if np.ndim(t) == 0 else out
+            out[i : i + chunk] = np.exp(2j * np.pi * np.outer(block, ks)) @ self.c
+        return out.reshape(np.shape(t))[()]
 
     def evaluate_progression(self, t0: float, h: float, count: int) -> np.ndarray:
         """Values at t0 + i h for i = 0..count-1, by one chirp z-transform.
@@ -162,8 +183,7 @@ class TrigPoly:
         """
         d = self.degree
         c = np.zeros(2 * d + 1, dtype=complex)
-        for k, v in self._c.items():
-            c[k + d] = v
+        c[self.k + d] = self.c
         half = 0.5 * h
         k = np.arange(-d, d + 1, dtype=float)
         a = c * np.exp(2j * np.pi * (_phase(k, t0) + _phase(k * k, half)))
@@ -174,27 +194,27 @@ class TrigPoly:
         i = np.arange(count, dtype=float)
         return np.exp(2j * np.pi * _phase(i * i, half)) * conv
 
-    def sample(self, M: int) -> "GridSignal":
-        """Values on the dyadic grid {j/M}, exact via inverse FFT.
+    def sample(self, M: int) -> np.ndarray:
+        """Values at j/M for j < M, exact via inverse FFT.
 
-        Requires degree < M/2 so no frequency wraps onto another.
+        M must be a power of two and degree < M/2, so no frequency wraps
+        onto another.
         """
         if not is_pow2(M):
             raise ValueError(f"grid size must be a power of two, got {M}")
-        if self._c and 2 * self.degree >= M:
+        if len(self) and 2 * self.degree >= M:
             raise AliasingError(f"grid {M} too coarse for degree {self.degree}")
         spec = np.zeros(M, dtype=complex)
-        for k, v in self._c.items():
-            spec[k % M] = v
-        return GridSignal(np.fft.ifft(spec) * M)
+        spec[self.k % M] = self.c
+        return np.fft.ifft(spec) * M
 
     def norm(self, p) -> float:
         """L^p norm on the grid_for_degree grid: the p = 2 value is exact and
         p = inf is a dense-grid maximum."""
         p = validate_norm_exponent(p)
-        if not self._c:
+        if not len(self):
             return 0.0
-        return lp_norm(self.sample(grid_for_degree(self.degree)).samples, p)
+        return lp_norm(self.sample(grid_for_degree(self.degree)), p)
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [[k, v.real, v.imag] for k, v in self.items()]}
@@ -223,32 +243,18 @@ class TrigPoly:
         return cls(coeffs)
 
 
-class GridSignal:
-    """Complex samples on the uniform grid {j/M : 0 <= j < M}, M a power of two."""
+def _cmul(a, b) -> np.ndarray:
+    """a * b elementwise by Python's complex product, each real product rounded.
 
-    __slots__ = ("_v",)
-
-    def __init__(self, samples):
-        v = np.asarray(samples, dtype=complex)
-        if v.ndim != 1 or not is_pow2(v.size):
-            raise ValueError("samples must be a 1-d array of power-of-two length")
-        v = v.copy()
-        v.flags.writeable = False
-        self._v = v
-
-    @property
-    def M(self) -> int:
-        return self._v.size
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self._v
-
-    def points(self) -> np.ndarray:
-        return np.arange(self.M) / self.M
-
-    def to_json_dict(self) -> dict:
-        return {"M": self.M, "samples": [[v.real, v.imag] for v in self._v]}
+    numpy's complex multiply may fuse a multiply-add, which moves last bits
+    and signs of zero; polynomial arithmetic stays bit-identical to complex
+    arithmetic in Python this way.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 _PHASE_LIMIT = 1 << 27  # _phase is exact for integers n with |n| below this
@@ -281,12 +287,13 @@ def fejer_mean(f: TrigPoly, n: int) -> TrigPoly:
     """Average of the first n partial sums: weight (1 - |k|/n) clipped at zero."""
     if n < 1:
         raise ValueError("fejer order must be positive")
-    return TrigPoly({k: v * (1 - abs(k) / n) for k, v in f.items() if abs(k) < n})
+    keep = np.abs(f.k) < n
+    return TrigPoly.from_arrays(f.k[keep], _cmul(f.c[keep], 1 - np.abs(f.k[keep]) / n))
 
 
 def modulate(f: TrigPoly, m: int) -> TrigPoly:
     """Multiply by the basis function at frequency m (spectrum shift by m)."""
-    return TrigPoly({k + int(m): v for k, v in f.items()})
+    return TrigPoly.from_arrays(f.k + int(m), f.c)
 
 
 def lp_norm(samples, p) -> float:

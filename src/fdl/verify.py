@@ -43,8 +43,7 @@ def rademacher_coeffs(degree: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def rademacher_poly(degree: int, rng: np.random.Generator) -> TrigPoly:
-    c = rademacher_coeffs(degree, rng)
-    return TrigPoly({k: c[k + degree] for k in range(-degree, degree + 1)})
+    return TrigPoly.from_arrays(np.arange(-degree, degree + 1), rademacher_coeffs(degree, rng))
 
 
 # Cap on partial quotients: a step this long is past every scan range, and
@@ -308,7 +307,7 @@ def check_nikolsky(P: TrigPoly, p, q) -> float:
         raise ValueError("zero polynomial rejected")
     n = max(P.degree, 1)
     M = grid_for_degree(P.degree)
-    sig = P.sample(M).samples
+    sig = P.sample(M)
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     ratio = lp_norm(sig, q) / (n ** (inv_p - inv_q) * lp_norm(sig, p))
@@ -397,9 +396,9 @@ def localization_rows(N: int, p, eps: float, ifrac: float, trials: int, seed: in
     """
     def ratio(scale, rng):
         poly = rademacher_poly(scale, rng)
-        sig = poly.sample(grid_for_degree(poly.degree))
-        peak = int(np.argmax(np.abs(sig.samples)))
-        return check_localization(poly, peak / sig.M, ifrac / scale, p, eps)
+        M = grid_for_degree(poly.degree)
+        peak = int(np.argmax(np.abs(poly.sample(M))))
+        return check_localization(poly, peak / M, ifrac / scale, p, eps)
 
     return _trial_sweep("localization", N, trials, seed, threads, ratio, worst=min)
 
@@ -429,7 +428,7 @@ def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14) -> HoloBounds:
     (omega k). c4 must stay at or below 1 (no constant in that bound).
     """
     boundary = holo_boundary(params, M)
-    mask = comb_membership(params.comb, boundary.points())
+    mask = comb_membership(params.comb, np.arange(M) / M)
     if not mask.any():
         raise ValueError("boundary grid resolves no comb point; increase M")
     t = params.k * math.log1p(params.eps)
@@ -442,7 +441,7 @@ def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14) -> HoloBounds:
         k=params.k,
         omega=params.omega,
         c1=min_re * params.omega * params.k,
-        c2=float(np.abs(boundary.samples[mask]).min() / params.omega),
+        c2=float(np.abs(boundary[mask]).min() / params.omega),
         c3=1.0 / (gap * params.omega),
         c4=c4,
         min_re=min_re,

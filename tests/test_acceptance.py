@@ -66,7 +66,7 @@ def test_01_fourier_engine():
             f = TrigPoly({int(k): complex(c) for k, c in zip(ks, cs)})
 
             sig = f.sample(grid_for_degree(d))
-            energy = float(np.mean(np.abs(sig.samples) ** 2))
+            energy = float(np.mean(np.abs(sig) ** 2))
             exact = float(sum(abs(c) ** 2 for _, c in f.items()))
             assert abs(energy - exact) <= 1e-10 * exact
 
@@ -141,7 +141,7 @@ def test_06_localization_family():
         for f in family:
             M = grid_for_degree(f.degree)
             sig = f.sample(M)
-            a = float(np.argmax(np.abs(sig.samples))) / M
+            a = float(np.argmax(np.abs(sig))) / M
             n = f.degree
             for p in (1, 2):
                 for length in (1.0 / n, 0.5 / n):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fdl.analysis import (
     _LOG_FLOOR,
-    LevelSetOracle,
     ProbeConfig,
     _test_point_sums,
     divergence_index,
@@ -22,7 +21,7 @@ from fdl.analysis import (
     spectrum_curve,
 )
 from fdl.construct import disjoint_family
-from fdl.sets import _probe_hits, box_dimension, count_occupied_boxes
+from fdl.sets import GridOracle, _probe_hits, box_dimension, count_occupied_boxes
 from fdl.trig import TrigPoly
 from fdl.util import DEFAULT_SEED, loglog_fit, trial_rng
 from fdl.verify import rademacher_poly
@@ -230,7 +229,7 @@ def test_level_set_box_count_matches_the_probe_path(grid):
     # so the mask answers exactly the probes the generic path evaluates
     rng = trial_rng(DEFAULT_SEED, grid)
     for density in (0.0, 0.001, 0.05, 0.5, 1.0):
-        oracle = LevelSetOracle(np.arange(grid) / grid, rng.random(grid) < density, 0.0, 0.0)
+        oracle = GridOracle(rng.random(grid) < density)
         for m_hi in range(5, 15):
             assert box_dimension(oracle, 4, m_hi) == box_dimension(_probed(oracle), 4, m_hi), (density, m_hi)
 
@@ -243,13 +242,13 @@ def test_level_set_box_count_reads_every_grid_point(grid):
     # and equals the generic path at that P.
     residues = [np.arange(grid) % 4 == r for r in range(4)]
     for mask in residues:
-        est = box_dimension(LevelSetOracle(np.arange(grid) / grid, mask, 0.0, 0.0), 4, 10)
+        est = box_dimension(GridOracle(mask), 4, 10)
         assert est.counts == [1 << m for m in range(4, 11)] and est.slope == 1.0
     sparse = trial_rng(DEFAULT_SEED, grid).random(grid) < 1e-4
     box_edges = np.zeros(grid, dtype=bool)
     box_edges[np.rint(np.arange(0, 1 << 10, 8) * grid / (1 << 10)).astype(int) % grid] = True
     for mask in residues + [sparse, box_edges]:
-        oracle = LevelSetOracle(np.arange(grid) / grid, mask, 0.0, 0.0)
+        oracle = GridOracle(mask)
         occ = _probe_hits(_probed(oracle), grid.bit_length(), 10)
         assert box_dimension(oracle, 4, 10).counts == [count_occupied_boxes(occ, m) for m in range(4, 11)]
 
@@ -257,7 +256,7 @@ def test_level_set_box_count_reads_every_grid_point(grid):
 def test_probing_a_level_set_at_its_grid_size_misses_residue_classes():
     # the generic path at its own 2^18 probes, pinned where it loses grid points
     def counts(grid, residue):
-        oracle = LevelSetOracle(np.arange(grid) / grid, np.arange(grid) % 4 == residue, 0.0, 0.0)
+        oracle = GridOracle(np.arange(grid) % 4 == residue)
         return box_dimension(_probed(oracle), 4, 10).counts[0]
 
     # probe i sits on the tie (2i + 1)/2 and rounds to the even neighbour

@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import fdl.cli as cli
 from fdl.analysis import DivergenceEstimate
+from fdl.construct import HoloKernelParams, holo_kernel
 from fdl.verify import VerificationReport
 
 
@@ -182,6 +184,19 @@ def test_construct_family_payload(tmp_path):
     assert cli.run(argv + ["--grid", "4096"]) == 1
 
 
+def test_construct_holo_payload(tmp_path):
+    out = tmp_path / "holo.json"
+    run_ok(["construct", "holo", "--k", "16", "--grid", "64", "--out", str(out)])
+    data = json.loads(out.read_text())
+    assert set(data) == {"M", "samples", "certificates", "config"}
+    assert data["M"] == 64
+    assert len(data["samples"]) == 64 and all(len(pair) == 2 for pair in data["samples"])
+    got = np.array([complex(re, im) for re, im in data["samples"]])
+    want = holo_kernel(HoloKernelParams(16, HoloKernelParams.default_omega(16)), np.exp(2j * np.pi * np.arange(64) / 64))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert set(data["certificates"]) == {"k", "omega", "c1", "c2", "c3", "c4", "min_re", "f0_error", "grid"}
+
+
 def test_missing_input_file_maps_to_exit_1(tmp_path):
     assert cli.run(["analyze", "index", "--in", str(tmp_path / "absent.json"),
                     "--x", "0.5"]) == 1
@@ -282,6 +297,8 @@ _TWIN_RULES = [pytest.param(argv, id=" ".join(a for a in argv if not a.startswit
     ["verify", "maximal", "--N", "8", "--trials", "1", "--alpha", "2000", "--csv", "{csv}"],
     ["verify", "localization", "--N", "8", "--trials", "1", "--eps", "4400", "--csv", "{csv}"],
     ["construct", "family", "--s", "1", "--alpha", "1.00000001", "--p", "2", "--jmax", "8"],
+    # 2^45 dyadic centers: a 256 TiB arange, refused at once (x86-64 gives a process 128 TiB)
+    ["probe", "prevalence", "--depth", "45", "--trials", "2"],
     *_VERIFY_BAD_VALUES,
     *_TWIN_RULES,
 ])

@@ -168,7 +168,7 @@ def test_log_saturator_matches_grid_log_lift(n):
     # boundary logarithm of the comb kernel, on the saturator's own grid
     sat = log_saturator(n)
     M = sat.grid_M
-    spec = np.fft.fft(np.log(holo_boundary(HoloKernelParams(sat.k, sat.omega), M).samples)) / M
+    spec = np.fft.fft(np.log(holo_boundary(HoloKernelParams(sat.k, sat.omega), M))) / M
     q = np.arange(-(n - 1), n)
     grid = (2.0 / math.pi) * (1.0 - np.abs(q) / n) * (spec[q % M] - np.conj(spec[-q % M])) / 2j
     got = np.array([sat.poly.coeff(n + int(f)) for f in q])
