@@ -3,9 +3,13 @@ readout, multifractal spectrum curves, and the finite-scale prevalence probe.
 
 The divergence index at a point is estimated from the running maximum of
 partial-sum moduli along a dyadic index schedule, fitted on the tail half
-of the schedule where the block constructions have settled. A level set is
-a mask over a uniform grid of such estimates, a sets.GridOracle whose boxes
-box_dimension counts from the mask itself.
+of the schedule where the block constructions have settled. Partial sums
+on a uniform grid, shifted or not, come from a spectrum fold and one
+inverse FFT per schedule entry; at any other points from trig.point_sums,
+the exact-phase off-grid kernel. The prevalence probe draws all its trials
+at once (util.trial_uniform_rows), bit for bit the per-trial trial_rng
+rows. A level set is a mask over a uniform grid of such estimates, a
+sets.GridOracle whose boxes box_dimension counts from the mask itself.
 """
 from __future__ import annotations
 
@@ -16,8 +20,8 @@ import numpy as np
 
 from .construct import SaturatorFamily, disjoint_family
 from .sets import BoxDimEstimate, GridOracle, box_dimension
-from .trig import _PHASE_LIMIT, TrigPoly, _phase
-from .util import DEFAULT_SEED, loglog_fit, trial_rng
+from .trig import _PHASE_LIMIT, TrigPoly, _phase, point_sums
+from .util import DEFAULT_SEED, loglog_fit, trial_uniform_rows
 
 _VANISH_TOL = 1e-14
 _LOG_FLOOR = 1e-300
@@ -42,8 +46,8 @@ def _grid_fold(ks: np.ndarray, cs: np.ndarray, cuts: np.ndarray, M: int, shift: 
     The point j/M + shift sees frequency k only through k mod M and the phase
     e(k shift): each segment of |k|-sorted terms, times that phase, is folded
     into one length-M spectrum, and S_n f on the shifted grid is M * ifft of
-    it, exact for any degree. The phase needs |k| < 2^27 (trig._phase); at
-    shift 0 there is none.
+    it, exact for any degree. trig._phase reduces k shift mod 1 exactly for
+    |k| <= 2^53; at shift 0 there is no phase.
     """
     if shift:
         cs = cs * np.exp(2j * np.pi * _phase(ks, shift))
@@ -64,8 +68,9 @@ def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     Coefficients are sorted by |frequency|, so each schedule entry adds one
     segment of them to the previous partial sum. The uniform grid
     xs = arange(M)/M takes the grid fold (_grid_fold), in O(terms + M log M)
-    per schedule entry. Any other points take the dense path, a chunked
-    exp(2 pi i x k) outer product with one cumulative sum per point.
+    per schedule entry. Any other points take trig.point_sums: phases
+    reduced mod 1 from the exact frequencies, one matrix-vector product per
+    schedule segment and a cumulative sum over the segments.
     """
     schedule = list(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -77,15 +82,7 @@ def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     M = xs.size
     if M >= 1 and xs.ndim == 1 and np.array_equal(xs, np.arange(M) / M):
         return _grid_fold(ks, cs, cuts, M)
-    out = np.empty((xs.size, len(schedule)), dtype=complex)
-    chunk = max(1, (1 << 22) // ks.size)
-    for i in range(0, xs.size, chunk):
-        block = xs[i : i + chunk]
-        terms = np.exp(2j * np.pi * np.outer(block, ks)) * cs
-        cum = np.cumsum(terms, axis=1)
-        padded = np.concatenate([np.zeros((block.size, 1), dtype=complex), cum], axis=1)
-        out[i : i + chunk] = padded[:, cuts]
-    return out
+    return point_sums(ks, cs, cuts, xs)
 
 
 @dataclass(frozen=True)
@@ -221,8 +218,10 @@ def dyadic_test_points(alpha: float, depth: int) -> np.ndarray:
 def _test_point_sums(f: TrigPoly, alpha: float, depth: int, schedule: list[int]) -> np.ndarray:
     """partial_sums_at(f, dyadic_test_points(alpha, depth), schedule), one grid fold per copy.
 
-    Frequencies at or above 2^27, past what _phase reduces exactly, take the
-    dense path.
+    The fold sums at the exact points K/2^depth + shift, the dense path at
+    their float roundings, up to ulp(1)/2 away: 1.5e-8 of a turn of phase
+    at |k| = 2^27. A spectrum reaching 2^27 takes the dense path, so the
+    result is partial_sums_at's bit for bit.
     """
     if not len(f) or f.degree >= _PHASE_LIMIT:
         return partial_sums_at(f, dyadic_test_points(alpha, depth), schedule)
@@ -287,10 +286,10 @@ def prevalence_probe(f: TrigPoly, config: ProbeConfig, family: SaturatorFamily |
     blocks = np.stack([_test_point_sums(family.member(r), config.alpha, config.depth, schedule)
                        for r in range(1, config.s + 1)])
     growth = np.array(schedule, dtype=float) ** config.beta
-    draws = [trial_rng(config.seed, t).uniform(-config.R, config.R, size=config.s) for t in range(config.trials)]
+    draws = trial_uniform_rows(config.seed, config.trials, -config.R, config.R, config.s)
     forced = np.zeros((2, config.s))  # all-zero c, then the first unit vector
     forced[1, 0] = 1.0
-    passes = _trial_passes(base, blocks, growth, config.m_thresh, np.vstack([*draws, forced]))
+    passes = _trial_passes(base, blocks, growth, config.m_thresh, np.vstack([draws, forced]))
     failures = np.flatnonzero(~passes[: config.trials]).tolist()
     return ProbeResult(
         fraction=(config.trials - len(failures)) / config.trials,

@@ -8,7 +8,9 @@ exactly as Python's complex arithmetic on each coefficient. Samples are plain
 arrays over grids j/M with M a power of two: the FFT round trip is then exact,
 and the uniform Riemann sum integrates every polynomial of degree < M
 exactly, which is what makes the grid norms of low-degree polynomials
-certificates rather than estimates.
+certificates rather than estimates. Off the grid, point_sums is the one
+kernel: every phase k x is reduced mod 1 from the exact integer k before
+its cosine and sine are taken.
 """
 from __future__ import annotations
 
@@ -159,15 +161,8 @@ class TrigPoly:
         return TrigPoly.from_arrays(self.k[keep], self.c[keep])
 
     def evaluate(self, t):
-        """Pointwise values at t, in t's shape (a scalar for scalar t), chunked to bound memory."""
-        flat = np.asarray(t, dtype=float).reshape(-1)
-        ks = self.k.astype(float)
-        out = np.empty(flat.size, dtype=complex)
-        chunk = max(1, (1 << 22) // max(ks.size, 1))
-        for i in range(0, flat.size, chunk):
-            block = flat[i : i + chunk]
-            out[i : i + chunk] = np.exp(2j * np.pi * np.outer(block, ks)) @ self.c
-        return out.reshape(np.shape(t))[()]
+        """Pointwise values at t, in t's shape (a scalar for scalar t), by point_sums with one cut."""
+        return point_sums(self.k, self.c, [self.k.size], t).reshape(np.shape(t))[()]
 
     def evaluate_progression(self, t0: float, h: float, count: int) -> np.ndarray:
         """Values at t0 + i h for i = 0..count-1, by one chirp z-transform.
@@ -178,7 +173,7 @@ class TrigPoly:
         e(-m^2 h/2), m = i - k: three FFTs of length next_pow2(2d + 1 + count).
         Every phase is an exact integer k, k^2, m^2 or i^2 times t0 or h/2,
         reduced mod 1 by _phase before the exponential, so no phase carries
-        the 2 pi k t rounding of evaluate (Rabiner, Schafer & Rader 1969;
+        a 2 pi k t rounding (Rabiner, Schafer & Rader 1969;
         Bluestein 1970).
         """
         d = self.degree
@@ -222,7 +217,7 @@ class TrigPoly:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrigPoly":
         """Inverse of to_json_dict; rejects anything but a list of [k, re, im] triples
-        with finite re, im and distinct k, |k| <= 2^53 (evaluate casts k to float64)."""
+        with finite re, im and distinct k, |k| <= 2^53 (the most point_sums reduces exactly)."""
         entries = data["coeffs"]
         if not isinstance(entries, list):
             raise ValueError(f"coeffs must be a list of [k, re, im] triples, got {entries!r}")
@@ -257,18 +252,70 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-_PHASE_LIMIT = 1 << 27  # _phase is exact for integers n with |n| below this
+_PHASE_LIMIT = 1 << 27  # below this, one split of x makes n x exact; up to 2^53, n splits too
+_EXACT_LIMIT = 1 << 53
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant for float64
+_LIMB = float(1 << 26)
+_POINT_CHUNK = 1 << 20  # points x terms per block of point_sums
 
 
-def _phase(n: np.ndarray, x: float) -> np.ndarray:
-    """n x mod 1 (up to one added integer) for integers |n| < 2^27, within a few ulp of 1.
+def _frac(v: np.ndarray) -> np.ndarray:
+    """v minus its nearest integer, in place; exact for every float64."""
+    v -= np.rint(v)
+    return v
 
-    x splits into hi + lo with hi on 26 significant bits (Veltkamp), so n hi
-    is exact and reduces mod 1 exactly; only the small n lo is rounded.
+
+def _phase(n, x) -> np.ndarray:
+    """n x mod 1, in about [-1/2, 1/2] and within a few ulp, for integers |n| <= 2^53 (larger n raise).
+
+    n (integer or integer-valued float) and x broadcast against each other.
+    x splits into hi + lo, each on 26 significant bits (Veltkamp), so for
+    |n| < 2^27 the product n hi is exact and rint reduces it exactly; only
+    the small n lo is rounded. Larger n split as n1 2^26 + n0 with
+    0 <= n0 < 2^26: n1 (2^26 hi), n1 (2^26 lo) and n0 hi are then exact
+    products, each reduced exactly, and n0 lo is small.
     """
-    c = 134217729.0 * x  # 2^27 + 1
+    top = np.abs(n).max(initial=0)
+    if top > _EXACT_LIMIT:
+        raise ValueError("frequencies above 2^53 have no exact float64 phase")
+    n = np.asarray(n, dtype=float)
+    x = np.asarray(x, dtype=float)
+    c = _SPLIT * x
     hi = c - (c - x)
-    return np.mod(n * hi, 1.0) + n * (x - hi)
+    lo = x - hi
+    if top < _PHASE_LIMIT:
+        return _frac(n * hi) + n * lo
+    n1 = np.floor(n / _LIMB)
+    n0 = n - n1 * _LIMB
+    return _frac(n1 * (hi * _LIMB)) + _frac(n1 * (lo * _LIMB)) + _frac(n0 * hi) + n0 * lo
+
+
+def point_sums(k: np.ndarray, c: np.ndarray, cuts, xs) -> np.ndarray:
+    """sum_{j < cut} c_j e(k_j x) for every x in xs and every cut, shape (xs.size, len(cuts)).
+
+    The off-grid kernel, for integer |k| <= 2^53 and increasing cuts into k.
+    Each phase k x is reduced mod 1 from the exact integer k (_phase), so
+    cos and sin see an argument in about [-pi, pi] rather than 2 pi k x
+    rounded at its own magnitude. Per block of points, the terms go into one
+    complex buffer, each segment of k between consecutive cuts is one
+    matrix-vector product, and a cumulative sum over the segments gives the
+    partial sums at the cuts.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    out = np.empty((xs.size, len(cuts)), dtype=complex)
+    segments = list(zip([0, *cuts[:-1]], cuts))
+    chunk = max(1, _POINT_CHUNK // max(k.size, 1))
+    for i in range(0, xs.size, chunk):
+        theta = _phase(k, xs[i : i + chunk, None])
+        theta *= 2 * np.pi
+        terms = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=terms.real)
+        np.sin(theta, out=terms.imag)
+        block = out[i : i + chunk]
+        for col, (start, stop) in enumerate(segments):
+            block[:, col] = terms[:, start:stop] @ c[start:stop]
+        np.cumsum(block, axis=1, out=block)
+    return out
 
 
 def dirichlet_eval(n, t) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Shared numeric plumbing: power-of-two grids, log-log fits, seeded RNG streams."""
 from __future__ import annotations
 
+import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -67,6 +69,111 @@ def loglog_fit(logx, logy):
 def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator for one trial, derived from a master seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
+
+
+# numpy's SeedSequence hash constants and the PCG64 (XSL-RR) multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = [(0x2360ED051FC65DA44385DF649FCCF645 >> (32 * i)) & _MASK32 for i in range(4)]
+
+
+def _hash(value, const: int):
+    """SeedSequence's hash of value by const; value is a Python int or a uint64 array of 32-bit words."""
+    value = (value ^ const) * (const * _MULT_A & _MASK32) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix_entropy(words: list) -> list:
+    """SeedSequence's 4-word pool from its entropy words (more than 4 of them)."""
+    consts = (_INIT_A * pow(_MULT_A, i, 1 << 32) & _MASK32 for i in itertools.count())
+    pool = [_hash(w, next(consts)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(consts)))
+    for w in words[4:]:
+        pool = [_mix(p, _hash(w, next(consts))) for p in pool]
+    return pool
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _carry(cols: list) -> list:
+    """Four 32-bit limbs, least significant first, from four column sums below 2^64 (mod 2^128)."""
+    out, carry = [], 0
+    for col in cols:
+        col = col + carry
+        out.append(col & _MASK32)
+        carry = col >> 32
+    return out
+
+
+def _lcg_step(state: list, inc: list) -> list:
+    """PCG64's step state * multiplier + inc mod 2^128 on four 32-bit limbs.
+
+    Each limb product is below 2^64; its halves go to two columns, and no
+    column sum reaches 2^64 before the carries run.
+    """
+    cols = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            product = state[i] * _PCG_MULT[j]
+            cols[i + j] = cols[i + j] + (product & _MASK32)
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (product >> 32)
+    return _carry(cols)
+
+
+def trial_uniform_rows(seed: int, trials: int, low: float, high: float, size: int) -> np.ndarray:
+    """Row t is trial_rng(seed, t).uniform(low, high, size), bit for bit, for t < trials.
+
+    numpy's generator, rebuilt once over all trials: SeedSequence hashes the
+    seed's 32-bit words (padded to 4) and then the spawn word t into a
+    4-word pool, with hash constants that do not depend on t; the pool's 8
+    state words seed PCG64, whose 128-bit LCG runs here on 32-bit limbs held
+    in uint64 arrays; each draw is low + (high - low) * (output >> 11) / 2^53.
+    t must fit one 32-bit spawn word, so trials <= 2^32.
+    """
+    seed, trials, size = int(seed), int(trials), int(size)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if not 0 <= trials <= 1 << 32:
+        raise ValueError(f"trial indices must fit one 32-bit word, got {trials} trials")
+    span = float(high) - float(low)
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if span < 0:
+        raise ValueError("high - low < 0")
+    words = [(seed >> (32 * i)) & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [0] * (4 - len(words))
+    words.append(np.arange(trials, dtype=np.uint64))
+    pool = _mix_entropy(words)
+    w = []  # generate_state(4, uint64): 8 words hashed from the pool in turn
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        w.append(value ^ (value >> 16))
+    initstate = [w[2], w[3], w[0], w[1]]  # (w0 | w1 << 32) << 64 | (w2 | w3 << 32), low limb first
+    initseq = [w[6], w[7], w[4], w[5]]
+    inc = [(initseq[0] << 1 | 1) & _MASK32] + [(initseq[i] << 1 | initseq[i - 1] >> 31) & _MASK32
+                                                for i in range(1, 4)]
+    # PCG's srandom: one step from 0 gives inc, then add initstate and step again
+    state = _lcg_step(_carry([a + b for a, b in zip(inc, initstate)]), inc)
+    out = np.empty((trials, size))
+    for j in range(size):
+        state = _lcg_step(state, inc)
+        x = (state[2] | state[3] << 32) ^ (state[0] | state[1] << 32)
+        rot = state[3] >> 26
+        x = x >> rot | x << ((64 - rot) & 63)
+        out[:, j] = float(low) + span * ((x >> 11).astype(float) * (1.0 / 9007199254740992.0))
+    return out
 
 
 def indexed_map(fn, items, threads: int = 1) -> list:

@@ -334,7 +334,8 @@ def check_derivative_bound(f: TrigPoly, n: int, p) -> float:
 _LOG_NORMAL = 708.0
 
 
-def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: float) -> float:
+def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: float, *,
+                       _norm: float | None = None) -> float:
     """Mass of P on the interval around a peak point, against the decay rate.
 
     The rate factor is (log n)^(-(1+eps)/p) for p > 1 and picks up the extra
@@ -343,6 +344,8 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     logarithm is checked before any power is taken, since log n < 1 at
     n = 2 turns a large eps into an overflow. The 513 trapezoid points form
     one arithmetic progression across the interval, evaluated by chirp z.
+    _norm is P.norm(p) from a caller that already holds P's samples on the
+    grid_for_degree grid (localization_rows); other callers leave it out.
     """
     p = validate_norm_exponent(p)
     if math.isinf(p):
@@ -355,7 +358,7 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     if not (0 < interval_length <= 1.0 / n + 1e-15):
         raise ValueError("interval length must lie in (0, 1/degree]")
     peak = float(np.abs(P.evaluate(np.array([a], dtype=float)))[0])
-    if peak < P.norm(p) - 1e-9:
+    if peak < (P.norm(p) if _norm is None else _norm) - 1e-9:
         raise ValueError("hypothesis |P(a)| >= ||P||_p violated")
     # log of the (log n)^(-(1+eps)/p) power, then of the whole rate
     log_power = -(1.0 + eps) / p * math.log(math.log(n))
@@ -397,8 +400,9 @@ def localization_rows(N: int, p, eps: float, ifrac: float, trials: int, seed: in
     def ratio(scale, rng):
         poly = rademacher_poly(scale, rng)
         M = grid_for_degree(poly.degree)
-        peak = int(np.argmax(np.abs(poly.sample(M))))
-        return check_localization(poly, peak / M, ifrac / scale, p, eps)
+        samples = poly.sample(M)  # once, for the peak and for the norm
+        peak = int(np.argmax(np.abs(samples)))
+        return check_localization(poly, peak / M, ifrac / scale, p, eps, _norm=lp_norm(samples, p))
 
     return _trial_sweep("localization", N, trials, seed, threads, ratio, worst=min)
 

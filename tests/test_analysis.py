@@ -23,7 +23,7 @@ from fdl.analysis import (
 from fdl.construct import disjoint_family
 from fdl.sets import GridOracle, _probe_hits, box_dimension, count_occupied_boxes
 from fdl.trig import TrigPoly
-from fdl.util import DEFAULT_SEED, loglog_fit, trial_rng
+from fdl.util import DEFAULT_SEED, loglog_fit, trial_rng, trial_uniform_rows
 from fdl.verify import rademacher_poly
 
 
@@ -44,7 +44,9 @@ def test_partial_sums_match_truncations():
     sums = partial_sums_at(f, xs, schedule)
     assert sums.shape == (7, 4)
     for i, n in enumerate(schedule):
-        want = f.truncate(n).evaluate(xs)
+        # the direct formula exp(2 pi i x k) @ c of each truncation, the dense path before point_sums
+        g = f.truncate(n)
+        want = np.exp(2j * np.pi * np.outer(xs, g.k)) @ g.c
         assert np.max(np.abs(sums[:, i] - want)) < 1e-12
 
 
@@ -57,7 +59,7 @@ def test_grid_partial_sums_match_truncations(case):
     if case == "block_member":
         f, M = disjoint_family(3, 2.0, 2.0, 14).member(1), 4096  # degree far above M
     elif case == "non_pow2":
-        # unit 2-norm: the oracle's phase round-off grows like |x k| * 1e-16 per term
+        # unit 2-norm, frequencies up to 5000, and the cuts 999 and 1000 next to M
         ks = rng.choice(np.arange(-5000, 5001), size=60, replace=False)
         c = rng.normal(size=(60, 2)) / math.sqrt(120)
         f, M = TrigPoly({int(k): complex(*v) for k, v in zip(ks, c)}), 1000
@@ -326,6 +328,29 @@ def test_prevalence_probe_small_frozen():
     assert prevalence_probe(TrigPoly(), cfg, fam) == res
 
 
+@pytest.mark.parametrize("seed", [0, 20127, (1 << 64) + 5, (1 << 96) + 11, (1 << 130) + 3])
+@pytest.mark.parametrize("R, size", [(1.0, 9), (0.3, 2), (1e-3, 1), (7.77, 5)])
+@pytest.mark.parametrize("count", [1, 97])
+def test_trial_uniform_rows_are_bit_identical_to_trial_rng(seed, R, size, count):
+    rows = trial_uniform_rows(seed, count, -R, R, size)
+    want = np.array([trial_rng(seed, t).uniform(-R, R, size) for t in range(count)])
+    assert rows.shape == (count, size)
+    assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+
+
+def test_trial_uniform_rows_refusals():
+    with pytest.raises(ValueError, match="non-negative"):  # as SeedSequence(-1)
+        trial_uniform_rows(-1, 3, -1.0, 1.0, 2)
+    # the trial index is one 32-bit spawn word: t < 2^32, checked before any draw
+    assert trial_uniform_rows(1, 0, -1.0, 1.0, 2).shape == (0, 2)
+    with pytest.raises(ValueError, match="32-bit"):
+        trial_uniform_rows(1, (1 << 32) + 1, -1.0, 1.0, 2)
+    with pytest.raises(OverflowError):
+        trial_uniform_rows(1, 3, -1e308, 1e308, 2)
+    with pytest.raises(ValueError):
+        trial_uniform_rows(1, 3, 1.0, -1.0, 2)
+
+
 def test_prevalence_probe_family_mismatch():
     cfg = ProbeConfig(s=2, jmax=7, trials=1)
     fam = disjoint_family(3, 2.0, 2.0, 7)
@@ -356,8 +381,9 @@ def test_shifted_grid_fold_matches_dense_path(workload_family, alpha, depth):
     for g in (workload_family.member(1), workload_family.member(9), base):
         dense = partial_sums_at(g, points, schedule)
         scale = sum(abs(c) for _, c in g.items())
-        # the gap is the dense path's own rounding of 2 pi k x
-        assert np.abs(_test_point_sums(g, alpha, depth, schedule) - dense).max() <= 1e-9 * scale
+        # both paths reduce k x mod 1 exactly; the gap (at most 1.7e-12 of the scale) is the
+        # rounding of the test points, the fold's FFT and the rounding of each sum
+        assert np.abs(_test_point_sums(g, alpha, depth, schedule) - dense).max() <= 1e-11 * scale
 
 
 def test_shifted_grid_fold_takes_dense_path_past_phase_limit():

@@ -299,6 +299,9 @@ _TWIN_RULES = [pytest.param(argv, id=" ".join(a for a in argv if not a.startswit
     ["construct", "family", "--s", "1", "--alpha", "1.00000001", "--p", "2", "--jmax", "8"],
     # 2^45 dyadic centers: a 256 TiB arange, refused at once (x86-64 gives a process 128 TiB)
     ["probe", "prevalence", "--depth", "45", "--trials", "2"],
+    ["probe", "prevalence", "--trials", "3", "--seed", "-1"],
+    # one 32-bit spawn word per trial index: refused before any draw
+    ["probe", "prevalence", "--trials", str((1 << 32) + 1)],
     *_VERIFY_BAD_VALUES,
     *_TWIN_RULES,
 ])

@@ -1,27 +1,30 @@
 """Fourier engine: coefficient algebra, sampling, kernels, norms, serialization."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdl.analysis import partial_sums_at
-from fdl.construct import HoloKernelParams, holo_boundary, saturator_pj
+from fdl.analysis import dyadic_schedule, partial_sums_at
+from fdl.construct import HoloKernelParams, disjoint_family, holo_boundary, saturator_pj
 from fdl.sets import DyadicFamilyParams
 from fdl.trig import (
     PRUNE_TOL,
     AliasingError,
     SpectrumInterval,
     TrigPoly,
+    _phase,
     dirichlet_eval,
     fejer_mean,
     lp_norm,
     modulate,
+    point_sums,
     validate_norm_exponent,
 )
-from fdl.util import grid_for_degree, trial_rng
+from fdl.util import DEFAULT_SEED, grid_for_degree, trial_rng
 from fdl.verify import rademacher_poly
 
 
@@ -90,10 +93,15 @@ def _dict_sample(a, M):
     return np.fft.ifft(spec) * M
 
 
+def _dict_arrays(a):
+    ks = np.array(sorted(a), dtype=np.int64)
+    return ks, np.array([a[int(k)] for k in ks], dtype=complex)
+
+
 def _dict_evaluate(a, ts):
-    ks = np.array(sorted(a), dtype=float)
-    cs = np.array([a[int(k)] for k in ks], dtype=complex)
-    return np.exp(2j * np.pi * np.outer(ts, ks)) @ cs
+    """The direct formula exp(2 pi i t k) @ c, with 2 pi k t rounded at its own magnitude."""
+    ks, cs = _dict_arrays(a)
+    return np.exp(2j * np.pi * np.outer(ts, ks.astype(float))) @ cs
 
 
 def _bits(pairs):
@@ -131,7 +139,9 @@ def test_array_arithmetic_is_bit_identical_to_dict_arithmetic(a, b, s, n, m, ts)
     M = grid_for_degree(f.degree)
     assert np.array_equal(f.sample(M).view(np.uint64), _dict_sample(da, M).view(np.uint64))
     ts = np.array(ts, dtype=float)
-    assert np.array_equal(f.evaluate(ts).view(np.uint64), _dict_evaluate(da, ts).view(np.uint64))
+    ks, cs = _dict_arrays(da)
+    want = point_sums(ks, cs, [ks.size], ts)[:, 0]
+    assert np.array_equal(f.evaluate(ts).view(np.uint64), want.view(np.uint64))
 
 
 def test_truncate_and_restrict_windows():
@@ -218,9 +228,72 @@ def test_evaluate_progression_is_at_least_as_close_as_evaluate_to_long_double():
     want = np.cos(phase) @ c + 1j * (np.sin(phase) @ c)
     top = float(np.abs(want).max())
     chirp_err = float(np.abs(f.evaluate_progression(t0, h, count) - want.astype(complex)).max()) / top
-    direct_err = float(np.abs(f.evaluate(t0 + np.arange(count) * h) - want.astype(complex)).max()) / top
+    direct = _dict_evaluate(dict(f.items()), t0 + np.arange(count) * h)
+    direct_err = float(np.abs(direct - want.astype(complex)).max()) / top
     assert chirp_err <= direct_err
     assert chirp_err <= 1e-14
+
+
+_TWO_PI = 2 * np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _exact_phases(ks, x):
+    """k x mod 1 for each integer k, from x's exact ratio p/q and integer arithmetic, in long double."""
+    p, q = float(x).as_integer_ratio()
+    top = (np.array([int(k) for k in ks], dtype=object) * p % q << 64) // q  # (k x mod 1) 2^64, floored
+    hi = np.array([int(v) >> 32 for v in top], dtype=np.longdouble)
+    lo = np.array([int(v) & 0xFFFFFFFF for v in top], dtype=np.longdouble)
+    return (hi * np.longdouble(2.0**32) + lo) / np.longdouble(2.0**64)
+
+
+def test_point_sums_on_the_panel_shape_are_within_1e_15_of_long_double():
+    # criterion 08's function, schedule and a 256-point panel; the oracle's phases are exact
+    f = disjoint_family(3, 2.0, 2.0, 14).member(1)
+    schedule = dyadic_schedule(6, 18)
+    order = np.argsort(np.abs(f.k), kind="stable")
+    ks, cs = f.k[order], f.c[order]
+    cuts = np.searchsorted(np.abs(ks), schedule, side="right")
+    xs = trial_rng(DEFAULT_SEED, 8000).uniform(0.0, 1.0, 256)
+    got = point_sums(ks, cs, cuts, xs)
+    re, im = cs.real.astype(np.longdouble), cs.imag.astype(np.longdouble)
+    err = 0.0
+    for x, row in zip(xs, got):
+        theta = _TWO_PI * _exact_phases(ks, x)
+        cos, sin = np.cos(theta), np.sin(theta)
+        want_re = np.concatenate([[0], np.cumsum(cos * re - sin * im)])[cuts]
+        want_im = np.concatenate([[0], np.cumsum(sin * re + cos * im)])[cuts]
+        gap = np.hypot((row.real - want_re).astype(float), (row.imag - want_im).astype(float))
+        err = max(err, float(gap.max()))
+    assert err <= 1e-15 * np.abs(cs).sum()
+    assert np.array_equal(partial_sums_at(f, xs, schedule), got)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_phase_past_2_27_matches_exact_arithmetic(sign):
+    rng = trial_rng(DEFAULT_SEED, 27)
+    ks = sign * np.concatenate([[(1 << 27) - 1, 1 << 27, (1 << 53) - 1, 1 << 53],
+                                rng.integers(1 << 27, 1 << 53, size=200, endpoint=True)])
+    for x in [0.1, 0.37, 1 / 3, 0.999, 1e-9, 2.75, -0.625, *rng.uniform(-2.0, 2.0, 20)]:
+        got = _phase(ks, x)
+        assert got.shape == ks.shape and np.abs(got).max() <= 2.0
+        for k, v in zip(ks.tolist(), got.tolist()):
+            gap = Fraction(v) - k * Fraction(x)
+            assert abs(gap - round(gap)) <= 4 * 2.0**-53, (k, x)
+
+
+def test_evaluate_at_frequency_2_53_is_exact():
+    f = TrigPoly.from_json_dict({"coeffs": [[1 << 53, 1.0, 0.0], [-(1 << 53) + 3, 0.0, 1.0]]})
+    # at these points 2^53 x is an integer and (3 - 2^53) x is 3 x mod 1
+    xs = np.array([0.5, 0.25, 1 / 1024])
+    assert np.allclose(f.evaluate(xs), 1 + 1j * np.exp(2j * np.pi * 3 * xs), rtol=0, atol=1e-15)
+
+
+def test_evaluate_refuses_frequencies_above_2_53():
+    # 2^53 + 1 rounds to 2^53 in float64, where e(k/2) would read 1 instead of -1
+    with pytest.raises(ValueError, match="2\\^53"):
+        TrigPoly({(1 << 53) + 1: 1.0}).evaluate(0.5)
+    with pytest.raises(ValueError, match="2\\^53"):
+        _phase(np.array([-(1 << 60)]), 0.25)
 
 
 def test_evaluate_progression_of_constants():

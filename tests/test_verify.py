@@ -314,6 +314,28 @@ def test_localization_dirichlet_peak_frozen():
     assert got == pytest.approx(1.4218273303523337, rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_localization_rows_sample_each_polynomial_once(monkeypatch, p):
+    # each row's ratio is bit-identical to check_localization sampling P again for its norm
+    samples, checks = [], []
+    sample, check = TrigPoly.sample, verify.check_localization
+
+    def counted_sample(self, M):
+        samples.append(M)
+        return sample(self, M)
+
+    def oracle_check(P, a, interval_length, p, eps, **private):
+        got = check(P, a, interval_length, p, eps, **private)
+        checks.append(got == check(P, a, interval_length, p, eps))
+        return got
+
+    monkeypatch.setattr(TrigPoly, "sample", counted_sample)
+    monkeypatch.setattr(verify, "check_localization", oracle_check)
+    _, rows = localization_rows(64, p, 0.5, 1.0, 3)
+    assert len(checks) == len(rows) and all(checks)
+    assert len(samples) == 2 * len(rows)  # once in localization_rows, once in the oracle's P.norm
+
+
 def test_localization_guards():
     d8 = TrigPoly.dirichlet(8)
     with pytest.raises(ValueError):
