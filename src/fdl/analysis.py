@@ -20,7 +20,7 @@ import numpy as np
 
 from .construct import SaturatorFamily, disjoint_family
 from .sets import BoxDimEstimate, GridOracle, box_dimension
-from .trig import _PHASE_LIMIT, TrigPoly, _phase, point_sums
+from .trig import TrigPoly, _phase, point_sums
 from .util import DEFAULT_SEED, loglog_fit, trial_uniform_rows
 
 _VANISH_TOL = 1e-14
@@ -218,13 +218,10 @@ def dyadic_test_points(alpha: float, depth: int) -> np.ndarray:
 def _test_point_sums(f: TrigPoly, alpha: float, depth: int, schedule: list[int]) -> np.ndarray:
     """partial_sums_at(f, dyadic_test_points(alpha, depth), schedule), one grid fold per copy.
 
-    The fold sums at the exact points K/2^depth + shift, the dense path at
-    their float roundings, up to ulp(1)/2 away: 1.5e-8 of a turn of phase
-    at |k| = 2^27. A spectrum reaching 2^27 takes the dense path, so the
-    result is partial_sums_at's bit for bit.
+    The fold sums at the exact points K/2^depth + shift, with the phase of
+    every |k| <= 2^53 reduced exactly; dyadic_test_points holds their float
+    roundings, up to ulp(1)/2 away.
     """
-    if not len(f) or f.degree >= _PHASE_LIMIT:
-        return partial_sums_at(f, dyadic_test_points(alpha, depth), schedule)
     ks, cs, cuts = _sorted_terms(f, schedule)
     return np.concatenate([_grid_fold(ks, cs, cuts, 1 << depth, shift) for shift in _test_shifts(alpha, depth)])
 

@@ -9,6 +9,7 @@ certificate or inequality.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
@@ -47,13 +48,11 @@ from .verify import (
     check_holo_bounds,
     derivative_rows,
     dirichlet_rows,
-    holo_sweep,
+    holo_rows,
     localization_rows,
     maximal_rows,
     nikolsky_rows,
 )
-
-_SEED_DEFAULT = object()
 
 
 def _pnorm(text):
@@ -63,290 +62,25 @@ def _pnorm(text):
     return float(t)
 
 
-class _Param:
-    __slots__ = ("key", "conv", "default", "required", "help", "choices")
-
-    def __init__(self, key, conv, default, help, required=False, choices=None):
-        self.key = key
-        self.conv = conv
-        self.default = default
-        self.required = required
-        self.help = help
-        self.choices = choices
+_Param = collections.namedtuple("_Param", "key conv default help required choices", defaults=(False, None))
 
 
 def _dest(key: str) -> str:
     return "infile" if key == "in" else key.replace("-", "_")
 
 
-_SEED_PARAM = _Param("seed", int, _SEED_DEFAULT, "master seed (FDL_SEED overrides the default)")
+_SEED_PARAM = _Param("seed", int, None, "master seed (FDL_SEED overrides the default)")
 _OUT_PARAM = _Param("out", str, None, "JSON output path (stdout when omitted)")
 _CSV_PARAM = _Param("csv", str, None, "CSV output path (stdout when omitted)")
 
-_SPECS = {
-    ("construct", "pj"): [
-        _Param("j", int, None, "dyadic family level", required=True),
-        _Param("alpha", float, None, "approximation exponent, greater than 1", required=True),
-        _Param("p", _pnorm, None, "norm exponent (number or inf)", required=True),
-        _Param("grid", int, None, "sample grid size, power of two"),
-        _SEED_PARAM,
-        _OUT_PARAM,
-    ],
-    ("construct", "family"): [
-        _Param("s", int, None, "number of members", required=True),
-        _Param("alpha", float, None, "approximation exponent, greater than 1", required=True),
-        _Param("p", _pnorm, None, "norm exponent (number or inf)", required=True),
-        _Param("jmax", int, None, "top block level", required=True),
-        _SEED_PARAM,
-        _OUT_PARAM,
-    ],
-    ("construct", "holo"): [
-        _Param("k", int, None, "number of comb teeth, at least 3", required=True),
-        _Param("omega", float, None, "pole offset parameter (default max(log k, 3))"),
-        _Param("grid", int, 1 << 14, "boundary grid size, power of two"),
-        _SEED_PARAM,
-        _OUT_PARAM,
-    ],
-    ("construct", "logsat"): [
-        _Param("n", int, None, "target degree", required=True),
-        _Param("eps", float, None, "divergence rate (default: admissible floor)"),
-        _Param("grid", int, None, "sample grid size, power of two"),
-        _SEED_PARAM,
-        _OUT_PARAM,
-    ],
-    ("construct", "witness"): [
-        _Param("j", int, None, "block level and detector scale", required=True),
-        _Param("eta", float, None, "target rate for the two-scale difference", required=True),
-        _Param("eps", float, None, "saturator rate (default: admissible floor)"),
-        _Param("in", str, None, "coefficient JSON of the base function (default: zero)"),
-        _SEED_PARAM,
-        _OUT_PARAM,
-    ],
-    ("verify", "dirichlet"): [
-        _Param("N", int, None, "top index of the sweep", required=True),
-        _Param("strategy", str, "greedy", "index selection rule",
-               choices=("constant", "random", "greedy")),
-        _Param("trials", int, 2, "number of evaluation points t"),
-        _SEED_PARAM,
-        _CSV_PARAM,
-        _OUT_PARAM,
-    ],
-    ("verify", "maximal"): [
-        _Param("N", int, None, "top index of the sweep", required=True),
-        _Param("alpha", float, 0.5, "excess exponent in the log-power weight"),
-        _Param("trials", int, 20, "random polynomials per scale"),
-        _SEED_PARAM,
-        _CSV_PARAM,
-        _OUT_PARAM,
-    ],
-    ("verify", "nikolsky"): [
-        _Param("N", int, None, "top degree of the sweep", required=True),
-        _Param("p", _pnorm, 2.0, "lower norm exponent"),
-        _Param("q", _pnorm, math.inf, "upper norm exponent"),
-        _Param("trials", int, 10, "random polynomials per scale"),
-        _SEED_PARAM,
-        _CSV_PARAM,
-        _OUT_PARAM,
-    ],
-    ("verify", "derivative"): [
-        _Param("N", int, None, "top degree of the sweep", required=True),
-        _Param("p", _pnorm, 2.0, "norm exponent"),
-        _Param("trials", int, 10, "random polynomials per scale"),
-        _SEED_PARAM,
-        _CSV_PARAM,
-        _OUT_PARAM,
-    ],
-    ("verify", "localization"): [
-        _Param("N", int, None, "top degree of the sweep", required=True),
-        _Param("p", _pnorm, 2.0, "norm exponent (finite)"),
-        _Param("eps", float, 0.5, "excess exponent in the log factor"),
-        _Param("ifrac", float, 1.0, "interval length as a fraction of 1/degree"),
-        _Param("trials", int, 10, "random polynomials per scale"),
-        _SEED_PARAM,
-        _CSV_PARAM,
-        _OUT_PARAM,
-    ],
-    ("verify", "holo"): [
-        _Param("N", int, 256, "largest tooth count; sweep doubles from 8"),
-        _Param("grid", int, 1 << 14, "boundary grid size, power of two"),
-        _SEED_PARAM,
-        _CSV_PARAM,
-        _OUT_PARAM,
-    ],
-    ("analyze", "index"): [
-        _Param("in", str, None, "coefficient JSON of the function", required=True),
-        _Param("x", float, None, "evaluation point in [0, 1)", required=True),
-        _Param("mlo", int, 6, "smallest schedule exponent"),
-        _Param("mhi", int, 18, "largest schedule exponent"),
-        _SEED_PARAM,
-        _OUT_PARAM,
-    ],
-    ("analyze", "levelset"): [
-        _Param("in", str, None, "coefficient JSON of the function", required=True),
-        _Param("beta", float, None, "level of the divergence index", required=True),
-        _Param("tol", float, 0.05, "level-set tolerance around beta"),
-        _Param("grid", int, 1 << 12, "number of profile points"),
-        _Param("smlo", int, 6, "smallest schedule exponent"),
-        _Param("smhi", int, 14, "largest schedule exponent"),
-        _Param("mlo", int, 4, "smallest box scale exponent"),
-        _Param("mhi", int, 10, "largest box scale exponent"),
-        _SEED_PARAM,
-        _CSV_PARAM,
-        _OUT_PARAM,
-    ],
-    ("analyze", "spectrum"): [
-        _Param("in", str, None, "coefficient JSON of the function", required=True),
-        _Param("p", _pnorm, None, "norm exponent for the reference line", required=True),
-        _Param("beta-min", float, 0.0, "first beta on the grid"),
-        _Param("beta-max", float, 0.5, "last beta on the grid"),
-        _Param("steps", int, 11, "number of beta grid points"),
-        _Param("tol", float, 0.05, "level-set tolerance around each beta"),
-        _Param("grid", int, 1 << 12, "number of profile points"),
-        _Param("smlo", int, 6, "smallest schedule exponent"),
-        _Param("smhi", int, 14, "largest schedule exponent"),
-        _Param("mlo", int, 4, "smallest box scale exponent"),
-        _Param("mhi", int, 10, "largest box scale exponent"),
-        _SEED_PARAM,
-        _CSV_PARAM,
-        _OUT_PARAM,
-    ],
-    ("probe", "prevalence"): [
-        _Param("s", int, 9, "perturbation dimension"),
-        _Param("alpha", float, 2.0, "approximation exponent of the family"),
-        _Param("p", _pnorm, 2.0, "norm exponent of the family"),
-        _Param("beta", float, 0.2, "growth exponent tested against"),
-        _Param("R", float, 1.0, "half-width of the coefficient cube"),
-        _Param("trials", int, 200, "Monte-Carlo trials"),
-        _Param("thresh", float, 1e-4, "success threshold for the normalized envelope"),
-        _Param("depth", int, 4, "level of the dyadic test points"),
-        _Param("jmax", int, 12, "top block level of the family"),
-        _Param("in", str, None, "coefficient JSON of the base function (default: zero)"),
-        _SEED_PARAM,
-        _OUT_PARAM,
-    ],
-}
+# A handler maps (config, threads) to (payload, table): the JSON report without
+# its config block, and the CSV (header, rows) or None. run writes both.
+_Command = collections.namedtuple("_Command", "handler params")
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command parser, built once per process.
-
-    Every flag defaults to None and _resolve fills in the defaults, so one
-    parse leaves nothing behind for the next.
-    """
-    top = argparse.ArgumentParser(prog="fdl", description=__doc__.splitlines()[0])
-    commands = top.add_subparsers(dest="command", required=True)
-    grouped: dict[str, list[str]] = {}
-    for command, sub in _SPECS:
-        grouped.setdefault(command, []).append(sub)
-    for command, subs in grouped.items():
-        cp = commands.add_parser(command)
-        subparsers = cp.add_subparsers(dest="subcommand", required=True)
-        for sub in subs:
-            sp = subparsers.add_parser(sub)
-            for param in _SPECS[(command, sub)]:
-                sp.add_argument(f"--{param.key}", dest=_dest(param.key), type=param.conv,
-                                default=None, choices=param.choices, help=param.help)
-            sp.add_argument("--config", dest="config", default=None,
-                            help="flat key=value file; flags override its entries")
-            sp.add_argument("--threads", dest="threads", type=int, default=None,
-                            help="worker pool size for trial batches (default: machine parallelism)")
-    return top
-
-
-def _read_config_file(path: str) -> dict:
-    entries = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
-
-
-def _resolve(ns: argparse.Namespace) -> dict:
-    spec = _SPECS[(ns.command, ns.subcommand)]
-    filecfg = _read_config_file(ns.config) if ns.config else {}
-    unknown = set(filecfg) - {p.key for p in spec}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    cfg = {}
-    for param in spec:
-        value = getattr(ns, _dest(param.key))
-        if value is None and param.key in filecfg:
-            value = param.conv(filecfg[param.key])
-        if value is None:
-            if param.default is _SEED_DEFAULT:
-                env = os.environ.get("FDL_SEED")
-                value = int(env) if env else DEFAULT_SEED
-            elif param.required:
-                raise ValueError(f"missing required parameter --{param.key}")
-            else:
-                value = param.default
-        if isinstance(value, float) and math.isnan(value):
-            raise ValueError(f"--{param.key} must be a number, got nan")
-        if param.conv is float and value is not None and math.isinf(value):
-            raise ValueError(f"--{param.key} must be finite, got {value}")
-        cfg[param.key] = value
-    return cfg
-
-
-def _config_block(command: str, subcommand: str, cfg: dict) -> dict:
-    block = {"command": command, "subcommand": subcommand}
-    for key, value in cfg.items():
-        if isinstance(value, float) and math.isinf(value):
-            value = "inf"
-        block[key] = value
-    return block
-
-
-def _jsonable(value, path: str = "payload"):
-    """JSON-ready copy of a payload; a NaN anywhere fails the run, naming its field."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            raise AssertionError(f"{path} is NaN")
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return round_sig(x)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v, f"{path}.{k}") for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    return value
-
-
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _emit_json(payload: dict, path: str | None) -> None:
-    _write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", path)
-
-
-def _emit_csv(header, rows, path: str | None) -> None:
-    """Writes the rows under the header; a NaN cell fails the run before anything is written."""
-    for i, row in enumerate(rows):
-        for name, v in zip(header, row):
-            if isinstance(v, (float, np.floating)) and math.isnan(v):
-                raise AssertionError(f"csv row {i} column {name} is NaN")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format(float(v), ".12g") if isinstance(v, (float, np.floating)) else v
-                         for v in row])
-    _write_text(buf.getvalue(), path)
+def _command(handler, *params, csv=False) -> _Command:
+    """A subcommand: its handler and its own flags, then --seed, --csv for a table, and --out."""
+    return _Command(handler, (*params, _SEED_PARAM, *((_CSV_PARAM,) if csv else ()), _OUT_PARAM))
 
 
 def _load_poly(path: str) -> TrigPoly:
@@ -354,10 +88,6 @@ def _load_poly(path: str) -> TrigPoly:
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ValueError(f"{path} is not a coefficient JSON file")
     return TrigPoly.from_json_dict(data)
-
-
-# Every handler returns (payload, table): the JSON report without its config
-# block, and the CSV (header, rows) or None. run writes both.
 
 
 def _run_construct_pj(cfg: dict, threads: int):
@@ -385,10 +115,9 @@ def _run_construct_holo(cfg: dict, threads: int):
     if cfg["omega"] is None:
         cfg["omega"] = HoloKernelParams.default_omega(cfg["k"])
     params = HoloKernelParams(cfg["k"], cfg["omega"])
-    bounds = check_holo_bounds(params, cfg["grid"])
     samples = holo_boundary(params, cfg["grid"])
     payload = {"M": samples.size, "samples": [[v.real, v.imag] for v in samples]}
-    payload["certificates"] = dataclasses.asdict(bounds)
+    payload["certificates"] = dataclasses.asdict(check_holo_bounds(params, samples))
     return payload, None
 
 
@@ -410,32 +139,20 @@ def _run_construct_witness(cfg: dict, threads: int):
     return payload, None
 
 
-def _run_verify(cfg: dict, threads: int, subcommand: str):
-    N, seed = cfg["N"], cfg["seed"]
-    if subcommand == "dirichlet":
-        report, rows = dirichlet_rows(N, cfg["strategy"], cfg["trials"], seed)
-    elif subcommand == "maximal":
-        report, rows = maximal_rows(N, cfg["alpha"], cfg["trials"], seed)
-    elif subcommand == "nikolsky":
-        report, rows = nikolsky_rows(N, cfg["p"], cfg["q"], cfg["trials"], seed, threads)
-    elif subcommand == "derivative":
-        report, rows = derivative_rows(N, cfg["p"], cfg["trials"], seed, threads)
-    elif subcommand == "localization":
-        report, rows = localization_rows(N, cfg["p"], cfg["eps"], cfg["ifrac"], cfg["trials"], seed, threads)
-    else:
-        if N < 8:
-            raise ValueError("N must be at least 8")
-        report, bounds = holo_sweep([8 << i for i in range((N // 8).bit_length())], cfg["grid"], seed)
-        rows = [(i, seed, b.k, b.c4) for i, b in enumerate(bounds)]
-    payload = {
-        "name": report.name,
-        "trials": len(rows),
-        "worst_ratio": report.worst_ratio,
-        "fitted_constant": report.fitted_constant,
-        "scale_trend": [[scale, value] for scale, value in report.scale_trend],
-        "seed": report.seed,
-    }
-    return payload, (("trial", "seed", "scale", "ratio"), rows)
+def _run_verify(sweep):
+    """The handler of a verify sweep; sweep(cfg, threads) returns the report and its rows."""
+    def handler(cfg: dict, threads: int):
+        report, rows = sweep(cfg, threads)
+        payload = {
+            "name": report.name,
+            "trials": len(rows),
+            "worst_ratio": report.worst_ratio,
+            "fitted_constant": report.fitted_constant,
+            "scale_trend": [[scale, value] for scale, value in report.scale_trend],
+            "seed": report.seed,
+        }
+        return payload, (("trial", "seed", "scale", "ratio"), rows)
+    return handler
 
 
 def _run_analyze_index(cfg: dict, threads: int):
@@ -495,19 +212,245 @@ def _run_probe_prevalence(cfg: dict, threads: int):
     return payload, None
 
 
-_HANDLERS = {
-    ("construct", "pj"): _run_construct_pj,
-    ("construct", "family"): _run_construct_family,
-    ("construct", "holo"): _run_construct_holo,
-    ("construct", "logsat"): _run_construct_logsat,
-    ("construct", "witness"): _run_construct_witness,
-    **{("verify", sub): functools.partial(_run_verify, subcommand=sub)
-       for sub in ("dirichlet", "maximal", "nikolsky", "derivative", "localization", "holo")},
-    ("analyze", "index"): _run_analyze_index,
-    ("analyze", "levelset"): _run_analyze_levelset,
-    ("analyze", "spectrum"): _run_analyze_spectrum,
-    ("probe", "prevalence"): _run_probe_prevalence,
+_COMMANDS = {
+    ("construct", "pj"): _command(
+        _run_construct_pj,
+        _Param("j", int, None, "dyadic family level", required=True),
+        _Param("alpha", float, None, "approximation exponent, greater than 1", required=True),
+        _Param("p", _pnorm, None, "norm exponent (number or inf)", required=True),
+        _Param("grid", int, None, "sample grid size, power of two"),
+    ),
+    ("construct", "family"): _command(
+        _run_construct_family,
+        _Param("s", int, None, "number of members", required=True),
+        _Param("alpha", float, None, "approximation exponent, greater than 1", required=True),
+        _Param("p", _pnorm, None, "norm exponent (number or inf)", required=True),
+        _Param("jmax", int, None, "top block level", required=True),
+    ),
+    ("construct", "holo"): _command(
+        _run_construct_holo,
+        _Param("k", int, None, "number of comb teeth, at least 3", required=True),
+        _Param("omega", float, None, "pole offset parameter (default max(log k, 3))"),
+        _Param("grid", int, 1 << 14, "boundary grid size, power of two"),
+    ),
+    ("construct", "logsat"): _command(
+        _run_construct_logsat,
+        _Param("n", int, None, "target degree", required=True),
+        _Param("eps", float, None, "divergence rate (default: admissible floor)"),
+        _Param("grid", int, None, "sample grid size, power of two"),
+    ),
+    ("construct", "witness"): _command(
+        _run_construct_witness,
+        _Param("j", int, None, "block level and detector scale", required=True),
+        _Param("eta", float, None, "target rate for the two-scale difference", required=True),
+        _Param("eps", float, None, "saturator rate (default: admissible floor)"),
+        _Param("in", str, None, "coefficient JSON of the base function (default: zero)"),
+    ),
+    ("verify", "dirichlet"): _command(
+        _run_verify(lambda cfg, threads: dirichlet_rows(cfg["N"], cfg["strategy"], cfg["trials"], cfg["seed"])),
+        _Param("N", int, None, "top index of the sweep", required=True),
+        _Param("strategy", str, "greedy", "index selection rule",
+               choices=("constant", "random", "greedy")),
+        _Param("trials", int, 2, "number of evaluation points t"),
+        csv=True,
+    ),
+    ("verify", "maximal"): _command(
+        _run_verify(lambda cfg, threads: maximal_rows(cfg["N"], cfg["alpha"], cfg["trials"], cfg["seed"])),
+        _Param("N", int, None, "top index of the sweep", required=True),
+        _Param("alpha", float, 0.5, "excess exponent in the log-power weight"),
+        _Param("trials", int, 20, "random polynomials per scale"),
+        csv=True,
+    ),
+    ("verify", "nikolsky"): _command(
+        _run_verify(lambda cfg, threads: nikolsky_rows(cfg["N"], cfg["p"], cfg["q"], cfg["trials"],
+                                                       cfg["seed"], threads)),
+        _Param("N", int, None, "top degree of the sweep", required=True),
+        _Param("p", _pnorm, 2.0, "lower norm exponent"),
+        _Param("q", _pnorm, math.inf, "upper norm exponent"),
+        _Param("trials", int, 10, "random polynomials per scale"),
+        csv=True,
+    ),
+    ("verify", "derivative"): _command(
+        _run_verify(lambda cfg, threads: derivative_rows(cfg["N"], cfg["p"], cfg["trials"], cfg["seed"], threads)),
+        _Param("N", int, None, "top degree of the sweep", required=True),
+        _Param("p", _pnorm, 2.0, "norm exponent"),
+        _Param("trials", int, 10, "random polynomials per scale"),
+        csv=True,
+    ),
+    ("verify", "localization"): _command(
+        _run_verify(lambda cfg, threads: localization_rows(cfg["N"], cfg["p"], cfg["eps"], cfg["ifrac"],
+                                                           cfg["trials"], cfg["seed"], threads)),
+        _Param("N", int, None, "top degree of the sweep", required=True),
+        _Param("p", _pnorm, 2.0, "norm exponent (finite)"),
+        _Param("eps", float, 0.5, "excess exponent in the log factor"),
+        _Param("ifrac", float, 1.0, "interval length as a fraction of 1/degree"),
+        _Param("trials", int, 10, "random polynomials per scale"),
+        csv=True,
+    ),
+    ("verify", "holo"): _command(
+        _run_verify(lambda cfg, threads: holo_rows(cfg["N"], cfg["grid"], cfg["seed"])),
+        _Param("N", int, 256, "largest tooth count; sweep doubles from 8"),
+        _Param("grid", int, 1 << 14, "boundary grid size, power of two"),
+        csv=True,
+    ),
+    ("analyze", "index"): _command(
+        _run_analyze_index,
+        _Param("in", str, None, "coefficient JSON of the function", required=True),
+        _Param("x", float, None, "evaluation point in [0, 1)", required=True),
+        _Param("mlo", int, 6, "smallest schedule exponent"),
+        _Param("mhi", int, 18, "largest schedule exponent"),
+    ),
+    ("analyze", "levelset"): _command(
+        _run_analyze_levelset,
+        _Param("in", str, None, "coefficient JSON of the function", required=True),
+        _Param("beta", float, None, "level of the divergence index", required=True),
+        _Param("tol", float, 0.05, "level-set tolerance around beta"),
+        _Param("grid", int, 1 << 12, "number of profile points"),
+        _Param("smlo", int, 6, "smallest schedule exponent"),
+        _Param("smhi", int, 14, "largest schedule exponent"),
+        _Param("mlo", int, 4, "smallest box scale exponent"),
+        _Param("mhi", int, 10, "largest box scale exponent"),
+        csv=True,
+    ),
+    ("analyze", "spectrum"): _command(
+        _run_analyze_spectrum,
+        _Param("in", str, None, "coefficient JSON of the function", required=True),
+        _Param("p", _pnorm, None, "norm exponent for the reference line", required=True),
+        _Param("beta-min", float, 0.0, "first beta on the grid"),
+        _Param("beta-max", float, 0.5, "last beta on the grid"),
+        _Param("steps", int, 11, "number of beta grid points"),
+        _Param("tol", float, 0.05, "level-set tolerance around each beta"),
+        _Param("grid", int, 1 << 12, "number of profile points"),
+        _Param("smlo", int, 6, "smallest schedule exponent"),
+        _Param("smhi", int, 14, "largest schedule exponent"),
+        _Param("mlo", int, 4, "smallest box scale exponent"),
+        _Param("mhi", int, 10, "largest box scale exponent"),
+        csv=True,
+    ),
+    ("probe", "prevalence"): _command(
+        _run_probe_prevalence,
+        _Param("s", int, 9, "perturbation dimension"),
+        _Param("alpha", float, 2.0, "approximation exponent of the family"),
+        _Param("p", _pnorm, 2.0, "norm exponent of the family"),
+        _Param("beta", float, 0.2, "growth exponent tested against"),
+        _Param("R", float, 1.0, "half-width of the coefficient cube"),
+        _Param("trials", int, 200, "Monte-Carlo trials"),
+        _Param("thresh", float, 1e-4, "success threshold for the normalized envelope"),
+        _Param("depth", int, 4, "level of the dyadic test points"),
+        _Param("jmax", int, 12, "top block level of the family"),
+        _Param("in", str, None, "coefficient JSON of the base function (default: zero)"),
+    ),
 }
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process.
+
+    Every flag defaults to None and _resolve fills in the defaults, so one
+    parse leaves nothing behind for the next.
+    """
+    top = argparse.ArgumentParser(prog="fdl", description=__doc__.splitlines()[0])
+    commands = top.add_subparsers(dest="command", required=True)
+    subcommands = {}
+    for (command, sub), entry in _COMMANDS.items():
+        if command not in subcommands:
+            subcommands[command] = commands.add_parser(command).add_subparsers(dest="subcommand", required=True)
+        sp = subcommands[command].add_parser(sub)
+        for param in entry.params:
+            sp.add_argument(f"--{param.key}", dest=_dest(param.key), type=param.conv,
+                            default=None, choices=param.choices, help=param.help)
+        sp.add_argument("--config", dest="config", default=None,
+                        help="flat key=value file; flags override its entries")
+        sp.add_argument("--threads", dest="threads", type=int, default=None,
+                        help="worker pool size for trial batches (default: machine parallelism)")
+    return top
+
+
+def _read_config_file(path: str) -> dict:
+    entries = {}
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line without '=': {raw!r}")
+        key, value = line.split("=", 1)
+        entries[key.strip()] = value.strip()
+    return entries
+
+
+def _resolve(ns: argparse.Namespace) -> dict:
+    spec = _COMMANDS[(ns.command, ns.subcommand)].params
+    filecfg = _read_config_file(ns.config) if ns.config else {}
+    unknown = set(filecfg) - {p.key for p in spec}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    cfg = {}
+    for param in spec:
+        value = getattr(ns, _dest(param.key))
+        if value is None and param.key in filecfg:
+            value = param.conv(filecfg[param.key])
+        if value is None:
+            if param is _SEED_PARAM:
+                env = os.environ.get("FDL_SEED")
+                value = int(env) if env else DEFAULT_SEED
+            elif param.required:
+                raise ValueError(f"missing required parameter --{param.key}")
+            else:
+                value = param.default
+        if isinstance(value, float) and math.isnan(value):
+            raise ValueError(f"--{param.key} must be a number, got nan")
+        if param.conv is float and value is not None and math.isinf(value):
+            raise ValueError(f"--{param.key} must be finite, got {value}")
+        cfg[param.key] = value
+    return cfg
+
+
+def _jsonable(value, path: str = "payload"):
+    """JSON-ready copy of a payload; a NaN anywhere fails the run, naming its field."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isnan(x):
+            raise AssertionError(f"{path} is NaN")
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return round_sig(x)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v, f"{path}.{k}") for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def _write_text(text: str, path: str | None) -> None:
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
+
+
+def _emit_json(payload: dict, path: str | None) -> None:
+    _write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", path)
+
+
+def _emit_csv(header, rows, path: str | None) -> None:
+    """Writes the rows under the header; a NaN cell fails the run before anything is written."""
+    for i, row in enumerate(rows):
+        for name, v in zip(header, row):
+            if isinstance(v, (float, np.floating)) and math.isnan(v):
+                raise AssertionError(f"csv row {i} column {name} is NaN")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(v), ".12g") if isinstance(v, (float, np.floating)) else v
+                         for v in row])
+    _write_text(buf.getvalue(), path)
 
 
 def run(argv) -> int:
@@ -519,12 +462,12 @@ def run(argv) -> int:
     try:
         cfg = _resolve(ns)
         threads = ns.threads if ns.threads and ns.threads > 0 else (os.cpu_count() or 1)
-        payload, table = _HANDLERS[(ns.command, ns.subcommand)](cfg, threads)
+        payload, table = _COMMANDS[(ns.command, ns.subcommand)].handler(cfg, threads)
         if table is not None:
             _emit_csv(*table, cfg["csv"])
         # a subcommand with a CSV table writes its JSON report only to --out
         if "csv" not in cfg or cfg["out"]:
-            payload["config"] = _config_block(ns.command, ns.subcommand, cfg)
+            payload["config"] = {"command": ns.command, "subcommand": ns.subcommand, **cfg}
             _emit_json(payload, cfg["out"])
         return 0
     except AssertionError as exc:

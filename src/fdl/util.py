@@ -31,14 +31,21 @@ def grid_for_degree(degree: int, factor: int = 8) -> int:
     return max(next_pow2(factor * max(int(degree), 1)), 16)
 
 
+# relative spread (root mean square over |mean|) up to which loglog_fit calls a series constant
+_FLAT_RTOL = 1e-13
+
+
 def loglog_fit(logx, logy):
     """Least-squares slope and r^2 for already-logged data.
 
     logy is one series (returns two floats) or a 2-d array with one series
     per row, all against the shared logx (returns two arrays, one entry per
     row). Degenerate inputs get the fixed-point conventions used throughout:
-    constant y fits perfectly with slope 0 (r^2 = 1), fewer than two
-    distinct x values yield slope 0.
+    constant y fits perfectly (r^2 = 1), fewer than two distinct x values
+    yield slope 0. A series is constant when its sum of squares about the
+    mean is below 1e-30 or its root mean square spread is within _FLAT_RTOL
+    of |mean|: the mean of equal values rounds at their own magnitude, so
+    the absolute cut alone calls seven copies of log 17 noise (r^2 = 0).
     """
     x = np.asarray(logx, dtype=float)
     y = np.asarray(logy, dtype=float)
@@ -49,11 +56,12 @@ def loglog_fit(logx, logy):
     if x.size >= 2:
         # two y-sized buffers: the centered y, later the residuals, and one for each product
         vx = x - x.mean()
-        vy = y - y.mean(axis=-1, keepdims=True)
+        mean = y.mean(axis=-1, keepdims=True)
+        vy = y - mean
         buf = np.empty_like(vy)
         sxx = float((vx * vx).sum())
         syy = np.multiply(vy, vy, out=buf).sum(axis=-1)
-        flat = syy < 1e-30
+        flat = (syy < 1e-30) | (syy <= x.size * (_FLAT_RTOL * mean[..., 0]) ** 2)
         if sxx < 1e-30:
             r2 = np.where(flat, 1.0, 0.0)
         else:

@@ -422,8 +422,10 @@ class HoloBounds:
     grid: int
 
 
-def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14) -> HoloBounds:
+def check_holo_bounds(params: HoloKernelParams, boundary: np.ndarray) -> HoloBounds:
     """Closed-form margins of the kernel bounds, plus the comb minimum on the grid.
+
+    boundary holds the kernel on the M-point circle grid, holo_boundary(params, M).
 
     On the closed disk a^k fills |w| <= rho = (1+eps)^-k, where f = 1/(1-w)
     has min Re f = 1/(1+rho), sup |f| = 1/(1-rho) and sup |f'/f| =
@@ -431,7 +433,7 @@ def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14) -> HoloBounds:
     boundary grid's comb points, c3 = sup |f|/omega, c4 = sup |f'/f| /
     (omega k). c4 must stay at or below 1 (no constant in that bound).
     """
-    boundary = holo_boundary(params, M)
+    M = boundary.size
     mask = comb_membership(params.comb, np.arange(M) / M)
     if not mask.any():
         raise ValueError("boundary grid resolves no comb point; increase M")
@@ -456,7 +458,8 @@ def check_holo_bounds(params: HoloKernelParams, M: int = 1 << 14) -> HoloBounds:
 
 def holo_sweep(ks, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[HoloBounds]]:
     """Runs the bound check across tooth counts with the default omega = max(log k, 3)."""
-    bounds = [check_holo_bounds(HoloKernelParams(k, HoloKernelParams.default_omega(k)), M) for k in ks]
+    params = [HoloKernelParams(k, HoloKernelParams.default_omega(k)) for k in ks]
+    bounds = [check_holo_bounds(p, holo_boundary(p, M)) for p in params]
     report = VerificationReport(
         name="holo-bounds",
         trials=len(bounds),
@@ -466,3 +469,14 @@ def holo_sweep(ks, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[Verifica
         seed=seed,
     )
     return report, bounds
+
+
+def holo_rows(N: int, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[tuple]]:
+    """The bound check at tooth counts 8, 16, 32, ... up to N, on the M-point boundary grid.
+
+    Rows are (i, seed, k, c4) for the i-th tooth count; the ratio is c4.
+    """
+    if N < 8:
+        raise ValueError("N must be at least 8")
+    report, bounds = holo_sweep([8 << i for i in range((N // 8).bit_length())], M, seed)
+    return report, [(i, seed, b.k, b.c4) for i, b in enumerate(bounds)]

@@ -1,6 +1,7 @@
 """Divergence-index fits, level sets, spectrum curves, prevalence probe."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fdl.analysis import (
     _LOG_FLOOR,
     ProbeConfig,
     _test_point_sums,
+    _test_shifts,
     divergence_index,
     divergence_profile,
     dyadic_schedule,
@@ -91,17 +93,18 @@ def test_grid_partial_sums_match_dense_path(seed, terms, M, top, cuts):
 
 
 def _scalar_loglog_fit(x, y):
-    # the one-series fit as it stood before rows were batched
+    # the one-series fit as it stood before rows were batched, with loglog_fit's flat rule
     if x.size < 2:
         return 0.0, 1.0
     vx = x - x.mean()
     vy = y - y.mean()
     sxx = float(vx @ vx)
     syy = float(vy @ vy)
+    flat = syy < 1e-30 or syy <= x.size * (1e-13 * y.mean()) ** 2
     if sxx < 1e-30:
-        return 0.0, 1.0 if syy < 1e-30 else 0.0
+        return 0.0, 1.0 if flat else 0.0
     slope = float(vx @ vy) / sxx
-    if syy < 1e-30:
+    if flat:
         return slope, 1.0
     resid = vy - slope * vx
     return slope, 1.0 - float(resid @ resid) / syy
@@ -135,6 +138,17 @@ def test_batched_loglog_fit_matches_row_fits():
         loglog_fit(logx, rows[:, :3])
 
 
+@pytest.mark.parametrize("value", [math.log(17.0), 7.3])
+def test_loglog_fit_calls_a_constant_series_flat_at_its_own_scale(value):
+    # the mean of seven copies rounds off the value, leaving a spread of about ulp(value)
+    x = np.log(2.0 ** np.arange(12, 19))
+    y = np.full(7, value)
+    assert np.any(y - y.mean() != 0.0)
+    assert loglog_fit(x, y) == (0.0, 1.0)
+    slopes, r2s = loglog_fit(x, np.vstack([y, 0.25 * x + value, y]))
+    assert r2s.tolist() == [1.0, 1.0, 1.0] and slopes[0] == slopes[2] == 0.0
+
+
 def test_loglog_fit_reuses_its_buffers_with_bit_identical_fits():
     # the envelope fit's shape: a strided tail of a running-maximum log envelope
     env = np.maximum.accumulate(trial_rng(DEFAULT_SEED, 59).normal(size=(1000, 13)), axis=1)
@@ -148,7 +162,8 @@ def test_loglog_fit_reuses_its_buffers_with_bit_identical_fits():
     syy = (vy * vy).sum(axis=-1)
     slope = (vy * vx).sum(axis=-1) / float((vx * vx).sum())
     resid = vy - slope[:, None] * vx
-    flat = syy < 1e-30  # a running maximum that settled before the tail
+    # a running maximum that settled before the tail
+    flat = (syy < 1e-30) | (syy <= x.size * (1e-13 * y.mean(axis=-1)) ** 2)
     assert flat.any() and not flat.all()
     assert np.array_equal(slopes, slope)
     assert np.array_equal(r2s, np.where(flat, 1.0, 1.0 - (resid * resid).sum(axis=-1) / np.where(flat, 1.0, syy)))
@@ -386,11 +401,18 @@ def test_shifted_grid_fold_matches_dense_path(workload_family, alpha, depth):
         assert np.abs(_test_point_sums(g, alpha, depth, schedule) - dense).max() <= 1e-11 * scale
 
 
-def test_shifted_grid_fold_takes_dense_path_past_phase_limit():
+def test_shifted_grid_fold_matches_exact_phases_past_phase_limit():
+    # |k| >= 2^27 needs a split of k as well as of x; the oracle reduces k x mod 1 in exact rationals
     g = TrigPoly({3: 1.0, 1 << 27: 0.5, -(1 << 27) - 5: 0.25j})
+    alpha, depth = 1.3, 4
     schedule = dyadic_schedule(6, 28)
-    dense = partial_sums_at(g, dyadic_test_points(1.3, 4), schedule)
-    assert np.array_equal(_test_point_sums(g, 1.3, 4, schedule), dense)
+    points = [Fraction(K, 1 << depth) + Fraction(shift)
+              for shift in _test_shifts(alpha, depth) for K in range(1 << depth)]
+    phases = np.array([[float(k * x % 1) for k in g.k.tolist()] for x in points])
+    within = np.abs(g.k)[:, None] <= np.array(schedule)  # (terms, schedule): term k is in S_n
+    want = (np.exp(2j * np.pi * phases) * g.c) @ within
+    scale = sum(abs(c) for _, c in g.items())
+    assert np.abs(_test_point_sums(g, alpha, depth, schedule) - want).max() <= 1e-14 * scale
 
 
 def _probe_oracle(f: TrigPoly, cfg: ProbeConfig, blocks: np.ndarray):

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import fdl.cli as cli
+import fdl.construct
+import fdl.verify
 from fdl.analysis import DivergenceEstimate
 from fdl.construct import HoloKernelParams, holo_kernel
-from fdl.verify import VerificationReport
+from fdl.trig import TrigPoly
+from fdl.verify import VerificationReport, holo_rows
 
 
 def run_ok(argv):
@@ -58,7 +61,7 @@ def test_assertion_failure_maps_to_exit_2(monkeypatch, capsys):
     def boom(cfg, threads):
         raise AssertionError("certificate broke")
 
-    monkeypatch.setitem(cli._HANDLERS, ("construct", "pj"), boom)
+    monkeypatch.setitem(cli._COMMANDS, ("construct", "pj"), cli._COMMANDS[("construct", "pj")]._replace(handler=boom))
     code = cli.run(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2"])
     assert code == 2
     assert "assertion failed" in capsys.readouterr().err
@@ -197,6 +200,43 @@ def test_construct_holo_payload(tmp_path):
     assert set(data["certificates"]) == {"k", "omega", "c1", "c2", "c3", "c4", "min_re", "f0_error", "grid"}
 
 
+def test_construct_holo_evaluates_the_boundary_once(tmp_path, monkeypatch):
+    calls = []
+    holo_boundary = fdl.construct.holo_boundary
+
+    def counted(params, M):
+        calls.append(M)
+        return holo_boundary(params, M)
+
+    for module in (cli, fdl.construct, fdl.verify):
+        monkeypatch.setattr(module, "holo_boundary", counted)
+    run_ok(["construct", "holo", "--k", "128", "--out", str(tmp_path / "holo.json")])
+    assert calls == [1 << 14]
+
+
+def test_construct_logsat_samples_on_its_grid_once_per_polynomial(tmp_path, monkeypatch):
+    grids = []
+    sample = TrigPoly.sample
+
+    def counted(poly, M):
+        grids.append(M)
+        return sample(poly, M)
+
+    monkeypatch.setattr(TrigPoly, "sample", counted)
+    out = tmp_path / "sat.json"
+    run_ok(["construct", "logsat", "--n", "1024", "--out", str(out)])
+    # the saturator for its sup norm, then its degree-n partial sum for the comb minimum
+    assert grids == [json.loads(out.read_text())["certificates"]["grid"]] * 2
+
+
+def test_verify_holo_csv_rows_are_holo_rows(tmp_path):
+    rows_csv = tmp_path / "holo.csv"
+    run_ok(["verify", "holo", "--N", "100", "--grid", "4096", "--seed", "7", "--csv", str(rows_csv)])
+    _, rows = holo_rows(100, 4096, 7)
+    assert rows_csv.read_text().splitlines() == ["trial,seed,scale,ratio"] + [
+        f"{i},{seed},{k},{c4:.12g}" for i, seed, k, c4 in rows]
+
+
 def test_missing_input_file_maps_to_exit_1(tmp_path):
     assert cli.run(["analyze", "index", "--in", str(tmp_path / "absent.json"),
                     "--x", "0.5"]) == 1
@@ -261,7 +301,7 @@ _SWEEPS = ("dirichlet", "maximal", "nikolsky", "derivative", "localization")
 _VERIFY_BAD_VALUES = [
     pytest.param(["verify", sub, "--N", "16", f"--{param.key}={value}", "--csv", "{csv}"],
                  id=f"{sub}-{param.key}={value}")
-    for sub in (*_SWEEPS, "holo") for param in cli._SPECS[("verify", sub)] if param.conv is float
+    for sub in (*_SWEEPS, "holo") for param in cli._COMMANDS[("verify", sub)].params if param.conv is float
     for value in ("inf", "-inf")
 ] + [
     pytest.param(["verify", sub, f"--N={n}", "--csv", "{csv}"], id=f"{sub}-N={n}")

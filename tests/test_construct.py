@@ -155,7 +155,8 @@ def test_holo_params_validation():
 
 
 def test_holo_bounds_certificate():
-    bounds = check_holo_bounds(HoloKernelParams(k=16, omega=4.0), M=1 << 12)
+    params = HoloKernelParams(k=16, omega=4.0)
+    bounds = check_holo_bounds(params, holo_boundary(params, 1 << 12))
     assert bounds.f0_error <= 1e-12
     assert bounds.c4 <= 1.0 + 1e-6
     assert bounds.min_re > 0.0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdl import verify
-from fdl.construct import HoloKernelParams, holo_kernel
+from fdl.construct import HoloKernelParams, holo_boundary, holo_kernel
 from fdl.trig import TrigPoly, dirichlet_eval
 from fdl.util import DEFAULT_SEED, grid_for_degree, trial_rng
 from fdl.verify import (
@@ -23,6 +23,7 @@ from fdl.verify import (
     check_nikolsky,
     derivative_rows,
     dirichlet_rows,
+    holo_rows,
     holo_sweep,
     localization_rows,
     maximal_rows,
@@ -354,7 +355,8 @@ def test_localization_guards():
 
 
 def test_holo_bounds_frozen_at_k16():
-    b = check_holo_bounds(HoloKernelParams(16, 4.0), M=1 << 12)
+    params = HoloKernelParams(16, 4.0)
+    b = check_holo_bounds(params, holo_boundary(params, 1 << 12))
     assert b.f0_error == 0.0
     assert b.c1 == pytest.approx(35.948842423388086, rel=1e-9)
     assert b.c2 == pytest.approx(0.35167401270184656, rel=1e-9)
@@ -384,9 +386,24 @@ def _holo_grid_oracle(params, M=1 << 14, interior_samples=1000, seed=DEFAULT_SEE
 def test_holo_bounds_closed_forms_match_grid_oracle():
     for k in [*range(8, 257), 1000]:
         params = HoloKernelParams(k, max(math.log(k), 3.0))
-        got = check_holo_bounds(params)
+        got = check_holo_bounds(params, holo_boundary(params, 1 << 14))
         for key, want in _holo_grid_oracle(params).items():
             assert getattr(got, key) == pytest.approx(want, rel=1e-11), (k, key)
+
+
+@pytest.mark.parametrize("N, ks", [(8, [8]), (100, [8, 16, 32, 64]), (256, [8, 16, 32, 64, 128, 256])])
+def test_holo_rows_double_the_tooth_count_from_8_up_to_N(N, ks):
+    report, rows = holo_rows(N, 1 << 12, seed=7)
+    want, bounds = holo_sweep(ks, 1 << 12, seed=7)
+    assert report == want
+    assert rows == [(i, 7, b.k, b.c4) for i, b in enumerate(bounds)]
+    assert [k for _, _, k, _ in rows] == ks
+
+
+@pytest.mark.parametrize("N", [-1, 0, 7])
+def test_holo_rows_refuse_fewer_than_8_teeth(N):
+    with pytest.raises(ValueError, match="at least 8"):
+        holo_rows(N)
 
 
 def test_holo_sweep_trend():
