@@ -78,9 +78,9 @@ _CSV_PARAM = _Param("csv", str, None, "CSV output path (stdout when omitted)")
 _Command = collections.namedtuple("_Command", "handler params")
 
 
-def _command(handler, *params, csv=False) -> _Command:
-    """A subcommand: its handler and its own flags, then --seed, --csv for a table, and --out."""
-    return _Command(handler, (*params, _SEED_PARAM, *((_CSV_PARAM,) if csv else ()), _OUT_PARAM))
+def _command(handler, *params, table=False) -> _Command:
+    """A subcommand: its handler and its own flags, then --seed, --csv if it writes a table, and --out."""
+    return _Command(handler, (*params, _SEED_PARAM, *((_CSV_PARAM,) if table else ()), _OUT_PARAM))
 
 
 def _load_poly(path: str) -> TrigPoly:
@@ -252,14 +252,14 @@ _COMMANDS = {
         _Param("strategy", str, "greedy", "index selection rule",
                choices=("constant", "random", "greedy")),
         _Param("trials", int, 2, "number of evaluation points t"),
-        csv=True,
+        table=True,
     ),
     ("verify", "maximal"): _command(
         _run_verify(lambda cfg, threads: maximal_rows(cfg["N"], cfg["alpha"], cfg["trials"], cfg["seed"])),
         _Param("N", int, None, "top index of the sweep", required=True),
         _Param("alpha", float, 0.5, "excess exponent in the log-power weight"),
         _Param("trials", int, 20, "random polynomials per scale"),
-        csv=True,
+        table=True,
     ),
     ("verify", "nikolsky"): _command(
         _run_verify(lambda cfg, threads: nikolsky_rows(cfg["N"], cfg["p"], cfg["q"], cfg["trials"],
@@ -268,14 +268,14 @@ _COMMANDS = {
         _Param("p", _pnorm, 2.0, "lower norm exponent"),
         _Param("q", _pnorm, math.inf, "upper norm exponent"),
         _Param("trials", int, 10, "random polynomials per scale"),
-        csv=True,
+        table=True,
     ),
     ("verify", "derivative"): _command(
         _run_verify(lambda cfg, threads: derivative_rows(cfg["N"], cfg["p"], cfg["trials"], cfg["seed"], threads)),
         _Param("N", int, None, "top degree of the sweep", required=True),
         _Param("p", _pnorm, 2.0, "norm exponent"),
         _Param("trials", int, 10, "random polynomials per scale"),
-        csv=True,
+        table=True,
     ),
     ("verify", "localization"): _command(
         _run_verify(lambda cfg, threads: localization_rows(cfg["N"], cfg["p"], cfg["eps"], cfg["ifrac"],
@@ -285,13 +285,13 @@ _COMMANDS = {
         _Param("eps", float, 0.5, "excess exponent in the log factor"),
         _Param("ifrac", float, 1.0, "interval length as a fraction of 1/degree"),
         _Param("trials", int, 10, "random polynomials per scale"),
-        csv=True,
+        table=True,
     ),
     ("verify", "holo"): _command(
         _run_verify(lambda cfg, threads: holo_rows(cfg["N"], cfg["grid"], cfg["seed"])),
         _Param("N", int, 256, "largest tooth count; sweep doubles from 8"),
         _Param("grid", int, 1 << 14, "boundary grid size, power of two"),
-        csv=True,
+        table=True,
     ),
     ("analyze", "index"): _command(
         _run_analyze_index,
@@ -310,7 +310,7 @@ _COMMANDS = {
         _Param("smhi", int, 14, "largest schedule exponent"),
         _Param("mlo", int, 4, "smallest box scale exponent"),
         _Param("mhi", int, 10, "largest box scale exponent"),
-        csv=True,
+        table=True,
     ),
     ("analyze", "spectrum"): _command(
         _run_analyze_spectrum,
@@ -325,7 +325,7 @@ _COMMANDS = {
         _Param("smhi", int, 14, "largest schedule exponent"),
         _Param("mlo", int, 4, "smallest box scale exponent"),
         _Param("mhi", int, 10, "largest box scale exponent"),
-        csv=True,
+        table=True,
     ),
     ("probe", "prevalence"): _command(
         _run_probe_prevalence,
