@@ -68,14 +68,15 @@ def saturator_certificate(poly: TrigPoly, params: DyadicFamilyParams, p, M: int 
         M = next_pow2(least)
     if not is_pow2(M) or M < least:
         raise ValueError(f"grid must be a power of two with M >= {least}")
-    sig = poly.sample(M)
-    mask = DyadicFamily(params).contains(np.arange(M) / M)
+    # the spectrum is 2^j + 2^J q and the centres are K/2^J: both repeat every M/2^J points
+    modulus = poly.grid_modulus(M, params.center_count)
+    mask = DyadicFamily(params).contains(np.arange(modulus.size) / M)
     if not mask.any():
         raise ValueError("grid resolves no target point; increase M")
     required = 0.25 * saturator_scale(params, p)
-    observed = float(np.abs(sig[mask]).min())
+    observed = float(modulus[mask].min())
     cert = {
-        "norm": lp_norm(sig, p),
+        "norm": lp_norm(modulus, p),
         "min_on_target_set": observed,
         "bound_required": required,
         "margin": observed - required,
@@ -238,6 +239,9 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
     one conjugate pair per multiple of k below n. The grid of at least 64
     samples per degree and 32 per tooth only enters the certificates. The
     sup norm on it is measured here, once; one above 1 raises AssertionError.
+    The spectrum is n mod k and the teeth sit at i/k, so the sup norm and
+    both comb certificates read one period, M/(k & -k) grid points
+    (TrigPoly.grid_modulus).
     """
     floor = eps_floor(n)
     floored = eps_n is None or eps_n < floor
@@ -260,7 +264,7 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
     window = SpectrumInterval(0, 2 * n - 1)
     if not window.contains_spectrum(poly):
         raise AssertionError("saturator spectrum escaped [1, 2n-1]")
-    sup = float(np.abs(poly.sample(M)).max())
+    sup = float(poly.grid_modulus(M, k & -k).max())
     if sup > 1.0 + 1e-9:
         raise AssertionError(f"sup norm certificate failed: {sup}")
     return LogSaturator(
@@ -281,11 +285,11 @@ def logsat_certificate(sat: LogSaturator) -> dict:
     AssertionError when the minimum misses the rate.
     """
     M = sat.grid_M
-    partial = sat.poly.truncate(sat.n).sample(M)
-    mask = comb_membership(sat.comb, np.arange(M) / M)
-    points_per_tooth = int(mask.sum()) / sat.k
+    partial = sat.poly.truncate(sat.n).grid_modulus(M, sat.k & -sat.k)
+    mask = comb_membership(sat.comb, np.arange(partial.size) / M)
+    points_per_tooth = int(mask.sum()) * (M // partial.size) / sat.k
     target = sat.target_level
-    observed = float(np.abs(partial[mask]).min())
+    observed = float(partial[mask].min())
     cert = {
         "n": sat.n,
         "eps_n": sat.eps_n,
@@ -329,9 +333,9 @@ def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturat
     AssertionError when the minimum misses that target.
     """
     diff = witness.truncate(2 * j) - witness.truncate(j)
-    sig = diff.sample(sat.grid_M)
-    mask = comb_membership(sat.comb, np.arange(sat.grid_M) / sat.grid_M)
-    observed = float(np.abs(sig[mask]).min())
+    modulus = diff.grid_modulus(sat.grid_M, sat.k & -sat.k)
+    mask = comb_membership(sat.comb, np.arange(modulus.size) / sat.grid_M)
+    observed = float(modulus[mask].min())
     target = eta_j * math.log(j)
     cert = {
         "level": j,
@@ -341,7 +345,7 @@ def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturat
         "min_difference_on_comb": observed,
         "target_level": target,
         "margin": observed - target,
-        "points_per_tooth": float(mask.sum()) / sat.k,
+        "points_per_tooth": int(mask.sum()) * (sat.grid_M // modulus.size) / sat.k,
         "grid": sat.grid_M,
     }
     if cert["margin"] < 0.0:

@@ -8,7 +8,9 @@ exactly as Python's complex arithmetic on each coefficient. Samples are plain
 arrays over grids j/M with M a power of two: the FFT round trip is then exact,
 and the uniform Riemann sum integrates every polynomial of degree < M
 exactly, which is what makes the grid norms of low-degree polynomials
-certificates rather than estimates. Off the grid, point_sums is the one
+certificates rather than estimates. When every frequency difference is a
+multiple of D, the modulus repeats every M/D grid points, and grid_modulus
+transforms only that period. Off the grid, point_sums is the one
 kernel: every phase k x is reduced mod 1 from the exact integer k before
 its cosine and sine are taken.
 """
@@ -189,19 +191,47 @@ class TrigPoly:
         i = np.arange(count, dtype=float)
         return np.exp(2j * np.pi * _phase(i * i, half)) * conv
 
+    def _check_grid(self, M: int) -> None:
+        """Refuse a grid j/M that is not a power of two or on which two frequencies alias."""
+        if not is_pow2(M):
+            raise ValueError(f"grid size must be a power of two, got {M}")
+        if len(self) and 2 * self.degree >= M:
+            raise AliasingError(f"grid {M} too coarse for degree {self.degree}")
+
     def sample(self, M: int) -> np.ndarray:
         """Values at j/M for j < M, exact via inverse FFT.
 
         M must be a power of two and degree < M/2, so no frequency wraps
         onto another.
         """
-        if not is_pow2(M):
-            raise ValueError(f"grid size must be a power of two, got {M}")
-        if len(self) and 2 * self.degree >= M:
-            raise AliasingError(f"grid {M} too coarse for degree {self.degree}")
+        self._check_grid(M)
         spec = np.zeros(M, dtype=complex)
         spec[self.k % M] = self.c
         return np.fft.ifft(spec) * M
+
+    def grid_modulus(self, M: int, period: int) -> np.ndarray:
+        """|P(j/M)| for j < M/D: one period of the modulus on the grid j/M.
+
+        D is the largest power of two that is at most period (and M) and
+        divides every frequency difference. With r = k_0 mod D, P(x) =
+        e(r x) Q(D x), where Q has the integer frequencies (k - r)/D; so
+        |P(j/M)| = |Q(j/(M/D))| repeats every M/D grid points, and one
+        inverse FFT of length M/D gives it exactly. D = 1 is sample's own
+        transform. The caller passes the period of the set it inspects, so
+        that set repeats with the modulus; M // D is the returned size.
+        """
+        self._check_grid(M)
+        if period < 1:
+            raise ValueError(f"period must be a positive integer, got {period}")
+        base = int(self.k[0]) if len(self) else 0
+        D = min(1 << (int(period).bit_length() - 1), M)
+        spread = int(np.bitwise_or.reduce(self.k - base, initial=0))
+        if spread:
+            D = min(D, spread & -spread)
+        L = M // D
+        spec = np.zeros(L, dtype=complex)
+        spec[(self.k - base % D) // D % L] = self.c
+        return np.abs(np.fft.ifft(spec) * L)
 
     def norm(self, p) -> float:
         """L^p norm on the grid_for_degree grid: the p = 2 value is exact and
@@ -319,14 +349,18 @@ def point_sums(k: np.ndarray, c: np.ndarray, cuts, xs) -> np.ndarray:
 
 
 def dirichlet_eval(n, t) -> np.ndarray:
-    """Closed-form kernel values sin(pi (2n+1) t) / sin(pi t); n is an order or an array of them."""
+    """Closed-form kernel values sin(pi (2n+1) t) / sin(pi t); n is an order or an array of them.
+
+    The numerator's phase (2n+1) t/2 is reduced mod 1 from the exact odd
+    integer (_phase), so its sine does not carry a rounding of the order's size.
+    """
     if np.min(n) < 0:
         raise ValueError("dirichlet order must be nonnegative")
     ts = np.asarray(t, dtype=float)
     s = np.sin(np.pi * ts)
     near = np.abs(s) < _SIN_EPS
     safe = np.where(near, 1.0, s)
-    vals = np.sin(np.pi * (2 * n + 1) * ts) / safe
+    vals = np.sin(2 * np.pi * _phase(2 * np.asarray(n) + 1, ts / 2)) / safe
     return np.where(near, 2 * n + 1.0, vals)
 
 

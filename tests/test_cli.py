@@ -216,13 +216,14 @@ def test_construct_holo_evaluates_the_boundary_once(tmp_path, monkeypatch):
 
 def test_construct_logsat_samples_on_its_grid_once_per_polynomial(tmp_path, monkeypatch):
     grids = []
-    sample = TrigPoly.sample
+    grid_modulus = TrigPoly.grid_modulus
 
-    def counted(poly, M):
+    def counted(poly, M, period):
         grids.append(M)
-        return sample(poly, M)
+        return grid_modulus(poly, M, period)
 
-    monkeypatch.setattr(TrigPoly, "sample", counted)
+    monkeypatch.setattr(TrigPoly, "grid_modulus", counted)
+    monkeypatch.setattr(TrigPoly, "sample", None)  # no certificate samples the whole grid
     out = tmp_path / "sat.json"
     run_ok(["construct", "logsat", "--n", "1024", "--out", str(out)])
     # the saturator for its sup norm, then its degree-n partial sum for the comb minimum

@@ -1,10 +1,12 @@
 """Saturating polynomials, pole-comb kernels, log saturators, residual witnesses."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import fdl.cli as cli
 from fdl.construct import (
     HoloKernelParams,
     chi_coefficients,
@@ -20,9 +22,10 @@ from fdl.construct import (
     saturator_scale,
     witness_certificate,
 )
-from fdl.sets import DyadicFamilyParams
-from fdl.trig import SpectrumInterval, TrigPoly, modulate
-from fdl.verify import check_holo_bounds
+from fdl.sets import DyadicFamily, DyadicFamilyParams, comb_membership
+from fdl.trig import SpectrumInterval, TrigPoly, lp_norm, modulate
+from fdl.util import DEFAULT_SEED, trial_rng
+from fdl.verify import check_holo_bounds, rademacher_poly
 
 
 def _bump_chi(params, M):
@@ -246,3 +249,114 @@ def test_residual_witness_guards():
         residual_witness(TrigPoly(), j, 0.0, sat)
     with pytest.raises(ValueError, match="saturator degree 256 differs from the block level 128"):
         residual_witness(TrigPoly(), j, 0.05, log_saturator(256))
+
+
+# The full-grid certificates: every site samples its polynomial on all M
+# points and masks all M points. Kept here as the oracle of the one-period
+# evaluation (TrigPoly.grid_modulus) the certificates use.
+
+
+def _outcome(fn, *args):
+    """The certificate as the CLI writes it, or the type of the exception it raises."""
+    try:
+        return cli._jsonable(fn(*args))
+    except (AssertionError, ValueError) as exc:
+        return type(exc)
+
+
+def _full_grid_saturator_certificate(poly, params, p, M):
+    sig = poly.sample(M)
+    mask = DyadicFamily(params).contains(np.arange(M) / M)
+    observed = float(np.abs(sig[mask]).min())
+    required = 0.25 * saturator_scale(params, p)
+    cert = {"norm": lp_norm(sig, p), "min_on_target_set": observed, "bound_required": required,
+            "margin": observed - required, "grid": M}
+    if cert["norm"] > 1.0 + 1e-9 or cert["margin"] < 0.0:
+        raise AssertionError
+    return cert
+
+
+def _full_grid_logsat_certificate(sat):
+    M = sat.grid_M
+    sup = float(np.abs(sat.poly.sample(M)).max())
+    partial = sat.poly.truncate(sat.n).sample(M)
+    mask = comb_membership(sat.comb, np.arange(M) / M)
+    observed = float(np.abs(partial[mask]).min())
+    cert = {"n": sat.n, "eps_n": sat.eps_n, "omega": sat.omega, "k": sat.k, "floored": sat.floored,
+            "sup_norm": sup, "min_partial_on_comb": observed, "target_level": sat.target_level,
+            "margin": observed - sat.target_level, "points_per_tooth": int(mask.sum()) / sat.k,
+            "grid": M}
+    if sup > 1.0 + 1e-9 or cert["margin"] < 0.0:
+        raise AssertionError
+    return cert
+
+
+def _full_grid_witness_certificate(witness, j, eta_j, sat):
+    diff = witness.truncate(2 * j) - witness.truncate(j)
+    sig = diff.sample(sat.grid_M)
+    mask = comb_membership(sat.comb, np.arange(sat.grid_M) / sat.grid_M)
+    observed = float(np.abs(sig[mask]).min())
+    target = eta_j * math.log(j)
+    cert = {"level": j, "eta": eta_j, "eps": sat.eps_n, "detector_scales": [j, 2 * j],
+            "min_difference_on_comb": observed, "target_level": target, "margin": observed - target,
+            "points_per_tooth": float(mask.sum()) / sat.k, "grid": sat.grid_M}
+    if cert["margin"] < 0.0:
+        raise AssertionError
+    return cert
+
+
+@pytest.mark.parametrize("j, alpha", [(j, alpha) for j in range(6, 17) for alpha in (1.5, 2.0, 3.0)
+                                      if math.floor(j / alpha) + 1 <= j - 2])
+def test_saturator_certificate_matches_the_full_grid(j, alpha):
+    params = DyadicFamilyParams(j, alpha)
+    M = 8 * (1 << (j + 1))
+    for p in (1, 2, math.inf):
+        poly = saturator_pj(params, p)
+        want = _outcome(_full_grid_saturator_certificate, poly, params, p, M)
+        assert isinstance(want, dict)
+        assert _outcome(saturator_certificate, poly, params, p) == want
+
+
+@pytest.mark.parametrize("n", [1 << e for e in range(7, 16)])
+def test_logsat_certificate_matches_the_full_grid(n):
+    sat = log_saturator(n)
+    want = _outcome(_full_grid_logsat_certificate, sat)
+    assert isinstance(want, dict)
+    assert _outcome(logsat_certificate, sat) == want
+
+
+@pytest.mark.parametrize("j", [1 << e for e in range(7, 14)])
+def test_witness_certificate_matches_the_full_grid(j):
+    sat = log_saturator(j)
+    base = rademacher_poly(32, trial_rng(DEFAULT_SEED, j)) * 0.05
+    w = residual_witness(base, j, 0.05, sat)
+    want = _outcome(_full_grid_witness_certificate, w, j, 0.05, sat)
+    assert isinstance(want, dict)
+    assert _outcome(witness_certificate, w, j, 0.05, sat) == want
+
+
+def _ifft_lengths(monkeypatch):
+    lengths = []
+    ifft = np.fft.ifft
+
+    def counted(a, *args, **kwargs):
+        lengths.append(len(a))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    return lengths
+
+
+def test_certificates_transform_one_period_of_their_grid(monkeypatch, tmp_path):
+    params = DyadicFamilyParams(16, 2.0)  # 2^J = 512 centres, spectrum 2^16 + 512 q, grid 2^20
+    poly = saturator_pj(params, 2)
+    lengths = _ifft_lengths(monkeypatch)
+    assert saturator_certificate(poly, params, 2)["grid"] == 1 << 20
+    assert lengths == [1 << 11]
+    lengths.clear()
+    # k = 144 teeth, k & -k = 16: the sup norm and the partial sum each on 2^19 / 16 points
+    out = tmp_path / "sat.json"
+    assert cli.run(["construct", "logsat", "--n", "8192", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())["certificates"]
+    assert (cert["k"], cert["grid"]) == (144, 1 << 19)
+    assert lengths == [1 << 15] * 2

@@ -164,6 +164,48 @@ def test_sample_headroom_guard():
         holo_boundary(HoloKernelParams(8, 3.0), 12)
 
 
+def _coset_poly(rng, r, D, q):
+    """Random coefficients on r + D i for |i| <= q: every difference is a multiple of D, and D is one of them."""
+    ks = r + D * np.arange(-q, q + 1)
+    return TrigPoly.from_arrays(ks, rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size))
+
+
+@pytest.mark.parametrize("D", [1, 2, 16, 512])
+@pytest.mark.parametrize("r", [0, 5, -3])
+def test_grid_modulus_is_one_period_of_the_sampled_modulus(D, r):
+    rng = trial_rng(DEFAULT_SEED, 100 * D + r)
+    f = _coset_poly(rng, r, D, 6)
+    M = 1 << 14
+    full = np.abs(f.sample(M))
+    tol = 1e-13 * np.abs(f.c).sum()
+    rows = full.reshape(D, -1)
+    assert np.abs(rows - rows[0]).max() <= tol  # |f| repeats every M/D points
+    for cap in {1, 3, D // 2 or 1, D, 2 * D + 1, 1 << 20}:
+        step = min(D, 1 << (cap.bit_length() - 1))  # the largest power of two <= cap that divides D
+        got = f.grid_modulus(M, cap)
+        assert got.shape == (M // step,)
+        assert np.abs(got - full[: M // step]).max() <= tol
+
+
+def test_grid_modulus_of_one_term_and_of_nothing():
+    assert np.array_equal(TrigPoly().grid_modulus(64, 16), np.zeros(4))
+    assert np.array_equal(TrigPoly().grid_modulus(64, 1000), np.zeros(1))
+    assert np.allclose(TrigPoly({7: 2j}).grid_modulus(64, 8), np.full(8, 2.0), rtol=0, atol=1e-15)
+
+
+def test_grid_modulus_shares_the_sample_refusals():
+    f = TrigPoly.dirichlet(8)
+    with pytest.raises(AliasingError):
+        f.grid_modulus(16, 1)
+    with pytest.raises(ValueError, match="power of two"):
+        f.grid_modulus(48, 1)
+    with pytest.raises(ValueError, match="period must be a positive integer"):
+        f.grid_modulus(64, 0)
+    # the period-16 spectrum 16 q still aliases on 32 points: the refusal reads the degree, not D
+    with pytest.raises(AliasingError):
+        TrigPoly({-16: 1.0, 16: 1.0}).grid_modulus(32, 16)
+
+
 def test_sample_roundtrip_recovers_coefficients():
     rng = trial_rng(12, 0)
     f = random_poly(rng, 20)
@@ -346,6 +388,18 @@ def test_dirichlet_eval_closed_form():
     direct = TrigPoly.dirichlet(n).evaluate(ts)
     assert np.abs(dirichlet_eval(n, ts) - direct.real).max() < 1e-9
     assert dirichlet_eval(n, 0.0) == 2 * n + 1
+
+
+def test_dirichlet_eval_reduces_its_phase_exactly():
+    # the exact phase (2n+1) t/2 mod 1 from Fraction arithmetic; unreduced, the
+    # numerator's phase carries a rounding of about (2n+1) ulp(t), 5e-8 here
+    n = 1 << 20
+    ts = trial_rng(DEFAULT_SEED, 16).uniform(-1.0, 1.0, 200)
+    want = []
+    for t in ts.tolist():
+        phase = Fraction(2 * n + 1) * Fraction(t) / 2
+        want.append(math.sin(2 * math.pi * float(phase - round(phase))) / math.sin(math.pi * t))
+    assert np.abs(dirichlet_eval(n, ts) - np.array(want)).max() <= 1e-11
 
 
 def test_dirichlet_one_l1_norm():
