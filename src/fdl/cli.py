@@ -94,7 +94,7 @@ def _run_construct_pj(cfg: dict, threads: int):
     params = DyadicFamilyParams(cfg["j"], cfg["alpha"])
     poly = saturator_pj(params, cfg["p"])
     payload = poly.to_json_dict()
-    payload["certificates"] = saturator_certificate(poly, params, cfg["p"], cfg["grid"])
+    payload["certificates"] = saturator_certificate(poly, params, cfg["p"])
     return payload, None
 
 
@@ -117,13 +117,13 @@ def _run_construct_holo(cfg: dict, threads: int):
     params = HoloKernelParams(cfg["k"], cfg["omega"])
     samples = holo_boundary(params, cfg["grid"])
     payload = {"M": samples.size, "samples": [[v.real, v.imag] for v in samples]}
-    payload["certificates"] = dataclasses.asdict(check_holo_bounds(params, samples))
+    payload["certificates"] = dataclasses.asdict(check_holo_bounds(params, cfg["grid"]))
     return payload, None
 
 
 def _run_construct_logsat(cfg: dict, threads: int):
-    sat = log_saturator(cfg["n"], cfg["eps"], cfg["grid"])
-    cfg["eps"], cfg["grid"] = sat.eps_n, sat.grid_M
+    sat = log_saturator(cfg["n"], cfg["eps"])
+    cfg["eps"] = sat.eps_n
     payload = sat.poly.to_json_dict()
     payload["certificates"] = logsat_certificate(sat)
     return payload, None
@@ -218,7 +218,6 @@ _COMMANDS = {
         _Param("j", int, None, "dyadic family level", required=True),
         _Param("alpha", float, None, "approximation exponent, greater than 1", required=True),
         _Param("p", _pnorm, None, "norm exponent (number or inf)", required=True),
-        _Param("grid", int, None, "sample grid size, power of two"),
     ),
     ("construct", "family"): _command(
         _run_construct_family,
@@ -237,7 +236,6 @@ _COMMANDS = {
         _run_construct_logsat,
         _Param("n", int, None, "target degree", required=True),
         _Param("eps", float, None, "divergence rate (default: admissible floor)"),
-        _Param("grid", int, None, "sample grid size, power of two"),
     ),
     ("construct", "witness"): _command(
         _run_construct_witness,

@@ -5,8 +5,8 @@ witness.
 
 Everything here is deterministic. Wherever a closed form exists for the
 Fourier coefficients it is used directly, so the returned polynomials are
-exact sparse objects and the grid only enters when a certificate is
-evaluated.
+exact sparse objects. The certificates bound each polynomial rigorously
+from one tooth of its decimation (tooth_bounds) rather than read a grid.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import CombParams, DyadicFamily, DyadicFamilyParams, comb_membership, smallest_admissible_level
+from .sets import CombParams, DyadicFamilyParams, smallest_admissible_level
 from .trig import SpectrumInterval, TrigPoly, fejer_mean, lp_norm, modulate, validate_norm_exponent
 from .util import is_pow2, next_pow2
 
@@ -58,31 +58,101 @@ def saturator_pj(params: DyadicFamilyParams, p) -> TrigPoly:
     return modulate(fejer_mean(saturator_scale(params, p) * chi, n), n)
 
 
-def saturator_certificate(poly: TrigPoly, params: DyadicFamilyParams, p, M: int | None = None) -> dict:
-    """Grid certificate: p-norm and the modulus minimum over target points.
+ROUNDING_SLACK = 1e-9  # times sum |c|: added to every sup bound and taken off every minimum bound
 
+
+@dataclass(frozen=True)
+class ToothBounds:
+    """Bounds of |P| for P(x) = e(a x) Q(g x), read from the decimated Q.
+
+    sup is at least max |P| over the circle and minimum at most min |P| over
+    the target set (None when tooth_bounds got no half-width); modulus holds
+    |Q(j/K)| for j < K, points is the number of tooth samples and l2 the
+    exact L^2 norm sqrt(sum |c|^2).
+    """
+
+    sup: float
+    minimum: float | None
+    modulus: np.ndarray
+    points: int
+    l2: float
+
+    @property
+    def grid(self) -> int:
+        """K, the size of the grid the sup bound sampled."""
+        return self.modulus.size
+
+    def norm(self, p) -> float:
+        """The L^p norm of P: the sup bound at p = inf, exact at p = 2, the K-grid mean otherwise."""
+        p = validate_norm_exponent(p)
+        if math.isinf(p):
+            return self.sup
+        if p == 2:
+            return self.l2
+        return lp_norm(self.modulus, p)
+
+
+def tooth_bounds(poly: TrigPoly, g: int, half_width: float | None = None) -> ToothBounds:
+    """Certified sup and tooth minimum of |P| when every frequency difference is a multiple of g.
+
+    Decimation: with q = (k - k_0)/g centred on the middle of its span, P(x)
+    = e(a x) Q(g x), so |P| over the circle is |Q| over the circle, and a
+    target set that repeats every 1/g and is the interval |x| <= half_width/g
+    around 0 is the single tooth |y| <= half_width of Q (ValueError when
+    some difference is not a multiple of g).
+
+    Sup: |Q|^2 is a real trigonometric polynomial of degree span = q_max -
+    q_min, so on K = 16 next_pow2(2 span) points max |Q| <= max_K |Q| /
+    sqrt(cos(pi span/K)) (Ehlich and Zeller 1964).
+
+    Minimum: the tooth is sampled at its K - 2s - 1 points y_i = -half_width
+    + i h, endpoints included (the most whose chirp-z transform still has
+    length K), where s = deg Q = ceil(span/2). By Bernstein's inequality
+    |Q'| <= 2 pi s sup, so every point of the tooth, at most h/2 from a
+    sample, has |Q| >= min_i |Q(y_i)| - pi s h sup.
+
+    Both bounds carry ROUNDING_SLACK times sum |c| for the float64 rounding
+    of the transforms.
+    """
+    if g < 1:
+        raise ValueError(f"decimation factor must be a positive integer, got {g}")
+    base = int(poly.k[0]) if len(poly) else 0
+    offsets = poly.k - base
+    if np.any(offsets % g):
+        raise ValueError(f"spectrum is not one residue class mod {g}")
+    span = int(offsets[-1]) // g if len(poly) else 0
+    s = (span + 1) // 2
+    Q = TrigPoly.from_arrays(offsets // g - span // 2, poly.c)
+    K = 16 * next_pow2(2 * span)
+    modulus = np.abs(Q.sample(K))
+    slack = ROUNDING_SLACK * float(np.abs(poly.c).sum())
+    sup = float(modulus.max()) / math.sqrt(math.cos(math.pi * span / K)) + slack
+    l2 = float(np.linalg.norm(poly.c))
+    if half_width is None:
+        return ToothBounds(sup, None, modulus, 0, l2)
+    points = K - 2 * s - 1
+    h = 2.0 * half_width / (points - 1)
+    samples = np.abs(Q.evaluate_progression(-half_width, h, points))
+    minimum = float(samples.min()) - math.pi * s * h * sup - slack
+    return ToothBounds(sup, minimum, modulus, points, l2)
+
+
+def saturator_certificate(poly: TrigPoly, params: DyadicFamilyParams, p) -> dict:
+    """The p-norm and a lower bound of the modulus over the target intervals.
+
+    The spectrum is 2^j + 2^J q and the centres are K/2^J, so tooth_bounds
+    reads one interval |y| <= 2^(J-j) of the decimated polynomial.
     AssertionError when the norm exceeds 1 or the minimum misses its bound.
     """
-    least = 8 * (1 << (params.j + 1))
-    if M is None:
-        M = next_pow2(least)
-    if not is_pow2(M) or M < least:
-        raise ValueError(f"grid must be a power of two with M >= {least}")
-    # the spectrum is 2^j + 2^J q and the centres are K/2^J: both repeat every M/2^J points
-    modulus = poly.grid_modulus(M, params.center_count)
-    mask = DyadicFamily(params).contains(np.arange(modulus.size) / M)
-    if not mask.any():
-        raise ValueError("grid resolves no target point; increase M")
+    bounds = tooth_bounds(poly, params.center_count, 2.0 ** (params.J - params.j))
     required = 0.25 * saturator_scale(params, p)
-    observed = float(modulus[mask].min())
     cert = {
-        "norm": lp_norm(modulus, p),
-        "min_on_target_set": observed,
+        "norm": bounds.norm(p),
+        "min_on_target_set": bounds.minimum,
         "bound_required": required,
-        "margin": observed - required,
-        "grid": M,
+        "margin": bounds.minimum - required,
     }
-    if cert["norm"] > 1.0 + 1e-9:
+    if cert["norm"] > 1.0:
         raise AssertionError(f"saturator norm {cert['norm']} exceeds 1")
     if cert["margin"] < 0.0:
         raise AssertionError(f"target-set minimum misses the bound by {-cert['margin']}")
@@ -215,13 +285,9 @@ class LogSaturator:
     floored: bool
     omega: float
     k: int
-    grid_M: int
+    grid_M: int  # K, the grid its sup bound sampled
     poly: TrigPoly
-    sup_norm: float  # max |poly| over the grid_M samples, at most 1 + 1e-9
-
-    @property
-    def comb(self) -> CombParams:
-        return CombParams(self.k, self.omega)
+    sup_norm: float  # upper bound of max |poly| over the circle, at most 1
 
     @property
     def target_level(self) -> float:
@@ -229,19 +295,16 @@ class LogSaturator:
         return self.eps_n * math.log(self.n)
 
 
-def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> LogSaturator:
+def log_saturator(n: int, eps_n: float | None = None) -> LogSaturator:
     """Builds the saturator with rate eps_n (floored at the admissible rate).
 
     The sharpness omega and tooth count k are derived from the rate; the
     polynomial is (2/pi) e_n sigma_n(Im g) with g = -log(1 - a^k) the
     boundary logarithm of the comb kernel. Its series sum_m q^m z^(km) / m,
     q = (1+eps)^-k, gives the Fejer-weighted coefficients in closed form,
-    one conjugate pair per multiple of k below n. The grid of at least 64
-    samples per degree and 32 per tooth only enters the certificates. The
-    sup norm on it is measured here, once; one above 1 raises AssertionError.
-    The spectrum is n mod k and the teeth sit at i/k, so the sup norm and
-    both comb certificates read one period, M/(k & -k) grid points
-    (TrigPoly.grid_modulus).
+    one conjugate pair per multiple of k below n. Its spectrum is n mod k,
+    so tooth_bounds certifies the sup norm here, once, from the polynomial
+    decimated by k; a bound above 1 raises AssertionError.
     """
     floor = eps_floor(n)
     floored = eps_n is None or eps_n < floor
@@ -251,7 +314,6 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
     if k < 3:
         raise ValueError(f"rate too aggressive at degree {n}: tooth count {k} < 3")
     params = HoloKernelParams(k, omega)
-    M = max(M or 0, next_pow2(32 * int(omega * k) + 1), next_pow2(64 * max(k, n)))
 
     q = (1.0 + params.eps) ** -k
     m = np.arange(1, (n - 1) // k + 1)
@@ -264,32 +326,30 @@ def log_saturator(n: int, eps_n: float | None = None, M: int | None = None) -> L
     window = SpectrumInterval(0, 2 * n - 1)
     if not window.contains_spectrum(poly):
         raise AssertionError("saturator spectrum escaped [1, 2n-1]")
-    sup = float(poly.grid_modulus(M, k & -k).max())
-    if sup > 1.0 + 1e-9:
-        raise AssertionError(f"sup norm certificate failed: {sup}")
+    bounds = tooth_bounds(poly, k)
+    if bounds.sup > 1.0:
+        raise AssertionError(f"sup norm certificate failed: {bounds.sup}")
     return LogSaturator(
         n=n,
         eps_n=eps,
         floored=floored,
         omega=omega,
         k=k,
-        grid_M=M,
+        grid_M=bounds.grid,
         poly=poly,
-        sup_norm=sup,
+        sup_norm=bounds.sup,
     )
 
 
 def logsat_certificate(sat: LogSaturator) -> dict:
-    """The saturator's sup norm and the comb minimum of its degree-n partial sum on its grid.
+    """The saturator's sup bound and a lower bound of its degree-n partial sum on the comb.
 
-    AssertionError when the minimum misses the rate.
+    The partial sum's spectrum is n mod k, and in y = k x every tooth i/k is
+    the interval |y| <= 1/(2 omega). AssertionError when the minimum misses
+    the rate.
     """
-    M = sat.grid_M
-    partial = sat.poly.truncate(sat.n).grid_modulus(M, sat.k & -sat.k)
-    mask = comb_membership(sat.comb, np.arange(partial.size) / M)
-    points_per_tooth = int(mask.sum()) * (M // partial.size) / sat.k
+    partial = tooth_bounds(sat.poly.truncate(sat.n), sat.k, 0.5 / sat.omega)
     target = sat.target_level
-    observed = float(partial[mask].min())
     cert = {
         "n": sat.n,
         "eps_n": sat.eps_n,
@@ -297,11 +357,10 @@ def logsat_certificate(sat: LogSaturator) -> dict:
         "k": sat.k,
         "floored": sat.floored,
         "sup_norm": sat.sup_norm,
-        "min_partial_on_comb": observed,
+        "min_partial_on_comb": partial.minimum,
         "target_level": target,
-        "margin": observed - target,
-        "points_per_tooth": points_per_tooth,
-        "grid": M,
+        "margin": partial.minimum - target,
+        "points_per_tooth": partial.points,
     }
     if cert["margin"] < 0.0:
         raise AssertionError(f"comb minimum misses the rate by {-cert['margin']}")
@@ -328,25 +387,23 @@ def residual_witness(g: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> Tr
 
 
 def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> dict:
-    """The comb minimum of the two-scale difference S_2j - S_j against eta_j log j.
+    """A lower bound of the two-scale difference S_2j - S_j on the comb against eta_j log j.
 
-    AssertionError when the minimum misses that target.
+    The difference is the saturator's partial sum modulated by j, with
+    spectrum 2j mod k, so it reads the comb tooth as logsat_certificate
+    does. AssertionError when the minimum misses that target.
     """
-    diff = witness.truncate(2 * j) - witness.truncate(j)
-    modulus = diff.grid_modulus(sat.grid_M, sat.k & -sat.k)
-    mask = comb_membership(sat.comb, np.arange(modulus.size) / sat.grid_M)
-    observed = float(modulus[mask].min())
+    diff = tooth_bounds(witness.truncate(2 * j) - witness.truncate(j), sat.k, 0.5 / sat.omega)
     target = eta_j * math.log(j)
     cert = {
         "level": j,
         "eta": eta_j,
         "eps": sat.eps_n,
         "detector_scales": [j, 2 * j],
-        "min_difference_on_comb": observed,
+        "min_difference_on_comb": diff.minimum,
         "target_level": target,
-        "margin": observed - target,
-        "points_per_tooth": int(mask.sum()) * (sat.grid_M // modulus.size) / sat.k,
-        "grid": sat.grid_M,
+        "margin": diff.minimum - target,
+        "points_per_tooth": diff.points,
     }
     if cert["margin"] < 0.0:
         raise AssertionError(f"two-scale difference misses the rate by {-cert['margin']}")

@@ -8,9 +8,7 @@ exactly as Python's complex arithmetic on each coefficient. Samples are plain
 arrays over grids j/M with M a power of two: the FFT round trip is then exact,
 and the uniform Riemann sum integrates every polynomial of degree < M
 exactly, which is what makes the grid norms of low-degree polynomials
-certificates rather than estimates. When every frequency difference is a
-multiple of D, the modulus repeats every M/D grid points, and grid_modulus
-transforms only that period. Off the grid, point_sums is the one
+certificates rather than estimates. Off the grid, point_sums is the one
 kernel: every phase k x is reduced mod 1 from the exact integer k before
 its cosine and sine are taken.
 """
@@ -208,30 +206,6 @@ class TrigPoly:
         spec = np.zeros(M, dtype=complex)
         spec[self.k % M] = self.c
         return np.fft.ifft(spec) * M
-
-    def grid_modulus(self, M: int, period: int) -> np.ndarray:
-        """|P(j/M)| for j < M/D: one period of the modulus on the grid j/M.
-
-        D is the largest power of two that is at most period (and M) and
-        divides every frequency difference. With r = k_0 mod D, P(x) =
-        e(r x) Q(D x), where Q has the integer frequencies (k - r)/D; so
-        |P(j/M)| = |Q(j/(M/D))| repeats every M/D grid points, and one
-        inverse FFT of length M/D gives it exactly. D = 1 is sample's own
-        transform. The caller passes the period of the set it inspects, so
-        that set repeats with the modulus; M // D is the returned size.
-        """
-        self._check_grid(M)
-        if period < 1:
-            raise ValueError(f"period must be a positive integer, got {period}")
-        base = int(self.k[0]) if len(self) else 0
-        D = min(1 << (int(period).bit_length() - 1), M)
-        spread = int(np.bitwise_or.reduce(self.k - base, initial=0))
-        if spread:
-            D = min(D, spread & -spread)
-        L = M // D
-        spec = np.zeros(L, dtype=complex)
-        spec[(self.k - base % D) // D % L] = self.c
-        return np.abs(np.fft.ifft(spec) * L)
 
     def norm(self, p) -> float:
         """L^p norm on the grid_for_degree grid: the p = 2 value is exact and

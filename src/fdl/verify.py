@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import HoloKernelParams, holo_boundary, holo_kernel
+from .construct import HoloKernelParams, holo_kernel
 from .sets import comb_membership
 from .trig import TrigPoly, dirichlet_eval, lp_norm, validate_norm_exponent
-from .util import DEFAULT_SEED, grid_for_degree, indexed_map, trial_rng
+from .util import DEFAULT_SEED, grid_for_degree, indexed_map, is_pow2, trial_rng
 
 
 @dataclass(frozen=True)
@@ -422,21 +422,38 @@ class HoloBounds:
     grid: int
 
 
-def check_holo_bounds(params: HoloKernelParams, boundary: np.ndarray) -> HoloBounds:
-    """Closed-form margins of the kernel bounds, plus the comb minimum on the grid.
+def _comb_grid_points(params: HoloKernelParams, M: int) -> np.ndarray:
+    """The j < M whose grid point j/M comb_membership marks, found tooth by tooth.
 
-    boundary holds the kernel on the M-point circle grid, holo_boundary(params, M).
+    Tooth i covers |j - i M/k| <= half-width M; rounding its centre to
+    the nearest j moves it by at most 1/2, so r = ceil(half-width M) + 1
+    candidates on either side hold every marked point. Where two windows
+    meet a point may appear twice, which no minimum minds.
+    """
+    r = math.ceil(params.comb.half_width * M) + 1
+    centres = np.rint(np.arange(params.k) * (M / params.k)).astype(np.int64)
+    js = ((centres[:, None] + np.arange(-r, r + 1)) % M).ravel()
+    return js[comb_membership(params.comb, js / M)]
+
+
+def check_holo_bounds(params: HoloKernelParams, M: int) -> HoloBounds:
+    """Closed-form margins of the kernel bounds, plus the comb minimum on the grid.
 
     On the closed disk a^k fills |w| <= rho = (1+eps)^-k, where f = 1/(1-w)
     has min Re f = 1/(1+rho), sup |f| = 1/(1-rho) and sup |f'/f| =
     k rho/(1-rho). c1 = min Re f * omega k, c2 = min |f|/omega over the
-    boundary grid's comb points, c3 = sup |f|/omega, c4 = sup |f'/f| /
-    (omega k). c4 must stay at or below 1 (no constant in that bound).
+    comb points of the M-point circle grid, evaluated there only and
+    equal to the minimum over the masked holo_boundary(params, M) samples;
+    c3 = sup |f|/omega, c4 = sup |f'/f| / (omega k). c4 must stay at or
+    below 1 (no constant in that bound).
     """
-    M = boundary.size
-    mask = comb_membership(params.comb, np.arange(M) / M)
-    if not mask.any():
+    if not is_pow2(M):
+        raise ValueError("grid size must be a power of two")
+    js = _comb_grid_points(params, M)
+    if not js.size:
         raise ValueError("boundary grid resolves no comb point; increase M")
+    # the expression of holo_boundary, on the comb points only, so c2 is the same to the bit
+    comb = holo_kernel(params, np.exp(2j * np.pi * js / M))
     t = params.k * math.log1p(params.eps)
     rho, gap = math.exp(-t), -math.expm1(-t)  # gap = 1 - rho without cancellation
     min_re = 1.0 / (1.0 + rho)
@@ -447,7 +464,7 @@ def check_holo_bounds(params: HoloKernelParams, boundary: np.ndarray) -> HoloBou
         k=params.k,
         omega=params.omega,
         c1=min_re * params.omega * params.k,
-        c2=float(np.abs(boundary[mask]).min() / params.omega),
+        c2=float(np.abs(comb).min() / params.omega),
         c3=1.0 / (gap * params.omega),
         c4=c4,
         min_re=min_re,
@@ -459,7 +476,7 @@ def check_holo_bounds(params: HoloKernelParams, boundary: np.ndarray) -> HoloBou
 def holo_sweep(ks, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[HoloBounds]]:
     """Runs the bound check across tooth counts with the default omega = max(log k, 3)."""
     params = [HoloKernelParams(k, HoloKernelParams.default_omega(k)) for k in ks]
-    bounds = [check_holo_bounds(p, holo_boundary(p, M)) for p in params]
+    bounds = [check_holo_bounds(p, M) for p in params]
     report = VerificationReport(
         name="holo-bounds",
         trials=len(bounds),

@@ -8,10 +8,11 @@ import pytest
 
 import fdl.cli as cli
 import fdl.construct
-import fdl.verify
 from fdl.analysis import DivergenceEstimate
-from fdl.construct import HoloKernelParams, holo_kernel
+from fdl.construct import HoloKernelParams, holo_kernel, log_saturator, residual_witness, saturator_pj
+from fdl.sets import DyadicFamilyParams
 from fdl.trig import TrigPoly
+from fdl.util import next_pow2
 from fdl.verify import VerificationReport, holo_rows
 
 
@@ -208,26 +209,71 @@ def test_construct_holo_evaluates_the_boundary_once(tmp_path, monkeypatch):
         calls.append(M)
         return holo_boundary(params, M)
 
-    for module in (cli, fdl.construct, fdl.verify):
+    for module in (cli, fdl.construct):  # fdl.verify evaluates only the comb points, by holo_kernel
         monkeypatch.setattr(module, "holo_boundary", counted)
     run_ok(["construct", "holo", "--k", "128", "--out", str(tmp_path / "holo.json")])
     assert calls == [1 << 14]
 
 
-def test_construct_logsat_samples_on_its_grid_once_per_polynomial(tmp_path, monkeypatch):
-    grids = []
-    grid_modulus = TrigPoly.grid_modulus
+def _transform_lengths(monkeypatch):
+    """Records the length of every FFT and inverse FFT."""
+    lengths = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
 
-    def counted(poly, M, period):
-        grids.append(M)
-        return grid_modulus(poly, M, period)
+        def counted(a, n=None, *args, _transform=transform, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return _transform(a, n, *args, **kwargs)
 
-    monkeypatch.setattr(TrigPoly, "grid_modulus", counted)
-    monkeypatch.setattr(TrigPoly, "sample", None)  # no certificate samples the whole grid
-    out = tmp_path / "sat.json"
-    run_ok(["construct", "logsat", "--n", "1024", "--out", str(out)])
-    # the saturator for its sup norm, then its degree-n partial sum for the comb minimum
-    assert grids == [json.loads(out.read_text())["certificates"]["grid"]] * 2
+        monkeypatch.setattr(np.fft, name, counted)
+    return lengths
+
+
+def _decimated_K(poly, g):
+    """16 next_pow2(2 span), span the spread of the spectrum in steps of g."""
+    return 16 * next_pow2(2 * int(poly.k[-1] - poly.k[0]) // g)
+
+
+def test_construct_certificate_transforms_are_at_most_their_K(tmp_path, monkeypatch):
+    sat = log_saturator(1024)  # k = 23 teeth: an odd decimation
+    base = TrigPoly({0: 1.0, 3: 0.25})
+    (tmp_path / "base.json").write_text(json.dumps(base.to_json_dict()))
+    diff = residual_witness(base, 1024, 0.05, sat)
+    diff = diff.truncate(2048) - diff.truncate(1024)
+    params = DyadicFamilyParams(16, 2.0)  # 2^J = 512 centres
+    pj = saturator_pj(params, 2)
+    K_sat, K_partial, K_diff, K_pj = (_decimated_K(sat.poly, sat.k), _decimated_K(sat.poly.truncate(1024), sat.k),
+                                      _decimated_K(diff, sat.k), _decimated_K(pj, params.center_count))
+    assert sat.grid_M == K_sat
+    lengths = _transform_lengths(monkeypatch)
+    # the saturator's sup bound, then its partial sum: its sup bound and the tooth's three chirp-z transforms
+    run_ok(["construct", "logsat", "--n", "1024", "--out", str(tmp_path / "sat.json")])
+    assert lengths == [K_sat] + [K_partial] * 4
+    lengths.clear()
+    run_ok(["construct", "witness", "--j", "1024", "--eta", "0.05", "--in", str(tmp_path / "base.json"),
+            "--out", str(tmp_path / "witness.json")])
+    assert lengths == [K_sat] + [K_diff] * 4
+    lengths.clear()
+    run_ok(["construct", "pj", "--j", "16", "--alpha", "2", "--p", "2", "--out", str(tmp_path / "pj.json")])
+    assert lengths == [K_pj] * 4 and K_pj == 1 << 13
+
+
+@pytest.mark.parametrize("argv", [["construct", "pj", "--j", "8", "--alpha", "2", "--p", "2"],
+                                  ["construct", "logsat", "--n", "1024"]])
+def test_construct_pj_and_logsat_take_no_grid(tmp_path, argv):
+    run_ok(argv + ["--out", str(tmp_path / "ok.json")])
+    data = json.loads((tmp_path / "ok.json").read_text())
+    assert "grid" not in data["config"] and "grid" not in data["certificates"]
+    assert cli.run(argv + ["--grid", "1048576", "--out", str(tmp_path / "grid.json")]) == 1
+    assert not (tmp_path / "grid.json").exists()
+
+
+def test_construct_pj_sup_norm_is_proved_at_every_level(tmp_path):
+    for j in range(8, 17):
+        out = tmp_path / f"pj{j}.json"
+        run_ok(["construct", "pj", "--alpha", "2", "--p", "inf", "--j", str(j), "--out", str(out)])
+        cert = json.loads(out.read_text())["certificates"]
+        assert cert["norm"] <= 0.97 and cert["margin"] >= 0.0, j
 
 
 def test_verify_holo_csv_rows_are_holo_rows(tmp_path):

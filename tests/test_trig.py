@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdl.analysis import dyadic_schedule, partial_sums_at
-from fdl.construct import HoloKernelParams, disjoint_family, holo_boundary, saturator_pj
+from fdl.construct import (
+    ROUNDING_SLACK,
+    HoloKernelParams,
+    disjoint_family,
+    holo_boundary,
+    saturator_pj,
+    tooth_bounds,
+)
 from fdl.sets import DyadicFamilyParams
 from fdl.trig import (
     PRUNE_TOL,
@@ -173,37 +180,28 @@ def _coset_poly(rng, r, D, q):
 @pytest.mark.parametrize("D", [1, 2, 16, 512])
 @pytest.mark.parametrize("r", [0, 5, -3])
 def test_grid_modulus_is_one_period_of_the_sampled_modulus(D, r):
+    # tooth_bounds samples |Q| on K points, where f(x) = e(a x) Q(D x): one period of |f| on D K points
     rng = trial_rng(DEFAULT_SEED, 100 * D + r)
     f = _coset_poly(rng, r, D, 6)
-    M = 1 << 14
-    full = np.abs(f.sample(M))
+    bounds = tooth_bounds(f, D)
+    assert bounds.grid == 16 * 32  # span 12
+    full = np.abs(f.sample(D * bounds.grid))
     tol = 1e-13 * np.abs(f.c).sum()
     rows = full.reshape(D, -1)
-    assert np.abs(rows - rows[0]).max() <= tol  # |f| repeats every M/D points
-    for cap in {1, 3, D // 2 or 1, D, 2 * D + 1, 1 << 20}:
-        step = min(D, 1 << (cap.bit_length() - 1))  # the largest power of two <= cap that divides D
-        got = f.grid_modulus(M, cap)
-        assert got.shape == (M // step,)
-        assert np.abs(got - full[: M // step]).max() <= tol
+    assert np.abs(rows - rows[0]).max() <= tol  # |f| repeats every K points
+    assert np.abs(bounds.modulus - rows[0]).max() <= tol
 
 
 def test_grid_modulus_of_one_term_and_of_nothing():
-    assert np.array_equal(TrigPoly().grid_modulus(64, 16), np.zeros(4))
-    assert np.array_equal(TrigPoly().grid_modulus(64, 1000), np.zeros(1))
-    assert np.allclose(TrigPoly({7: 2j}).grid_modulus(64, 8), np.full(8, 2.0), rtol=0, atol=1e-15)
-
-
-def test_grid_modulus_shares_the_sample_refusals():
-    f = TrigPoly.dirichlet(8)
-    with pytest.raises(AliasingError):
-        f.grid_modulus(16, 1)
-    with pytest.raises(ValueError, match="power of two"):
-        f.grid_modulus(48, 1)
-    with pytest.raises(ValueError, match="period must be a positive integer"):
-        f.grid_modulus(64, 0)
-    # the period-16 spectrum 16 q still aliases on 32 points: the refusal reads the degree, not D
-    with pytest.raises(AliasingError):
-        TrigPoly({-16: 1.0, 16: 1.0}).grid_modulus(32, 16)
+    empty = tooth_bounds(TrigPoly(), 7, 0.25)
+    assert np.array_equal(empty.modulus, np.zeros(16))
+    assert (empty.sup, empty.minimum, empty.points) == (0.0, 0.0, 15)
+    one = tooth_bounds(TrigPoly({7: 2j}), 3, 0.25)
+    assert np.allclose(one.modulus, np.full(16, 2.0), rtol=0, atol=1e-15)
+    slack = 2 * ROUNDING_SLACK
+    assert one.sup == pytest.approx(2.0 + slack, abs=1e-15)
+    assert 2.0 - 2 * slack <= one.minimum <= 2.0
+    assert tooth_bounds(TrigPoly({7: 2j}), 3).minimum is None
 
 
 def test_sample_roundtrip_recovers_coefficients():
