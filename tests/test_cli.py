@@ -9,8 +9,7 @@ import pytest
 import fdl.cli as cli
 import fdl.construct
 from fdl.analysis import DivergenceEstimate
-from fdl.construct import HoloKernelParams, holo_kernel, log_saturator, residual_witness, saturator_pj
-from fdl.sets import DyadicFamilyParams
+from fdl.construct import HoloKernelParams, holo_kernel, log_saturator, residual_witness
 from fdl.trig import TrigPoly
 from fdl.util import next_pow2
 from fdl.verify import VerificationReport, holo_rows
@@ -234,16 +233,14 @@ def _decimated_K(poly, g):
     return 16 * next_pow2(2 * int(poly.k[-1] - poly.k[0]) // g)
 
 
-def test_construct_certificate_transforms_are_at_most_their_K(tmp_path, monkeypatch):
+def test_construct_logsat_samples_on_its_grid_once_per_polynomial(tmp_path, monkeypatch):
     sat = log_saturator(1024)  # k = 23 teeth: an odd decimation
     base = TrigPoly({0: 1.0, 3: 0.25})
     (tmp_path / "base.json").write_text(json.dumps(base.to_json_dict()))
     diff = residual_witness(base, 1024, 0.05, sat)
     diff = diff.truncate(2048) - diff.truncate(1024)
-    params = DyadicFamilyParams(16, 2.0)  # 2^J = 512 centres
-    pj = saturator_pj(params, 2)
-    K_sat, K_partial, K_diff, K_pj = (_decimated_K(sat.poly, sat.k), _decimated_K(sat.poly.truncate(1024), sat.k),
-                                      _decimated_K(diff, sat.k), _decimated_K(pj, params.center_count))
+    K_sat, K_partial, K_diff = (_decimated_K(sat.poly, sat.k), _decimated_K(sat.poly.truncate(1024), sat.k),
+                                _decimated_K(diff, sat.k))
     assert sat.grid_M == K_sat
     lengths = _transform_lengths(monkeypatch)
     # the saturator's sup bound, then its partial sum: its sup bound and the tooth's three chirp-z transforms
@@ -253,9 +250,6 @@ def test_construct_certificate_transforms_are_at_most_their_K(tmp_path, monkeypa
     run_ok(["construct", "witness", "--j", "1024", "--eta", "0.05", "--in", str(tmp_path / "base.json"),
             "--out", str(tmp_path / "witness.json")])
     assert lengths == [K_sat] + [K_diff] * 4
-    lengths.clear()
-    run_ok(["construct", "pj", "--j", "16", "--alpha", "2", "--p", "2", "--out", str(tmp_path / "pj.json")])
-    assert lengths == [K_pj] * 4 and K_pj == 1 << 13
 
 
 @pytest.mark.parametrize("argv", [["construct", "pj", "--j", "8", "--alpha", "2", "--p", "2"],

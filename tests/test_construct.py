@@ -317,6 +317,40 @@ def test_tooth_bounds_refuse_a_spectrum_off_its_residue_class():
         tooth_bounds(TrigPoly({0: 1.0}), 0)
 
 
+
+def _transform_lengths(monkeypatch):
+    """Records the length of every FFT and inverse FFT."""
+    lengths = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+
+        def counted(a, n=None, *args, _transform=transform, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return _transform(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return lengths
+
+
+def test_certificates_transform_one_period_of_their_grid(monkeypatch):
+    # one period of the decimated polynomial is K = 16 next_pow2(2 span) points
+    params = DyadicFamilyParams(16, 2.0)  # 2^J = 512 centres
+    pj = saturator_pj(params, 2)
+    sat = log_saturator(1024)  # k = 23 teeth: an odd decimation
+    witness = residual_witness(TrigPoly({0: 1.0, 3: 0.25}), 1024, 0.05, sat)
+    diff = witness.truncate(2048) - witness.truncate(1024)
+    lengths = _transform_lengths(monkeypatch)
+    # each certificate: the sup bound on K points, then the tooth's three chirp-z transforms of length K
+    saturator_certificate(pj, params, 2)
+    assert lengths == [16 * next_pow2(2 * _span(pj, params.center_count))] * 4 == [1 << 13] * 4
+    lengths.clear()
+    # log_saturator already bounded the saturator's sup; the certificate reads its partial sum
+    logsat_certificate(sat)
+    assert lengths == [16 * next_pow2(2 * _span(sat.poly.truncate(1024), sat.k))] * 4
+    lengths.clear()
+    witness_certificate(witness, 1024, 0.05, sat)
+    assert lengths == [16 * next_pow2(2 * _span(diff, sat.k))] * 4
+
 # The full-grid certificates: every site samples its polynomial on all M
 # points of a fine grid (at least 8 samples per degree) and masks all M
 # points. A grid maximum is a lower bound of the sup and a grid minimum an
