@@ -1,8 +1,10 @@
 """Command-line front end for deterministic construct, verify, analyze, probe runs.
 
 Every subcommand resolves its parameters from flags, then an optional flat
-key=value config file, then defaults; the resolved set is embedded in each
-JSON output. Exit codes: 0 success, 1 usage or validation error, 2 failed
+key=value config file, then defaults; the resolved set, less the output
+paths, is embedded in each JSON report. A table goes to --csv, or to stdout;
+the JSON report goes to --out, or to stdout when the subcommand writes no
+table. Exit codes: 0 success, 1 usage or validation error, 2 failed
 certificate or inequality.
 """
 
@@ -70,11 +72,13 @@ def _dest(key: str) -> str:
 
 
 _SEED_PARAM = _Param("seed", int, None, "master seed (FDL_SEED overrides the default)")
-_OUT_PARAM = _Param("out", str, None, "JSON output path (stdout when omitted)")
-_CSV_PARAM = _Param("csv", str, None, "CSV output path (stdout when omitted)")
+_OUT_PARAM = _Param("out", str, None, "JSON report path (default: stdout, when there is no table)")
+_CSV_PARAM = _Param("csv", str, None, "CSV table path (stdout when omitted)")
+_PATH_KEYS = ("out", "csv")  # where the outputs go, not what they hold: left out of the recorded config
 
 # A handler maps (config, threads) to (payload, table): the JSON report without
-# its config block, and the CSV (header, rows) or None. run writes both.
+# its config block, as a dict or a dataclass, and the CSV (header, rows) or
+# None. run renders and writes both.
 _Command = collections.namedtuple("_Command", "handler params")
 
 
@@ -117,7 +121,7 @@ def _run_construct_holo(cfg: dict, threads: int):
     params = HoloKernelParams(cfg["k"], cfg["omega"])
     samples = holo_boundary(params, cfg["grid"])
     payload = {"M": samples.size, "samples": [[v.real, v.imag] for v in samples]}
-    payload["certificates"] = dataclasses.asdict(check_holo_bounds(params, cfg["grid"]))
+    payload["certificates"] = check_holo_bounds(params, cfg["grid"])
     return payload, None
 
 
@@ -143,29 +147,13 @@ def _run_verify(sweep):
     """The handler of a verify sweep; sweep(cfg, threads) returns the report and its rows."""
     def handler(cfg: dict, threads: int):
         report, rows = sweep(cfg, threads)
-        payload = {
-            "name": report.name,
-            "trials": len(rows),
-            "worst_ratio": report.worst_ratio,
-            "fitted_constant": report.fitted_constant,
-            "scale_trend": [[scale, value] for scale, value in report.scale_trend],
-            "seed": report.seed,
-        }
-        return payload, (("trial", "seed", "scale", "ratio"), rows)
+        return report, (("trial", "seed", "scale", "ratio"), rows)
     return handler
 
 
 def _run_analyze_index(cfg: dict, threads: int):
     f = _load_poly(cfg["in"])
-    est = divergence_index(f, cfg["x"], dyadic_schedule(cfg["mlo"], cfg["mhi"]))
-    payload = {
-        "beta_hat": est.beta_hat,
-        "r2": est.r2,
-        "vanishing": est.vanishing,
-        "schedule": est.schedule,
-        "envelope": est.envelope,
-    }
-    return payload, None
+    return divergence_index(f, cfg["x"], dyadic_schedule(cfg["mlo"], cfg["mhi"])), None
 
 
 def _run_analyze_levelset(cfg: dict, threads: int):
@@ -173,9 +161,7 @@ def _run_analyze_levelset(cfg: dict, threads: int):
     oracle = level_set(f, cfg["beta"], cfg["tol"], cfg["grid"],
                        dyadic_schedule(cfg["smlo"], cfg["smhi"]))
     est = box_dimension(oracle, cfg["mlo"], cfg["mhi"])
-    rows = list(zip(est.scales, est.counts))
-    # the box counts go to --csv, or to stdout when there is no --out
-    table = (("scale_exponent", "m_boxes_occupied"), rows) if cfg["csv"] or not cfg["out"] else None
+    table = (("scale_exponent", "m_boxes_occupied"), list(zip(est.scales, est.counts)))
     return {"slope": est.slope, "r2": est.r2, "scales": list(est.scales)}, table
 
 
@@ -422,33 +408,20 @@ def _jsonable(value, path: str = "payload"):
         return {str(k): _jsonable(v, f"{path}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
         return [_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if dataclasses.is_dataclass(value):  # checked last, so that the many leaves above never pay for it
+        return _jsonable(dataclasses.asdict(value), path)
     return value
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _emit_json(payload: dict, path: str | None) -> None:
-    _write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", path)
-
-
-def _emit_csv(header, rows, path: str | None) -> None:
-    """Writes the rows under the header; a NaN cell fails the run before anything is written."""
-    for i, row in enumerate(rows):
-        for name, v in zip(header, row):
-            if isinstance(v, (float, np.floating)) and math.isnan(v):
-                raise AssertionError(f"csv row {i} column {name} is NaN")
+def _render_csv(header, rows) -> str:
+    """The rows under the header, floats to 12 digits; a NaN cell fails the run, naming its row and column."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format(float(v), ".12g") if isinstance(v, (float, np.floating)) else v
-                         for v in row])
-    _write_text(buf.getvalue(), path)
+    for i, row in enumerate(rows):
+        cells = [_jsonable(v, f"csv row {i} column {name}") for name, v in zip(header, row)]
+        writer.writerow([format(v, ".12g") if isinstance(v, float) else v for v in cells])
+    return buf.getvalue()
 
 
 def run(argv) -> int:
@@ -461,12 +434,18 @@ def run(argv) -> int:
         cfg = _resolve(ns)
         threads = ns.threads if ns.threads and ns.threads > 0 else (os.cpu_count() or 1)
         payload, table = _COMMANDS[(ns.command, ns.subcommand)].handler(cfg, threads)
-        if table is not None:
-            _emit_csv(*table, cfg["csv"])
-        # a subcommand with a CSV table writes its JSON report only to --out
-        if "csv" not in cfg or cfg["out"]:
-            payload["config"] = {"command": ns.command, "subcommand": ns.subcommand, **cfg}
-            _emit_json(payload, cfg["out"])
+        # both texts are rendered, and so NaN-checked, before either is written
+        outputs = [] if table is None else [(_render_csv(*table), cfg["csv"])]
+        if table is None or cfg["out"]:
+            report = _jsonable(payload)
+            report["config"] = _jsonable({"command": ns.command, "subcommand": ns.subcommand,
+                                          **{k: v for k, v in cfg.items() if k not in _PATH_KEYS}})
+            outputs.append((json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", cfg["out"]))
+        for text, path in outputs:
+            if path is None:
+                sys.stdout.write(text)
+            else:
+                Path(path).write_text(text, encoding="utf-8")
         return 0
     except AssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

@@ -92,6 +92,7 @@ class ToothBounds:
         return lp_norm(self.modulus, p)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a bound that is not finite
 def tooth_bounds(poly: TrigPoly, g: int, half_width: float | None = None) -> ToothBounds:
     """Certified sup and tooth minimum of |P| when every frequency difference is a multiple of g.
 
@@ -112,7 +113,8 @@ def tooth_bounds(poly: TrigPoly, g: int, half_width: float | None = None) -> Too
     sample, has |Q| >= min_i |Q(y_i)| - pi s h sup.
 
     Both bounds carry ROUNDING_SLACK times sum |c| for the float64 rounding
-    of the transforms.
+    of the transforms. Coefficients so large that a transform overflows
+    raise ValueError, as a bound that is not finite certifies nothing.
     """
     if g < 1:
         raise ValueError(f"decimation factor must be a positive integer, got {g}")
@@ -128,12 +130,14 @@ def tooth_bounds(poly: TrigPoly, g: int, half_width: float | None = None) -> Too
     slack = ROUNDING_SLACK * float(np.abs(poly.c).sum())
     sup = float(modulus.max()) / math.sqrt(math.cos(math.pi * span / K)) + slack
     l2 = float(np.linalg.norm(poly.c))
-    if half_width is None:
-        return ToothBounds(sup, None, modulus, 0, l2)
-    points = K - 2 * s - 1
-    h = 2.0 * half_width / (points - 1)
-    samples = np.abs(Q.evaluate_progression(-half_width, h, points))
-    minimum = float(samples.min()) - math.pi * s * h * sup - slack
+    minimum, points = None, 0
+    if half_width is not None:
+        points = K - 2 * s - 1
+        h = 2.0 * half_width / (points - 1)
+        samples = np.abs(Q.evaluate_progression(-half_width, h, points))
+        minimum = float(samples.min()) - math.pi * s * h * sup - slack
+    if not (math.isfinite(sup) and math.isfinite(minimum or 0.0)):
+        raise ValueError(f"coefficients too large to bound in float64: sup {sup}, minimum {minimum}")
     return ToothBounds(sup, minimum, modulus, points, l2)
 
 
@@ -309,7 +313,9 @@ def log_saturator(n: int, eps_n: float | None = None) -> LogSaturator:
     floor = eps_floor(n)
     floored = eps_n is None or eps_n < floor
     eps = floor if floored else float(eps_n)
-    omega = math.exp(4.0 * math.pi * math.log(n) * eps)
+    log_omega = 4.0 * math.pi * math.log(n) * eps
+    # omega above e^709 gives k = 0, which is refused below; exp would overflow on the way
+    omega = math.exp(log_omega) if log_omega < 709.0 else math.inf
     k = int(n / (2.0 * math.pi * omega))
     if k < 3:
         raise ValueError(f"rate too aggressive at degree {n}: tooth count {k} < 3")
@@ -381,9 +387,10 @@ def residual_witness(g: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> Tr
         raise ValueError(f"saturator degree {sat.n} differs from the block level {j}")
     if g.degree > j:
         raise ValueError("base function degree exceeds the block level")
-    if eta_j <= 0:
-        raise ValueError("target rate eta_j must be positive")
-    return g + (eta_j / sat.eps_n) * modulate(sat.poly, j)
+    scale = eta_j / sat.eps_n
+    if not 0 < scale < math.inf:
+        raise ValueError(f"target rate eta_j must be positive, with eta_j / eps_n finite; got {eta_j}")
+    return g + scale * modulate(sat.poly, j)
 
 
 def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> dict:

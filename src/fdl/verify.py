@@ -23,7 +23,7 @@ from .util import DEFAULT_SEED, grid_for_degree, indexed_map, is_pow2, trial_rng
 @dataclass(frozen=True)
 class VerificationReport:
     name: str
-    trials: int
+    trials: int  # the number of rows the sweep returned
     worst_ratio: float
     fitted_constant: float
     scale_trend: list = field(default_factory=list)
@@ -156,7 +156,7 @@ def _sweep(name: str, scales: list[int], trials: int, seed: int, ratios, worst=m
             for scale, per_trial in zip(scales, ratios(scales))
             for trial, ratio in enumerate(per_trial)]
     trend = [(scale, worst(row[3] for row in rows if row[2] == scale)) for scale in scales]
-    report = VerificationReport(name, trials, worst(row[3] for row in rows), trend[fitted][1],
+    report = VerificationReport(name, len(rows), worst(row[3] for row in rows), trend[fitted][1],
                                 sorted(trend), seed)
     return report, rows
 
@@ -366,10 +366,12 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     if max(abs(log_power), abs(log_rate)) > _LOG_NORMAL:
         raise ValueError(f"eps {eps} takes the localization rate at degree {n} out of the float range")
     h = interval_length / 512
-    # mass and lp_I are relative to the peak, which keeps the p-th powers in range for large p
-    vals = (np.abs(P.evaluate_progression(a - interval_length / 2, h, 513)) / peak) ** p
-    mass = float(np.trapezoid(vals, dx=h))
-    lp_I = mass ** (1.0 / p)
+    # as in lp_norm, the p-th powers are taken relative to the interval's own maximum m,
+    # so none exceeds 1 at any p; lp_I is relative to the peak
+    vals = np.abs(P.evaluate_progression(a - interval_length / 2, h, 513))
+    m = float(vals.max())
+    mass = float(np.trapezoid((vals / m) ** p, dx=h))
+    lp_I = m / peak * mass ** (1.0 / p)
     rate = math.log(n) ** (-(1.0 + eps) / p)
     if p == 1:
         rate /= math.log(1.0 / interval_length)

@@ -31,7 +31,7 @@ def test_construct_pj_json_contract(tmp_path):
     block = data["config"]
     assert block["command"] == "construct" and block["subcommand"] == "pj"
     assert block["seed"] == 20127
-    assert "threads" not in block
+    assert not {"threads", "out", "csv"} & set(block)
     assert json.dumps(data, sort_keys=True, indent=2) + "\n" == text
 
 
@@ -328,6 +328,37 @@ def test_nan_in_csv_row_fails_naming_the_cell(tmp_path, monkeypatch, capsys):
     assert not rows.exists() and not out.exists()
 
 
+def test_nan_in_report_writes_neither_output(tmp_path, monkeypatch, capsys):
+    def nan_report(N, alpha, trials, seed):
+        return VerificationReport("weak-maximal", 1, 0.5, math.nan, [(4, 0.5)], seed), [(0, seed, 4, 0.5)]
+
+    monkeypatch.setattr(cli, "maximal_rows", nan_report)
+    out, rows = tmp_path / "report.json", tmp_path / "rows.csv"
+    code = cli.run(["verify", "maximal", "--N", "4", "--trials", "1", "--out", str(out), "--csv", str(rows)])
+    assert code == 2
+    assert "payload.fitted_constant is NaN" in capsys.readouterr().err
+    assert not rows.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--out", "level.json"], ["--csv", "level.csv"],
+                                   ["--out", "level.json", "--csv", "level.csv"]])
+def test_output_routing_and_config_do_not_depend_on_paths(tmp_path, monkeypatch, capsys, flags):
+    # the table goes to --csv or stdout; a subcommand with a table writes JSON only to --out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps({"coeffs": [[1, 1.0, 0.0], [64, 0.5, 0.0]]}))
+    argv = ["analyze", "levelset", "--in", "g.json", "--beta", "0.0", "--grid", "256", "--smhi", "8", "--mhi", "6"]
+    run_ok(argv + flags)
+    stdout = capsys.readouterr().out
+    table = (tmp_path / "level.csv").read_text() if "--csv" in flags else stdout
+    assert table.startswith("scale_exponent,m_boxes_occupied\n")
+    assert stdout == ("" if "--csv" in flags else table)
+    if "--out" in flags:
+        report = json.loads((tmp_path / "level.json").read_text())
+        assert report["config"] == {"command": "analyze", "subcommand": "levelset", "in": "g.json", "beta": 0.0,
+                                    "tol": 0.05, "grid": 256, "smlo": 6, "smhi": 8, "mlo": 4, "mhi": 6,
+                                    "seed": 20127}
+
+
 def test_failed_certificate_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     saturator_pj = cli.saturator_pj
     monkeypatch.setattr(cli, "saturator_pj", lambda params, p: 0.1 * saturator_pj(params, p))
@@ -383,6 +414,11 @@ _TWIN_RULES = [pytest.param(argv, id=" ".join(a for a in argv if not a.startswit
     ["probe", "prevalence", "--trials", "3", "--seed", "-1"],
     # one 32-bit spawn word per trial index: refused before any draw
     ["probe", "prevalence", "--trials", str((1 << 32) + 1)],
+    # omega = exp(4 pi log(n) eps) would overflow; the witness's coefficients would overflow its transforms
+    ["construct", "logsat", "--n", "4096", "--eps", "10"],
+    ["construct", "witness", "--j", "4096", "--eta", "0.05", "--eps", "10"],
+    ["construct", "witness", "--j", "256", "--eta", "1e305"],
+    ["construct", "witness", "--j", "256", "--eta", "1e308"],
     *_VERIFY_BAD_VALUES,
     *_TWIN_RULES,
 ])

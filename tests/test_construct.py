@@ -206,6 +206,13 @@ def test_log_saturator_rejects_tiny_degree():
         log_saturator(50)
 
 
+@pytest.mark.parametrize("eps", [10.0, 1e300])
+def test_log_saturator_refuses_a_rate_whose_sharpness_overflows(eps):
+    # omega = exp(4 pi log(n) eps) would overflow: no tooth is left, and exp is not called
+    with pytest.raises(ValueError, match="rate too aggressive at degree 4096: tooth count 0 < 3"):
+        log_saturator(4096, eps)
+
+
 def test_log_saturator_certificate():
     sat = log_saturator(256)
     window = SpectrumInterval(1, 2 * 256 - 1)
@@ -247,6 +254,8 @@ def test_residual_witness_guards():
         residual_witness(TrigPoly({200: 1.0}), j, 0.05, sat)
     with pytest.raises(ValueError):
         residual_witness(TrigPoly(), j, 0.0, sat)
+    with pytest.raises(ValueError, match="eta_j / eps_n finite"):
+        residual_witness(TrigPoly(), j, 1e308, sat)
     with pytest.raises(ValueError, match="saturator degree 256 differs from the block level 128"):
         residual_witness(TrigPoly(), j, 0.05, log_saturator(256))
 
@@ -315,6 +324,14 @@ def test_tooth_bounds_refuse_a_spectrum_off_its_residue_class():
         tooth_bounds(TrigPoly({1: 1.0, 24: 1.0, 46: 1.0}), 23)
     with pytest.raises(ValueError, match="positive integer"):
         tooth_bounds(TrigPoly({0: 1.0}), 0)
+
+
+@pytest.mark.parametrize("scale", [1e306, 1e308])
+def test_tooth_bounds_refuse_coefficients_whose_transforms_overflow(scale):
+    # at 1e306 the sup bound is finite, but the tooth's chirp-z samples are not
+    sat = log_saturator(256)
+    with pytest.raises(ValueError, match="too large to bound"):
+        tooth_bounds(scale * sat.poly.truncate(256), sat.k, 0.5 / sat.omega)
 
 
 

@@ -309,6 +309,15 @@ def test_localization_unimodular_closed_forms():
         math.log(n) ** 1.5 * math.log(n), rel=1e-12)
     assert check_localization(3.0 * P, 0.25, 1.0 / n, 1000, 0.5) == pytest.approx(
         math.log(n) ** (1.5 / 1000), rel=1e-12)
+    # at p = 1e308, chirp-z samples a few ulp above the peak must not overflow the p-th powers
+    assert check_localization(3.0 * P, 0.25, 1.0 / n, 1e308, 0.5) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [4, 64, 1024])
+def test_localization_ratio_is_finite_at_huge_p(N):
+    # at p = 1e308 the ratio is the interval's maximum of |P| over the grid peak, at least 1
+    _, rows = localization_rows(N, 1e308, 0.5, 1.0, 2)
+    assert all(1.0 - 1e-12 <= ratio < 1.1 for _, _, _, ratio in rows)
 
 
 def test_localization_dirichlet_peak_frozen():
