@@ -130,6 +130,9 @@ def tooth_bounds(poly: TrigPoly, g: int, half_width: float | None = None) -> Too
     slack = ROUNDING_SLACK * float(np.abs(poly.c).sum())
     sup = float(modulus.max()) / math.sqrt(math.cos(math.pi * span / K)) + slack
     l2 = float(np.linalg.norm(poly.c))
+    if not math.isfinite(l2):  # the squares overflowed: scale by the largest modulus
+        top = float(np.abs(poly.c).max())
+        l2 = top * float(np.linalg.norm(poly.c / top))
     minimum, points = None, 0
     if half_width is not None:
         points = K - 2 * s - 1

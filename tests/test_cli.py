@@ -300,6 +300,19 @@ def test_malformed_coefficient_json_maps_to_exit_1(tmp_path, capsys, payload):
     assert "Traceback" not in err
 
 
+def test_analyze_index_at_a_huge_integer_point_reads_the_value_at_0(tmp_path):
+    poly_path = tmp_path / "g.json"
+    poly_path.write_text(json.dumps({"coeffs": [[3, 1.0, 0.0], [100000, 0.5, 0.0]]}))
+    reports = {}
+    for x in ("0", "1e308", "1.5e300"):
+        out = tmp_path / f"index_{x}.json"
+        run_ok(["analyze", "index", "--in", str(poly_path), "--x", x, "--out", str(out)])
+        reports[x] = json.loads(out.read_text())
+    for x in ("1e308", "1.5e300"):
+        assert reports[x]["beta_hat"] == reports["0"]["beta_hat"]
+        assert reports[x]["envelope"] == reports["0"]["envelope"]
+
+
 def test_nan_in_payload_fails_naming_the_field(tmp_path, monkeypatch, capsys):
     def nan_estimate(f, x, schedule):
         return DivergenceEstimate(0.1, 0.9, schedule, [0.0, 1.0, math.nan], False)
@@ -399,6 +412,7 @@ _TWIN_RULES = [pytest.param(argv, id=" ".join(a for a in argv if not a.startswit
     ["probe", "prevalence", "--R", "inf"],
     ["probe", "prevalence", "--R", "1e308"],
     ["analyze", "index", "--in", "{poly}", "--x", "nan"],
+    ["analyze", "index", "--in", "{poly}", "--x", "inf"],
     ["analyze", "levelset", "--in", "{poly}", "--beta", "nan", "--csv", "{csv}"],
     ["analyze", "levelset", "--in", "{poly}", "--beta", "0.2", "--tol", "nan", "--csv", "{csv}"],
     ["analyze", "spectrum", "--in", "{poly}", "--p", "nan", "--csv", "{csv}"],

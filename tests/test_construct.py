@@ -334,6 +334,14 @@ def test_tooth_bounds_refuse_coefficients_whose_transforms_overflow(scale):
         tooth_bounds(scale * sat.poly.truncate(256), sat.k, 0.5 / sat.omega)
 
 
+@pytest.mark.parametrize("coeffs", [{0: 1e200, 4: -3e199}, {-4: 3e180 + 4e180j, 8: -1e181j}, {0: 3.0, 4: -4j}])
+def test_tooth_bounds_l2_is_the_hypot_of_the_coefficients(coeffs):
+    # above about 1e154 the squares overflow, but the norm and the sup bound do not
+    bounds = tooth_bounds(TrigPoly(coeffs), 4)
+    assert math.isfinite(bounds.sup)
+    assert bounds.norm(2) == bounds.l2
+    assert bounds.l2 == pytest.approx(math.hypot(*(abs(v) for v in coeffs.values())), rel=1e-15)
+
 
 def _transform_lengths(monkeypatch):
     """Records the length of every FFT and inverse FFT."""

@@ -24,6 +24,7 @@ from fdl.trig import (
     SpectrumInterval,
     TrigPoly,
     _phase,
+    _turns,
     dirichlet_eval,
     fejer_mean,
     lp_norm,
@@ -306,6 +307,70 @@ def test_point_sums_on_the_panel_shape_are_within_1e_15_of_long_double():
         err = max(err, float(gap.max()))
     assert err <= 1e-15 * np.abs(cs).sum()
     assert np.array_equal(partial_sums_at(f, xs, schedule), got)
+
+
+def _cos_sin_point_sums(k, c, cuts, xs):
+    """point_sums as it was before the half-angle form: cos and sin of 2 pi times the same reduced phases."""
+    theta = _phase(k, np.asarray(xs, dtype=float)[:, None])
+    theta *= 2 * np.pi
+    terms = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=terms.real)
+    np.sin(theta, out=terms.imag)
+    segments = [terms[:, start:stop] @ c[start:stop] for start, stop in zip([0, *cuts[:-1]], cuts)]
+    return np.cumsum(np.stack(segments, axis=1), axis=1)
+
+
+def test_point_sums_match_the_cos_sin_kernel_on_the_panel_shape():
+    f = disjoint_family(3, 2.0, 2.0, 14).member(1)
+    schedule = dyadic_schedule(6, 18)
+    order = np.argsort(np.abs(f.k), kind="stable")
+    ks, cs = f.k[order], f.c[order]
+    cuts = np.searchsorted(np.abs(ks), schedule, side="right")
+    for panel in range(3):
+        xs = trial_rng(DEFAULT_SEED, 8000 + panel).uniform(0.0, 1.0, 256)
+        gap = np.abs(point_sums(ks, cs, cuts, xs) - _cos_sin_point_sums(ks, cs, cuts, xs)).max()
+        assert gap <= 4e-16 * np.abs(cs).sum()
+
+
+def test_point_sums_match_the_cos_sin_kernel_up_to_frequency_2_53():
+    rng = trial_rng(DEFAULT_SEED, 53)
+    top = 1 << 53
+    ks = np.unique(np.concatenate([[-top, -1, 0, 1, top - 1, top], rng.integers(-top, top, size=400, endpoint=True)]))
+    cs = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
+    cuts = np.array([1, 7, 100, 250, ks.size])
+    xs = np.concatenate([[0.0, 0.5, -0.25, 1 / 3, 1e-9], rng.uniform(-2.0, 2.0, 64)])
+    gap = np.abs(point_sums(ks, cs, cuts, xs) - _cos_sin_point_sums(ks, cs, cuts, xs)).max()
+    assert gap <= 4e-16 * np.abs(cs).sum()
+
+
+def test_half_angle_turns_are_unit_phasors_up_to_and_past_a_half():
+    past = [np.nextafter(0.5, 1.0), np.nextafter(np.nextafter(0.5, 1.0), 1.0), 0.5 + 4 * 2.0**-53]
+    theta = np.array([0.0, 0.25, -0.25, 0.5, -0.5, *past, *(-np.array(past))])
+    got = _turns(theta.copy())
+    angle = _TWO_PI * theta.astype(np.longdouble)
+    assert np.isfinite(got.real).all() and np.isfinite(got.imag).all()
+    assert np.abs((got.real - np.cos(angle)).astype(float)).max() <= 4e-16
+    assert np.abs((got.imag - np.sin(angle)).astype(float)).max() <= 4e-16
+    assert np.abs(np.hypot(got.real, got.imag) - 1).max() <= 4e-16
+    assert got[0] == 1
+
+
+def test_evaluate_at_huge_points_reduces_them_exactly():
+    f = TrigPoly({3: 1, 100000: 0.5})
+    for x in (1e308, -1e308, 1.5e300, 2.0**53, np.finfo(float).max):
+        assert f.evaluate(x) == f.evaluate(0.0) == 1.5
+    y = 0.3 + 2.0**40  # its distance to 2^40 is exact, and e(k y) = e(k (y - 2^40))
+    assert f.evaluate(y) == f.evaluate(y - 2.0**40)
+    assert f.evaluate(np.array([2.5, -7.5])) == pytest.approx([-0.5, -0.5], abs=1e-15)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_point_sums_refuse_points_that_are_not_finite(x):
+    f = TrigPoly({3: 1, 100000: 0.5})
+    with pytest.raises(ValueError, match="finite"):
+        f.evaluate(x)
+    with pytest.raises(ValueError, match="finite"):
+        point_sums(f.k, f.c, [1, 2], np.array([0.25, x]))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
