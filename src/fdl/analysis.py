@@ -3,12 +3,13 @@ readout, multifractal spectrum curves, and the finite-scale prevalence probe.
 
 The divergence index at a point is estimated from the running maximum of
 partial-sum moduli along a dyadic index schedule, fitted on the tail half
-of the schedule where the block constructions have settled. Partial sums
-on a uniform grid, shifted or not, come from a spectrum fold and one
-inverse FFT per schedule entry; at any other points from trig.point_sums,
-the exact-phase off-grid kernel. The prevalence probe draws all its trials
-at once (util.trial_uniform_rows), bit for bit the per-trial trial_rng
-rows. A level set is a mask over a uniform grid of such estimates, a
+of the schedule where the block constructions have settled, so a schedule
+needs at least 3 entries. Partial sums on a uniform grid, shifted or not,
+come from trig.grid_sums, the grid kernel that TrigPoly.sample also runs;
+at any other points from trig.point_sums, the exact-phase off-grid kernel.
+The prevalence probe draws all its trials at once
+(util.trial_uniform_rows), bit for bit the per-trial trial_rng rows. A
+level set is a mask over a uniform grid of such estimates, a
 sets.GridOracle whose boxes box_dimension counts from the mask itself.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .construct import SaturatorFamily, disjoint_family
 from .sets import BoxDimEstimate, GridOracle, box_dimension
-from .trig import TrigPoly, _phase, point_sums
+from .trig import TrigPoly, grid_sums, point_sums
 from .util import DEFAULT_SEED, loglog_fit, trial_uniform_rows
 
 _VANISH_TOL = 1e-14
@@ -40,36 +41,14 @@ def _sorted_terms(f: TrigPoly, schedule: list[int]) -> tuple[np.ndarray, np.ndar
     return ks, cs, np.searchsorted(np.abs(ks), np.array(schedule), side="right")
 
 
-def _grid_fold(ks: np.ndarray, cs: np.ndarray, cuts: np.ndarray, M: int, shift: float = 0.0) -> np.ndarray:
-    """S_n f(j/M + shift) for j < M and each schedule cut, shape (M, len(cuts)).
-
-    The point j/M + shift sees frequency k only through k mod M and the phase
-    e(k shift): each segment of |k|-sorted terms, times that phase, is folded
-    into one length-M spectrum, and S_n f on the shifted grid is M * ifft of
-    it, exact for any degree. trig._phase reduces k shift mod 1 exactly for
-    |k| <= 2^53; at shift 0 there is no phase.
-    """
-    if shift:
-        cs = cs * np.exp(2j * np.pi * _phase(ks, shift))
-    spec = np.zeros(M, dtype=complex)
-    out = np.empty((M, len(cuts)), dtype=complex)
-    bins = ks % M
-    start = 0
-    for col, stop in enumerate(cuts):
-        np.add.at(spec, bins[start:stop], cs[start:stop])
-        out[:, col] = np.fft.ifft(spec) * M
-        start = stop
-    return out
-
-
 def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     """S_n f(x) for every x and every n in the schedule, shape (len(xs), len(schedule)).
 
     Coefficients are sorted by |frequency|, so each schedule entry adds one
     segment of them to the previous partial sum. The uniform grid
-    xs = arange(M)/M takes the grid fold (_grid_fold), in O(terms + M log M)
-    per schedule entry. Any other points take trig.point_sums: phases
-    reduced mod 1 from the exact frequencies, one matrix-vector product per
+    xs = arange(M)/M takes trig.grid_sums, in O(terms + M log M) per
+    schedule entry. Any other points take trig.point_sums: phases reduced
+    mod 1 from the exact frequencies, one matrix-vector product per
     schedule segment and a cumulative sum over the segments.
     """
     schedule = list(schedule)
@@ -81,7 +60,7 @@ def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     ks, cs, cuts = _sorted_terms(f, schedule)
     M = xs.size
     if M >= 1 and xs.ndim == 1 and np.array_equal(xs, np.arange(M) / M):
-        return _grid_fold(ks, cs, cuts, M)
+        return grid_sums(ks, cs, cuts, M).T
     return point_sums(ks, cs, cuts, xs)
 
 
@@ -95,8 +74,11 @@ class DivergenceEstimate:
 
 
 def _envelope_fits(sums: np.ndarray, schedule: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # one M x len(schedule) array holds the moduli, their running maximum and its log
-    env = np.abs(sums)
+    if len(schedule) < 3:  # the fitted tail half would be one point
+        raise ValueError(f"a divergence fit needs a schedule of at least 3 entries, got {len(schedule)}")
+    # one M x len(schedule) array holds the moduli, their running maximum and its log, in row
+    # order whatever the layout of sums: numpy rounds a sum along a strided row differently
+    env = np.abs(sums, order="C")
     np.maximum.accumulate(env, axis=1, out=env)
     vanishing = env[:, -1] < _VANISH_TOL
     np.maximum(env, _LOG_FLOOR, out=env)
@@ -216,14 +198,15 @@ def dyadic_test_points(alpha: float, depth: int) -> np.ndarray:
 
 
 def _test_point_sums(f: TrigPoly, alpha: float, depth: int, schedule: list[int]) -> np.ndarray:
-    """partial_sums_at(f, dyadic_test_points(alpha, depth), schedule), one grid fold per copy.
+    """partial_sums_at(f, dyadic_test_points(alpha, depth), schedule), one trig.grid_sums per copy.
 
-    The fold sums at the exact points K/2^depth + shift, with the phase of
+    grid_sums sums at the exact points K/2^depth + shift, with the phase of
     every |k| <= 2^53 reduced exactly; dyadic_test_points holds their float
     roundings, up to ulp(1)/2 away.
     """
     ks, cs, cuts = _sorted_terms(f, schedule)
-    return np.concatenate([_grid_fold(ks, cs, cuts, 1 << depth, shift) for shift in _test_shifts(alpha, depth)])
+    return np.concatenate([grid_sums(ks, cs, cuts, 1 << depth, shift)
+                           for shift in _test_shifts(alpha, depth)], axis=1).T
 
 
 def _trial_passes(base: np.ndarray, blocks: np.ndarray, growth: np.ndarray, m_thresh: float,

@@ -241,8 +241,10 @@ class HoloKernelParams:
     def __post_init__(self):
         if self.k < 3:
             raise ValueError("need at least 3 poles")
-        if self.omega < math.log(self.k):
+        if not self.omega >= math.log(self.k):  # NaN too
             raise ValueError("sharpness omega must be at least log k")
+        if 1.0 + self.eps == 1.0:
+            raise ValueError(f"sharpness omega {self.omega} puts the poles 1 + 1/(omega k) on the unit circle")
 
     @staticmethod
     def default_omega(k: int) -> float:

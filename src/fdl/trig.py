@@ -8,11 +8,10 @@ exactly as Python's complex arithmetic on each coefficient. Samples are plain
 arrays over grids j/M with M a power of two: the FFT round trip is then exact,
 and the uniform Riemann sum integrates every polynomial of degree < M
 exactly, which is what makes the grid norms of low-degree polynomials
-certificates rather than estimates. Off the grid, point_sums is the one
-kernel: every phase k x is reduced mod 1 from the exact integer k, and its
-cosine and sine come from the tangent of half the angle, which numpy
-vectorises: a median of 1.4-1.6 ms per criterion-08 panel of 256 x 486
-phases against 3.5-3.8 ms for cos and sin (point_sums gives the host).
+certificates rather than estimates. There is one kernel per job: grid_sums
+on a grid j/M + shift (TrigPoly.sample is its one-cut case), point_sums
+off it, where each phase k x is reduced mod 1 from the exact integer k and
+its cosine and sine come from one vectorised tangent of half the angle.
 """
 from __future__ import annotations
 
@@ -199,15 +198,13 @@ class TrigPoly:
             raise AliasingError(f"grid {M} too coarse for degree {self.degree}")
 
     def sample(self, M: int) -> np.ndarray:
-        """Values at j/M for j < M, exact via inverse FFT.
+        """Values at j/M for j < M, exact via inverse FFT: grid_sums with one cut.
 
         M must be a power of two and degree < M/2, so no frequency wraps
         onto another.
         """
         self._check_grid(M)
-        spec = np.zeros(M, dtype=complex)
-        spec[self.k % M] = self.c
-        return np.fft.ifft(spec) * M
+        return grid_sums(self.k, self.c, [self.k.size], M)[0]
 
     def norm(self, p) -> float:
         """L^p norm on the grid_for_degree grid: the p = 2 value is exact and
@@ -349,13 +346,35 @@ def point_sums(k: np.ndarray, c: np.ndarray, cuts, xs) -> np.ndarray:
     return out
 
 
+def grid_sums(k: np.ndarray, c: np.ndarray, cuts, M: int, shift: float = 0.0) -> np.ndarray:
+    """sum_{j < cut} c_j e(k_j (i/M + shift)) for each cut and i < M, shape (len(cuts), M).
+
+    The grid kernel, for integer |k| <= 2^53 and increasing cuts into k: a
+    grid point sees k only through k mod M and e(k shift), k shift reduced
+    mod 1 by _phase. Each segment between cuts is folded into one spectrum,
+    and row r is M times its inverse FFT in place, so one cut copies nothing.
+    """
+    if shift:
+        c = c * np.exp(2j * np.pi * _phase(k, shift))
+    spec = np.zeros(M, dtype=complex)
+    out = np.empty((len(cuts), M), dtype=complex)
+    bins = k % M
+    start = 0
+    for row, stop in zip(out, cuts):
+        np.add.at(spec, bins[start:stop], c[start:stop])
+        np.fft.ifft(spec, out=row)
+        row *= M
+        start = stop
+    return out
+
+
 def dirichlet_eval(n, t) -> np.ndarray:
     """Closed-form kernel values sin(pi (2n+1) t) / sin(pi t); n is an order or an array of them.
 
     The numerator's phase (2n+1) t/2 is reduced mod 1 from the exact odd
     integer (_phase), so its sine does not carry a rounding of the order's size.
     """
-    if np.min(n) < 0:
+    if np.min(n, initial=0) < 0:
         raise ValueError("dirichlet order must be nonnegative")
     ts = np.asarray(t, dtype=float)
     s = np.sin(np.pi * ts)

@@ -51,7 +51,7 @@ def rademacher_poly(degree: int, rng: np.random.Generator) -> TrigPoly:
 _CF_CAP = 2.0 ** 53
 
 
-def _frac(x: np.ndarray) -> np.ndarray:
+def _fractional_part(x: np.ndarray) -> np.ndarray:
     """Fractional part in [0, 1); mod of a tiny negative number rounds up to 1."""
     f = np.mod(x, 1.0)
     return np.where(f < 1.0, f, 0.0)
@@ -108,38 +108,29 @@ def _first_return_argmin(alpha: np.ndarray, beta: np.ndarray, L: int) -> np.ndar
     return m
 
 
-def _dirichlet_distance(u: np.ndarray, N: int) -> np.ndarray:
-    """min over 1 <= n <= N of the distance of (2n+1)u - 1/2 to the integers.
+def _greedy_orders(u: np.ndarray, N: int) -> np.ndarray:
+    """Per point, an order 1 <= n <= N minimising the distance of (2n+1)u - 1/2 to the integers.
 
     With n = m + 1 this is ||beta + m alpha|| for alpha = {2u},
     beta = {3u - 1/2} and 0 <= m < N, an inhomogeneous Diophantine minimum:
-    its two one-sided minima come from the continued fraction of alpha in
-    O(log N) per point (three-distance theorem), and the distance is
-    evaluated at the two minimising indices as a scan over n evaluates it.
+    its two one-sided minimisers come from the continued fraction of alpha
+    in O(log N) per point (three-distance theorem), and n is the nearer of
+    the two. Where neither is nearer than 1/2 (u = 0), n = N.
     """
     u = np.asarray(u, dtype=float)
-    d = np.full(u.shape, 0.5)
+    n, d = np.full(u.shape, float(N)), np.full(u.shape, 0.5)
     for sign in (1.0, -1.0):  # {beta + m alpha} from above, then from below
-        alpha, beta = _frac(sign * 2.0 * u), _frac(sign * (3.0 * u - 0.5))
-        n = _first_return_argmin(alpha, beta, N - 1) + 1.0
-        np.minimum(d, np.abs(np.mod((2.0 * n + 1.0) * u, 1.0) - 0.5), out=d)
-    return d
+        alpha, beta = _fractional_part(sign * 2.0 * u), _fractional_part(sign * (3.0 * u - 0.5))
+        side = _first_return_argmin(alpha, beta, N - 1) + 1.0
+        dist = np.abs(np.mod((2.0 * side + 1.0) * u, 1.0) - 0.5)
+        nearer = dist < d
+        n[nearer], d[nearer] = side[nearer], dist[nearer]
+    return n
 
 
 def _max_dirichlet_values(u: np.ndarray, N: int) -> np.ndarray:
-    """max over 1 <= n <= N of |D_n(u)|, via the distance of (2n+1)u to 1/2.
-
-    |D_n(u)| = |sin(pi (2n+1) u)| / |sin(pi u)| and the numerator is
-    cos(pi d) with d the distance of (2n+1)u - 1/2 to the integers, so the
-    greedy maximum needs one trigonometric evaluation after the
-    continued-fraction minimum of d.
-    """
-    u = np.asarray(u, dtype=float)
-    d = _dirichlet_distance(u, N)
-    s = np.abs(np.sin(np.pi * u))
-    near = s < 1e-12
-    vals = np.cos(np.pi * d) / np.where(near, 1.0, s)
-    return np.where(near, float(2 * N + 1), vals)
+    """max over 1 <= n <= N of |D_n(u)| = |sin(pi (2n+1) u) / sin(pi u)|: dirichlet_eval at _greedy_orders."""
+    return np.abs(dirichlet_eval(_greedy_orders(u, N), u))
 
 
 def _sweep(name: str, scales: list[int], trials: int, seed: int, ratios, worst=max,

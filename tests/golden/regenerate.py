@@ -129,6 +129,12 @@ CALLS = [
     "analyze spectrum --in pj.json --p inf",
     "analyze spectrum --in pj.json --p 0.5",
     "analyze spectrum --in pj.json --p 2 --steps 0",
+    # exit 1: an omega whose poles 1 + 1/(omega k) round onto the circle
+    "construct holo --k 3 --omega 1e17",
+    "construct holo --k 3 --omega 1e308",
+    # exit 1: a two-entry schedule, whose fitted tail half is one point
+    "analyze index --in pj.json --x 0.03125 --mlo 5 --mhi 6",
+    "analyze levelset --in pj.json --beta 0 --grid 1024 --smlo 5 --smhi 6 --mhi 8 --csv short_level.csv",
 ]
 
 

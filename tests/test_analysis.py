@@ -177,6 +177,19 @@ def test_partial_sums_schedule_must_increase():
     assert zeros.shape == (2, 2) and not zeros.any()
 
 
+def test_divergence_fits_need_three_schedule_entries():
+    # two entries leave one point in the fitted tail half, whose slope would read 0 with r^2 = 1
+    f = disjoint_family(2, 2.0, 2.0, 9).member(1)
+    short = dyadic_schedule(5, 6)
+    for fit in (lambda: divergence_index(f, 0.03125, short),
+                lambda: divergence_profile(f, np.arange(64) / 64, short),
+                lambda: level_set(f, 0.0, 0.05, 64, short),
+                lambda: spectrum_curve(f, [0.0], short, grid=64)):
+        with pytest.raises(ValueError, match="at least 3 entries"):
+            fit()
+    assert divergence_profile(f, np.arange(64) / 64, dyadic_schedule(5, 7))[0].shape == (64,)
+
+
 def test_divergence_index_constant_envelope():
     est = divergence_index(TrigPoly({1: 1.0}), 0.37, dyadic_schedule(6, 10))
     assert est.beta_hat == 0.0

@@ -153,7 +153,17 @@ def test_holo_params_validation():
         HoloKernelParams(k=2, omega=4.0)
     with pytest.raises(ValueError):
         HoloKernelParams(k=16, omega=1.0)  # below log k
+    with pytest.raises(ValueError):
+        HoloKernelParams(k=16, omega=math.nan)
     assert HoloKernelParams(k=16, omega=4.0).eps == pytest.approx(1.0 / 64.0)
+
+
+@pytest.mark.parametrize("omega", [1e17, 1e308])
+def test_holo_params_refuse_poles_on_the_circle(omega):
+    # 1 + 1/(omega k) rounds to 1: the kernel would be 1/(1 - z^k), infinite on the grid
+    with pytest.raises(ValueError, match="omega"):
+        HoloKernelParams(k=3, omega=omega)
+    assert HoloKernelParams(k=3, omega=1e15).eps > 0
 
 
 def test_holo_bounds_certificate():

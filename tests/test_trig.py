@@ -27,6 +27,7 @@ from fdl.trig import (
     _turns,
     dirichlet_eval,
     fejer_mean,
+    grid_sums,
     lp_norm,
     modulate,
     point_sums,
@@ -227,6 +228,26 @@ def test_evaluate_matches_grid_samples():
     f = random_poly(rng, 9)
     direct = f.evaluate(np.arange(32) / 32)
     assert np.abs(direct - f.sample(32)).max() < 1e-12
+
+
+def test_sample_is_grid_sums_with_one_cut():
+    f = random_poly(trial_rng(14, 1), 20)
+    for M in (64, 256):
+        want = grid_sums(f.k, f.c, [len(f)], M)[0]
+        assert np.array_equal(f.sample(M).view(np.uint64), want.view(np.uint64))  # signs of zero too
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_grid_sums_past_the_grid_size_match_point_sums(shift):
+    # degree 40 on 16 points: frequencies alias, and each row is still the partial sum at i/16 + shift
+    rng = trial_rng(14, 2)
+    k = np.array([0, 3, -17, 40, -33, 16])
+    c = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+    cuts = [2, 4, 6]
+    xs = np.arange(16) / 16 + shift
+    got = grid_sums(k, c, cuts, 16, shift)
+    assert got.shape == (3, 16)
+    assert np.abs(got.T - point_sums(k, c, cuts, xs)).max() <= 1e-14 * np.abs(c).sum()
 
 
 def _peak(f):
@@ -451,6 +472,9 @@ def test_dirichlet_eval_closed_form():
     direct = TrigPoly.dirichlet(n).evaluate(ts)
     assert np.abs(dirichlet_eval(n, ts) - direct.real).max() < 1e-9
     assert dirichlet_eval(n, 0.0) == 2 * n + 1
+    assert dirichlet_eval(np.array([], dtype=int), np.array([])).shape == (0,)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dirichlet_eval(np.array([3, -1]), 0.25)
 
 
 def test_dirichlet_eval_reduces_its_phase_exactly():

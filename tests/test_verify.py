@@ -14,8 +14,8 @@ from fdl.sets import comb_membership
 from fdl.trig import TrigPoly, dirichlet_eval
 from fdl.util import DEFAULT_SEED, grid_for_degree, trial_rng
 from fdl.verify import (
-    _dirichlet_distance,
     _first_return_argmin,
+    _greedy_orders,
     _max_dirichlet_values,
     _maximal_ratios,
     check_derivative_bound,
@@ -51,7 +51,8 @@ def test_max_dirichlet_scan_matches_brute_force():
 
 
 def test_max_dirichlet_scan_at_singular_point():
-    assert _max_dirichlet_values(np.array([0.0]), 40)[0] == pytest.approx(81.0)
+    assert _max_dirichlet_values(np.array([0.0]), 40)[0] == 81.0
+    assert _max_dirichlet_values(np.array([]), 40).shape == (0,)
 
 
 def _brute_dirichlet_distance(u, N, block=64):
@@ -75,7 +76,10 @@ def _brute_max_dirichlet(u, N):
 
 def _assert_dirichlet_matches_brute_force(u, N):
     u = np.asarray(u, dtype=float)
-    assert np.max(np.abs(_dirichlet_distance(u, N) - _brute_dirichlet_distance(u, N))) <= 1e-11
+    n = _greedy_orders(u, N)
+    assert np.all((1 <= n) & (n <= N) & (n == np.rint(n)))
+    greedy_distance = np.abs(np.mod((2.0 * n + 1.0) * u, 1.0) - 0.5)
+    assert np.max(np.abs(greedy_distance - _brute_dirichlet_distance(u, N))) <= 1e-11
     # |d/dd cos(pi d)| <= pi, so the values differ by at most pi * 1e-11 / |sin(pi u)|
     s = np.abs(np.sin(np.pi * u))
     assert np.all(np.abs(_max_dirichlet_values(u, N) - _brute_max_dirichlet(u, N)) * s <= 4e-11)
