@@ -190,7 +190,7 @@ def _complex_maximal_ratios(coeffs, N, a, M, mean=_half_mean):
     """The batched scan in complex arithmetic over the full grid, kept as an oracle.
 
     mean reduces the (B, M) root and modulus arrays; by default it is the
-    scan's own weighted mean over columns 0..M/2, so the two agree bit for bit.
+    scan's own weighted mean over columns 0..M/2.
     """
     B, width = coeffs.shape
     d = (width - 1) // 2
@@ -208,22 +208,41 @@ def _complex_maximal_ratios(coeffs, N, a, M, mean=_half_mean):
     return mean(np.sqrt(best), M) / mean(np.abs(S), M)
 
 
+def _assert_matches(got, want):
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
 @pytest.mark.parametrize("B", [1, 4])
 @pytest.mark.parametrize("factor", [4, 8])
-def test_real_maximal_scan_is_bit_identical_to_complex_scan(B, factor):
+def test_real_maximal_scan_matches_complex_scan(B, factor):
     for d in (1, 2, 17, 64):
         coeffs = np.stack([rademacher_coeffs(d, trial_rng(DEFAULT_SEED, (d << 20) + t)) for t in range(B)])
         M = grid_for_degree(d, factor=factor)
         for N in sorted({2, max(2, d - 1), max(2, d), d + 1}):
-            want = _complex_maximal_ratios(coeffs, N, 0.5, M)
-            assert np.array_equal(_maximal_ratios(coeffs, N, 0.5, M), want), (d, N)
+            _assert_matches(_maximal_ratios(coeffs, N, 0.5, M), _complex_maximal_ratios(coeffs, N, 0.5, M))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "symmetric", "antisymmetric"])
+def test_real_maximal_scan_matches_complex_scan_on_general_real_rows(kind):
+    rng = trial_rng(DEFAULT_SEED, 9000)
+    for d in (1, 2, 17, 64):
+        # rows scaled over 1e-3..1e3, so the combined coefficients c_n +- c_-n round
+        coeffs = rng.standard_normal((4, 2 * d + 1)) * np.logspace(-3, 3, 4)[:, None]
+        if kind == "symmetric":  # c_-n = c_n, so Im S_n = 0
+            coeffs[:, :d] = coeffs[:, :d:-1]
+        elif kind == "antisymmetric":  # c_-n = -c_n, so Re S_n = c_0
+            coeffs[:, :d] = -coeffs[:, :d:-1]
+        M = grid_for_degree(d)
+        for N in (2, d, d + 3):
+            _assert_matches(_maximal_ratios(coeffs, N, 0.5, M), _complex_maximal_ratios(coeffs, N, 0.5, M))
 
 
 def test_real_maximal_scan_is_bit_identical_across_column_blocks(monkeypatch):
     coeffs = np.stack([rademacher_coeffs(64, trial_rng(DEFAULT_SEED, t)) for t in range(3)])
     M = grid_for_degree(64)
-    want = _complex_maximal_ratios(coeffs, 64, 0.5, M)
-    for columns in (48, 64, M + 1):  # a short last block, even blocks, one block
+    monkeypatch.setattr(verify, "_SCAN_COLUMNS", M + 1)  # one block
+    want = _maximal_ratios(coeffs, 64, 0.5, M)
+    for columns in (48, 64):  # a short last block, even blocks
         monkeypatch.setattr(verify, "_SCAN_COLUMNS", columns)
         assert np.array_equal(_maximal_ratios(coeffs, 64, 0.5, M), want), columns
 
@@ -248,15 +267,30 @@ def _real_row(f):
     return np.array([[f.coeff(k).real for k in range(-d, d + 1)]])
 
 
-def test_weak_maximal_is_bit_identical_to_single_row_scan():
+def test_weak_maximal_matches_single_row_scan():
     row_poly = rademacher_poly(32, trial_rng(DEFAULT_SEED, (32 << 20) + 0))  # maximal_rows' trial 0 at scale 32
     polys = [(TrigPoly({3: 1.0}), 64), (rademacher_poly(32, trial_rng(DEFAULT_SEED, 42)), 32), (row_poly, 32)]
     for f, N in polys:
         for factor in (4, 8):
             M = grid_for_degree(f.degree, factor=factor)
-            assert _maximal_ratios(_real_row(f), N, 0.5, M)[0] == _single_row_maximal(f, N, 0.5, M)
+            _assert_matches(_maximal_ratios(_real_row(f), N, 0.5, M), _single_row_maximal(f, N, 0.5, M))
     _, rows = maximal_rows(32, 0.5, 1, seed=DEFAULT_SEED, scales=[32])
-    assert rows[0][3] == _single_row_maximal(row_poly, 32, 0.5, grid_for_degree(32, factor=4))
+    assert rows[0][3] == _maximal_ratios(_real_row(row_poly), 32, 0.5, grid_for_degree(32, factor=4))[0]
+
+
+# maximal_rows(2048, 0.5, 4) at seed 20127, the benchmark's verify maximal call, as the CSV prints it
+_MAXIMAL_2048_ROWS = {
+    256: ["0.187028906096", "0.191135297642", "0.179138938438", "0.181484715847"],
+    512: ["0.138018325269", "0.138518869609", "0.138673352957", "0.137495517175"],
+    1024: ["0.105324732371", "0.101648356639", "0.104400937525", "0.105130167076"],
+    2048: ["0.0803150016566", "0.0781607184046", "0.0805397713377", "0.0799590740339"],
+}
+
+
+def test_maximal_rows_pinned_at_the_benchmark_call():
+    _, rows = maximal_rows(2048, 0.5, 4, seed=20127)
+    got = [(trial, seed, scale, format(ratio, ".12g")) for trial, seed, scale, ratio in rows]
+    assert got == [(t, 20127, scale, v) for scale, vals in _MAXIMAL_2048_ROWS.items() for t, v in enumerate(vals)]
 
 
 def test_weak_maximal_single_basis_closed_form():
