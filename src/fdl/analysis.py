@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import SaturatorFamily, disjoint_family
+from .construct import disjoint_family
 from .sets import BoxDimEstimate, GridOracle, box_dimension
 from .trig import TrigPoly, grid_sums, point_sums
-from .util import DEFAULT_SEED, loglog_fit, trial_uniform_rows
+from .util import DEFAULT_SEED, fractional_part, loglog_fit, trial_uniform_rows
 
 _VANISH_TOL = 1e-14
 _LOG_FLOOR = 1e-300
@@ -194,7 +194,7 @@ def dyadic_test_points(alpha: float, depth: int) -> np.ndarray:
     theta in {0, 1/2, -1/2}, wrapped to [0, 1).
     """
     centers = np.arange(1 << depth) / (1 << depth)
-    return np.mod(np.concatenate([centers + shift for shift in _test_shifts(alpha, depth)]), 1.0)
+    return fractional_part(np.concatenate([centers + shift for shift in _test_shifts(alpha, depth)]))
 
 
 def _test_point_sums(f: TrigPoly, alpha: float, depth: int, schedule: list[int]) -> np.ndarray:
@@ -247,18 +247,17 @@ class ProbeResult:
     config: ProbeConfig
 
 
-def prevalence_probe(f: TrigPoly, config: ProbeConfig, family: SaturatorFamily | None = None) -> ProbeResult:
+def prevalence_probe(f: TrigPoly, config: ProbeConfig) -> ProbeResult:
     """Monte-Carlo success fraction of the perturbed divergence lower bound.
 
-    A trial draws c uniformly in the cube and succeeds when, at every test
-    point, some schedule index n has |S_n(f + sum c_r g_r)| >= m_thresh * n^beta.
-    The two forced trials (all-zero c, first-unit c) are evaluated alongside
-    and never counted in the fraction.
+    The perturbations g_r are the members of the family that the config
+    names, disjoint_family(s, alpha, p, jmax). A trial draws c uniformly in
+    the cube and succeeds when, at every test point, some schedule index n
+    has |S_n(f + sum c_r g_r)| >= m_thresh * n^beta. The two forced trials
+    (all-zero c, first-unit c) are evaluated alongside and never counted in
+    the fraction.
     """
-    if family is None:
-        family = disjoint_family(config.s, config.alpha, config.p, config.jmax)
-    if family.s != config.s:
-        raise ValueError("family size disagrees with the probe config")
+    family = disjoint_family(config.s, config.alpha, config.p, config.jmax)
     top = (2 * config.s + 1) * (1 << (config.jmax + 1))
     schedule = dyadic_schedule(6, max(7, math.ceil(math.log2(top))))
 

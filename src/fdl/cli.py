@@ -33,7 +33,6 @@ from .analysis import (
     spectrum_curve,
 )
 from .construct import (
-    HoloKernelParams,
     disjoint_family,
     holo_boundary,
     log_saturator,
@@ -43,7 +42,7 @@ from .construct import (
     saturator_pj,
     witness_certificate,
 )
-from .sets import DyadicFamilyParams, box_dimension
+from .sets import CombParams, DyadicFamilyParams, box_dimension
 from .trig import TrigPoly, validate_norm_exponent
 from .util import DEFAULT_SEED, round_sig
 from .verify import (
@@ -117,8 +116,8 @@ def _run_construct_family(cfg: dict, threads: int):
 
 def _run_construct_holo(cfg: dict, threads: int):
     if cfg["omega"] is None:
-        cfg["omega"] = HoloKernelParams.default_omega(cfg["k"])
-    params = HoloKernelParams(cfg["k"], cfg["omega"])
+        cfg["omega"] = CombParams.default_omega(cfg["k"])
+    params = CombParams(cfg["k"], cfg["omega"])
     samples = holo_boundary(params, cfg["grid"])
     payload = {"M": samples.size, "samples": [[v.real, v.imag] for v in samples]}
     payload["certificates"] = check_holo_bounds(params, cfg["grid"])
@@ -137,9 +136,9 @@ def _run_construct_witness(cfg: dict, threads: int):
     base = _load_poly(cfg["in"]) if cfg["in"] else TrigPoly({})
     sat = log_saturator(cfg["j"], cfg["eps"])
     cfg["eps"] = sat.eps_n
-    witness = residual_witness(base, cfg["j"], cfg["eta"], sat)
+    witness = residual_witness(base, cfg["eta"], sat)
     payload = witness.to_json_dict()
-    payload["certificates"] = witness_certificate(witness, cfg["j"], cfg["eta"], sat)
+    payload["certificates"] = witness_certificate(witness, cfg["eta"], sat)
     return payload, None
 
 
@@ -432,7 +431,9 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = _resolve(ns)
-        threads = ns.threads if ns.threads and ns.threads > 0 else (os.cpu_count() or 1)
+        if ns.threads is not None and ns.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {ns.threads}")
+        threads = ns.threads or os.cpu_count() or 1
         payload, table = _COMMANDS[(ns.command, ns.subcommand)].handler(cfg, threads)
         # both texts are rendered, and so NaN-checked, before either is written
         outputs = [] if table is None else [(_render_csv(*table), cfg["csv"])]

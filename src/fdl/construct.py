@@ -231,39 +231,10 @@ def disjoint_family(s: int, alpha: float, p, jmax: int) -> SaturatorFamily:
     )
 
 
-@dataclass(frozen=True)
-class HoloKernelParams:
-    """Pole comb: k simple poles just outside the unit circle above each root of unity."""
+def holo_kernel(params: CombParams, z):
+    """Mean of the k pole terms of the comb; holomorphic on the closed disk, f(0) = 1.
 
-    k: int
-    omega: float
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError("need at least 3 poles")
-        if not self.omega >= math.log(self.k):  # NaN too
-            raise ValueError("sharpness omega must be at least log k")
-        if 1.0 + self.eps == 1.0:
-            raise ValueError(f"sharpness omega {self.omega} puts the poles 1 + 1/(omega k) on the unit circle")
-
-    @staticmethod
-    def default_omega(k: int) -> float:
-        """The sharpness max(log k, 3) used when none is given."""
-        return max(math.log(k), 3.0)
-
-    @property
-    def eps(self) -> float:
-        return 1.0 / (self.omega * self.k)
-
-    @property
-    def comb(self) -> CombParams:
-        return CombParams(self.k, self.omega)
-
-
-def holo_kernel(params: HoloKernelParams, z):
-    """Mean of the k pole terms; holomorphic on the closed disk, f(0) = 1.
-
-    The poles sit above the k-th roots of unity, so the mean is a
+    The poles sit at 1 + eps above the k-th roots of unity, so the mean is a
     roots-of-unity filter of the geometric series in a = z/(1+eps) and
     sums in closed form to 1/(1 - a^k).
     """
@@ -271,7 +242,7 @@ def holo_kernel(params: HoloKernelParams, z):
     return 1.0 / (1.0 - a ** params.k)
 
 
-def holo_boundary(params: HoloKernelParams, M: int) -> np.ndarray:
+def holo_boundary(params: CombParams, M: int) -> np.ndarray:
     """Kernel values at exp(2 pi i j/M) for j < M, M a power of two."""
     if not is_pow2(M):
         raise ValueError("grid size must be a power of two")
@@ -324,7 +295,7 @@ def log_saturator(n: int, eps_n: float | None = None) -> LogSaturator:
     k = int(n / (2.0 * math.pi * omega))
     if k < 3:
         raise ValueError(f"rate too aggressive at degree {n}: tooth count {k} < 3")
-    params = HoloKernelParams(k, omega)
+    params = CombParams(k, omega)
 
     q = (1.0 + params.eps) ** -k
     m = np.arange(1, (n - 1) // k + 1)
@@ -378,9 +349,9 @@ def logsat_certificate(sat: LogSaturator) -> dict:
     return cert
 
 
-def residual_witness(g: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> TrigPoly:
-    """Adds the degree-j saturator, scaled by eta_j / sat.eps_n and modulated
-    by j, on top of a low-degree function.
+def residual_witness(g: TrigPoly, eta_j: float, sat: LogSaturator) -> TrigPoly:
+    """Adds the saturator, of degree j = sat.n, scaled by eta_j / sat.eps_n and
+    modulated by j, on top of a low-degree function.
 
     The input spectrum must fit inside [-j, j] and the added block lives in
     [j+1, 3j-1]. The difference S_2j - S_j recovers the modulated degree-j
@@ -388,8 +359,7 @@ def residual_witness(g: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> Tr
     eta_j * log j whenever the saturator certificate holds. The full block
     itself can vanish on the comb; only the two-scale difference saturates.
     """
-    if sat.n != j:
-        raise ValueError(f"saturator degree {sat.n} differs from the block level {j}")
+    j = sat.n
     if g.degree > j:
         raise ValueError("base function degree exceeds the block level")
     scale = eta_j / sat.eps_n
@@ -398,13 +368,14 @@ def residual_witness(g: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> Tr
     return g + scale * modulate(sat.poly, j)
 
 
-def witness_certificate(witness: TrigPoly, j: int, eta_j: float, sat: LogSaturator) -> dict:
-    """A lower bound of the two-scale difference S_2j - S_j on the comb against eta_j log j.
+def witness_certificate(witness: TrigPoly, eta_j: float, sat: LogSaturator) -> dict:
+    """A lower bound of the two-scale difference S_2j - S_j on the comb against eta_j log j, j = sat.n.
 
     The difference is the saturator's partial sum modulated by j, with
     spectrum 2j mod k, so it reads the comb tooth as logsat_certificate
     does. AssertionError when the minimum misses that target.
     """
+    j = sat.n
     diff = tooth_bounds(witness.truncate(2 * j) - witness.truncate(j), sat.k, 0.5 / sat.omega)
     target = eta_j * math.log(j)
     cert = {

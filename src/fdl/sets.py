@@ -95,7 +95,13 @@ class DyadicFamily:
 
 @dataclass(frozen=True)
 class CombParams:
-    """k teeth of half-width 1/(2*omega*k) centered at the points i/k."""
+    """The (k, omega) comb: k teeth of half-width 1/(2 omega k) centred at the
+    points i/k, and the k poles 1 + eps, eps = 1/(omega k), of the comb
+    kernel above them.
+
+    Valid for k >= 3 and omega >= log k (so omega > 1 and the teeth are
+    disjoint) while 1 + eps stays off the unit circle in float64.
+    """
 
     k: int
     omega: float
@@ -103,8 +109,19 @@ class CombParams:
     def __post_init__(self):
         if self.k < 3:
             raise ValueError("comb needs at least 3 teeth")
-        if not (self.omega > 1):
-            raise ValueError("sharpness omega must exceed 1 so teeth are disjoint")
+        if not self.omega >= math.log(self.k):  # NaN too
+            raise ValueError("sharpness omega must be at least log k")
+        if 1.0 + self.eps == 1.0:
+            raise ValueError(f"sharpness omega {self.omega} puts the poles 1 + 1/(omega k) on the unit circle")
+
+    @staticmethod
+    def default_omega(k: int) -> float:
+        """The sharpness max(log k, 3) used when none is given."""
+        return max(math.log(k), 3.0)
+
+    @property
+    def eps(self) -> float:
+        return 1.0 / (self.omega * self.k)
 
     @property
     def half_width(self) -> float:
@@ -130,13 +147,17 @@ class BoxDimEstimate:
 
 class GridOracle:
     """Membership in a set marked on the uniform grid j/G: x reads its nearest
-    grid point, mask[rint(x G) mod G]."""
+    grid point, mask[rint(frac(x) G) mod G], with frac(x) = x - floor(x),
+    which is exact; a point that is not finite raises ValueError."""
 
     def __init__(self, mask: np.ndarray):
         self.mask = mask
 
     def __call__(self, x):
-        idx = np.mod(np.rint(np.asarray(x, dtype=float) * self.mask.size).astype(int), self.mask.size)
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError("points must be finite")
+        idx = np.mod(np.rint((x - np.floor(x)) * self.mask.size).astype(int), self.mask.size)
         return self.mask[idx]
 
 

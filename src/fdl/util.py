@@ -31,6 +31,12 @@ def grid_for_degree(degree: int, factor: int = 8) -> int:
     return max(next_pow2(factor * max(int(degree), 1)), 16)
 
 
+def fractional_part(x) -> np.ndarray:
+    """x mod 1 in [0, 1): np.mod of a tiny negative number rounds up to 1, which is taken as 0."""
+    f = np.mod(x, 1.0)
+    return np.where(f < 1.0, f, 0.0)
+
+
 # relative spread (root mean square over |mean|) up to which loglog_fit calls a series constant
 _FLAT_RTOL = 1e-13
 

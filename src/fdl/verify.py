@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import HoloKernelParams, holo_kernel
-from .sets import comb_membership
+from .construct import holo_kernel
+from .sets import CombParams, comb_membership
 from .trig import TrigPoly, dirichlet_eval, lp_norm, validate_norm_exponent
-from .util import DEFAULT_SEED, grid_for_degree, indexed_map, is_pow2, trial_rng
+from .util import DEFAULT_SEED, fractional_part, grid_for_degree, indexed_map, is_pow2, trial_rng
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,6 @@ def rademacher_poly(degree: int, rng: np.random.Generator) -> TrigPoly:
 # Cap on partial quotients: a step this long is past every scan range, and
 # the cap keeps E / delta finite when delta is tiny.
 _CF_CAP = 2.0 ** 53
-
-
-def _fractional_part(x: np.ndarray) -> np.ndarray:
-    """Fractional part in [0, 1); mod of a tiny negative number rounds up to 1."""
-    f = np.mod(x, 1.0)
-    return np.where(f < 1.0, f, 0.0)
 
 
 def _first_return_argmin(alpha: np.ndarray, beta: np.ndarray, L: int) -> np.ndarray:
@@ -120,7 +114,7 @@ def _greedy_orders(u: np.ndarray, N: int) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     n, d = np.full(u.shape, float(N)), np.full(u.shape, 0.5)
     for sign in (1.0, -1.0):  # {beta + m alpha} from above, then from below
-        alpha, beta = _fractional_part(sign * 2.0 * u), _fractional_part(sign * (3.0 * u - 0.5))
+        alpha, beta = fractional_part(sign * 2.0 * u), fractional_part(sign * (3.0 * u - 0.5))
         side = _first_return_argmin(alpha, beta, N - 1) + 1.0
         dist = np.abs(np.mod((2.0 * side + 1.0) * u, 1.0) - 0.5)
         nearer = dist < d
@@ -416,7 +410,7 @@ class HoloBounds:
     grid: int
 
 
-def _comb_grid_points(params: HoloKernelParams, M: int) -> np.ndarray:
+def _comb_grid_points(params: CombParams, M: int) -> np.ndarray:
     """The j < M whose grid point j/M comb_membership marks, found tooth by tooth.
 
     Tooth i covers |j - i M/k| <= half-width M; rounding its centre to
@@ -424,13 +418,13 @@ def _comb_grid_points(params: HoloKernelParams, M: int) -> np.ndarray:
     candidates on either side hold every marked point. Where two windows
     meet a point may appear twice, which no minimum minds.
     """
-    r = math.ceil(params.comb.half_width * M) + 1
+    r = math.ceil(params.half_width * M) + 1
     centres = np.rint(np.arange(params.k) * (M / params.k)).astype(np.int64)
     js = ((centres[:, None] + np.arange(-r, r + 1)) % M).ravel()
-    return js[comb_membership(params.comb, js / M)]
+    return js[comb_membership(params, js / M)]
 
 
-def check_holo_bounds(params: HoloKernelParams, M: int) -> HoloBounds:
+def check_holo_bounds(params: CombParams, M: int) -> HoloBounds:
     """Closed-form margins of the kernel bounds, plus the comb minimum on the grid.
 
     On the closed disk a^k fills |w| <= rho = (1+eps)^-k, where f = 1/(1-w)
@@ -469,7 +463,7 @@ def check_holo_bounds(params: HoloKernelParams, M: int) -> HoloBounds:
 
 def holo_sweep(ks, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[HoloBounds]]:
     """Runs the bound check across tooth counts with the default omega = max(log k, 3)."""
-    params = [HoloKernelParams(k, HoloKernelParams.default_omega(k)) for k in ks]
+    params = [CombParams(k, CombParams.default_omega(k)) for k in ks]
     bounds = [check_holo_bounds(p, M) for p in params]
     report = VerificationReport(
         name="holo-bounds",

@@ -94,6 +94,7 @@ CALLS = [
     "verify localization --N 16 --config nan.conf --csv nan_conf.csv",
     "analyze index --in absent.json --x 0.5 --out absent_index.json",
     "analyze index --in bad.json --x 0.1",
+    "verify nikolsky --N 8 --trials 1 --threads 0",
     # exit 1: NaN, infinite and out-of-range values
     "analyze spectrum --in pj.json --p nan --csv nan_p.csv",
     "probe prevalence --thresh nan",

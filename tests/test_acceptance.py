@@ -184,15 +184,13 @@ def test_08_divergence_index():
 def test_09_prevalence_probe():
     with criterion(9, "finite-scale prevalence probe", 600.0):
         cfg = ProbeConfig()
-        fam = disjoint_family(cfg.s, cfg.alpha, cfg.p, cfg.jmax)
-
-        res0 = prevalence_probe(TrigPoly(), cfg, fam)
+        res0 = prevalence_probe(TrigPoly(), cfg)
         assert res0.fraction >= 0.95
         assert not res0.forced_zero_success  # nothing grows without a perturbation
         assert res0.forced_unit_success
 
         f = rademacher_poly(256, trial_rng(DEFAULT_SEED, 9000))
-        resf = prevalence_probe(f, cfg, fam)
+        resf = prevalence_probe(f, cfg)
         assert resf.fraction >= 0.95
         assert resf.forced_unit_success
 

@@ -309,6 +309,11 @@ def test_dyadic_test_points_layout():
     assert pts.size == 3 * (1 << 3)
     assert np.unique(pts).size == pts.size
     assert pts.min() >= 0.0 and pts.max() < 1.0
+    # a half gauge below ulp(1)/2: the copy -gauge/2 of the center 0 wraps to 0, not to 1.0
+    for alpha, depth in ((10.0, 6), (30.0, 2)):
+        pts = dyadic_test_points(alpha, depth)
+        assert pts.size == 3 * (1 << depth)
+        assert pts.min() >= 0.0 and pts.max() < 1.0
 
 
 def test_probe_config_validation():
@@ -347,13 +352,12 @@ def test_probe_config_rate_gap():
 def test_prevalence_probe_small_frozen():
     cfg = ProbeConfig(s=2, alpha=2.0, p=2.0, beta=0.2, R=1.0,
                       m_thresh=1e-4, trials=8, depth=3, jmax=7, seed=4242)
-    fam = disjoint_family(2, 2.0, 2.0, 7)
-    res = prevalence_probe(TrigPoly(), cfg, fam)
+    res = prevalence_probe(TrigPoly(), cfg)
     assert res.fraction == 1.0
     assert res.failures == []
     assert not res.forced_zero_success  # zero input, zero coefficients: nothing grows
     assert res.forced_unit_success
-    assert prevalence_probe(TrigPoly(), cfg, fam) == res
+    assert prevalence_probe(TrigPoly(), cfg) == res
 
 
 @pytest.mark.parametrize("seed", [0, 20127, (1 << 64) + 5, (1 << 96) + 11, (1 << 130) + 3])
@@ -377,13 +381,6 @@ def test_trial_uniform_rows_refusals():
         trial_uniform_rows(1, 3, -1e308, 1e308, 2)
     with pytest.raises(ValueError):
         trial_uniform_rows(1, 3, 1.0, -1.0, 2)
-
-
-def test_prevalence_probe_family_mismatch():
-    cfg = ProbeConfig(s=2, jmax=7, trials=1)
-    fam = disjoint_family(3, 2.0, 2.0, 7)
-    with pytest.raises(ValueError):
-        prevalence_probe(TrigPoly(), cfg, fam)
 
 
 # the prevalence probe at the benchmark's shape: s = 9, jmax = 16, depth = 8, 2000 trials
@@ -456,10 +453,10 @@ def workload_blocks(workload_family):
 
 @pytest.mark.parametrize("base", ["zero", "rademacher"])
 @pytest.mark.parametrize("seed", [20127, 7])
-def test_prevalence_probe_matches_per_trial_loop(workload_family, workload_blocks, base, seed):
+def test_prevalence_probe_matches_per_trial_loop(workload_blocks, base, seed):
     cfg = ProbeConfig(seed=seed, **_WORKLOAD)
     f = TrigPoly() if base == "zero" else rademacher_poly(256, trial_rng(seed, 9000))
-    res = prevalence_probe(f, cfg, workload_family)
+    res = prevalence_probe(f, cfg)
     failures, zero_ok, unit_ok = _probe_oracle(f, cfg, workload_blocks)
     assert res.failures == failures
     assert res.fraction == (cfg.trials - len(failures)) / cfg.trials
@@ -467,11 +464,10 @@ def test_prevalence_probe_matches_per_trial_loop(workload_family, workload_block
 
 
 @pytest.mark.parametrize("beta, m_thresh", [(0.45, 3e-2), (0.2, 3e-2), (0.3, 1e-2)])
-def test_prevalence_probe_matches_per_trial_loop_when_trials_fail(workload_family, workload_blocks,
-                                                                  beta, m_thresh):
+def test_prevalence_probe_matches_per_trial_loop_when_trials_fail(workload_blocks, beta, m_thresh):
     # a failing trial keeps its open points through every column
     cfg = ProbeConfig(beta=beta, m_thresh=m_thresh, **_WORKLOAD)
-    res = prevalence_probe(TrigPoly(), cfg, workload_family)
+    res = prevalence_probe(TrigPoly(), cfg)
     failures, zero_ok, unit_ok = _probe_oracle(TrigPoly(), cfg, workload_blocks)
     assert len(failures) > cfg.trials // 2
     assert res.failures == failures

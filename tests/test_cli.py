@@ -9,7 +9,8 @@ import pytest
 import fdl.cli as cli
 import fdl.construct
 from fdl.analysis import DivergenceEstimate
-from fdl.construct import HoloKernelParams, holo_kernel, log_saturator, residual_witness
+from fdl.construct import holo_kernel, log_saturator, residual_witness
+from fdl.sets import CombParams
 from fdl.trig import TrigPoly
 from fdl.util import next_pow2
 from fdl.verify import VerificationReport, holo_rows
@@ -48,6 +49,14 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 def test_unknown_command_is_usage_error():
     assert cli.run(["destruct", "pj"]) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    rows = tmp_path / "rows.csv"
+    assert cli.run(["verify", "maximal", "--N", "16", "--trials", "1", "--threads", threads, "--csv", str(rows)]) == 1
+    assert capsys.readouterr().err.startswith("error: --threads must be at least 1")
+    assert not rows.exists()
 
 
 def test_domain_validation_maps_to_exit_1(tmp_path, capsys):
@@ -195,7 +204,7 @@ def test_construct_holo_payload(tmp_path):
     assert data["M"] == 64
     assert len(data["samples"]) == 64 and all(len(pair) == 2 for pair in data["samples"])
     got = np.array([complex(re, im) for re, im in data["samples"]])
-    want = holo_kernel(HoloKernelParams(16, HoloKernelParams.default_omega(16)), np.exp(2j * np.pi * np.arange(64) / 64))
+    want = holo_kernel(CombParams(16, CombParams.default_omega(16)), np.exp(2j * np.pi * np.arange(64) / 64))
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     assert set(data["certificates"]) == {"k", "omega", "c1", "c2", "c3", "c4", "min_re", "f0_error", "grid"}
 
@@ -237,7 +246,7 @@ def test_construct_logsat_samples_on_its_grid_once_per_polynomial(tmp_path, monk
     sat = log_saturator(1024)  # k = 23 teeth: an odd decimation
     base = TrigPoly({0: 1.0, 3: 0.25})
     (tmp_path / "base.json").write_text(json.dumps(base.to_json_dict()))
-    diff = residual_witness(base, 1024, 0.05, sat)
+    diff = residual_witness(base, 0.05, sat)
     diff = diff.truncate(2048) - diff.truncate(1024)
     K_sat, K_partial, K_diff = (_decimated_K(sat.poly, sat.k), _decimated_K(sat.poly.truncate(1024), sat.k),
                                 _decimated_K(diff, sat.k))

@@ -7,7 +7,6 @@ import pytest
 
 from fdl.construct import (
     ROUNDING_SLACK,
-    HoloKernelParams,
     chi_coefficients,
     disjoint_family,
     eps_floor,
@@ -141,7 +140,7 @@ def _pole_sum(params, z):
 
 
 def test_holo_kernel_closed_form():
-    params = HoloKernelParams(k=16, omega=4.0)
+    params = CombParams(k=16, omega=4.0)
     zs = 0.9 * np.exp(2j * np.pi * np.linspace(0.0, 1.0, 64, endpoint=False))
     want = _pole_sum(params, zs)
     assert np.max(np.abs(holo_kernel(params, zs) - want)) < 1e-12
@@ -150,24 +149,24 @@ def test_holo_kernel_closed_form():
 
 def test_holo_params_validation():
     with pytest.raises(ValueError):
-        HoloKernelParams(k=2, omega=4.0)
+        CombParams(k=2, omega=4.0)
     with pytest.raises(ValueError):
-        HoloKernelParams(k=16, omega=1.0)  # below log k
+        CombParams(k=16, omega=1.0)  # below log k
     with pytest.raises(ValueError):
-        HoloKernelParams(k=16, omega=math.nan)
-    assert HoloKernelParams(k=16, omega=4.0).eps == pytest.approx(1.0 / 64.0)
+        CombParams(k=16, omega=math.nan)
+    assert CombParams(k=16, omega=4.0).eps == pytest.approx(1.0 / 64.0)
 
 
 @pytest.mark.parametrize("omega", [1e17, 1e308])
 def test_holo_params_refuse_poles_on_the_circle(omega):
     # 1 + 1/(omega k) rounds to 1: the kernel would be 1/(1 - z^k), infinite on the grid
     with pytest.raises(ValueError, match="omega"):
-        HoloKernelParams(k=3, omega=omega)
-    assert HoloKernelParams(k=3, omega=1e15).eps > 0
+        CombParams(k=3, omega=omega)
+    assert CombParams(k=3, omega=1e15).eps > 0
 
 
 def test_holo_bounds_certificate():
-    params = HoloKernelParams(k=16, omega=4.0)
+    params = CombParams(k=16, omega=4.0)
     bounds = check_holo_bounds(params, 1 << 12)
     assert bounds.f0_error <= 1e-12
     assert bounds.c4 <= 1.0 + 1e-6
@@ -181,7 +180,7 @@ def test_log_saturator_matches_grid_log_lift(n):
     # boundary logarithm of the comb kernel, on a grid far finer than the degree
     sat = log_saturator(n)
     M = 1 << 16
-    spec = np.fft.fft(np.log(holo_boundary(HoloKernelParams(sat.k, sat.omega), M))) / M
+    spec = np.fft.fft(np.log(holo_boundary(CombParams(sat.k, sat.omega), M))) / M
     q = np.arange(-(n - 1), n)
     grid = (2.0 / math.pi) * (1.0 - np.abs(q) / n) * (spec[q % M] - np.conj(spec[-q % M])) / 2j
     got = np.array([sat.poly.coeff(n + int(f)) for f in q])
@@ -238,7 +237,7 @@ def test_residual_witness_two_scale_identity_is_exact():
     j = 128
     sat = log_saturator(j)
     base = TrigPoly({0: 1.0, 3: 0.25})
-    w = residual_witness(base, j, 0.05, sat)
+    w = residual_witness(base, 0.05, sat)
     diff = w.truncate(2 * j) - w.truncate(j)
     assert diff == (0.05 / sat.eps_n) * modulate(sat.poly.truncate(j), j)
     assert w.truncate(j) == base
@@ -247,8 +246,9 @@ def test_residual_witness_two_scale_identity_is_exact():
 def test_residual_witness_comb_margin_frozen():
     j = 128
     sat = log_saturator(j)
-    w = residual_witness(TrigPoly({0: 1.0, 3: 0.25}), j, 0.05, sat)
-    cert = witness_certificate(w, j, 0.05, sat)
+    w = residual_witness(TrigPoly({0: 1.0, 3: 0.25}), 0.05, sat)
+    cert = witness_certificate(w, 0.05, sat)
+    assert (cert["level"], cert["detector_scales"]) == (j, [j, 2 * j])  # j is the saturator's degree
     target, observed = cert["target_level"], cert["min_difference_on_comb"]
     assert target == pytest.approx(0.242602, abs=5e-4)
     # a lower bound of the comb minimum: below the 0.642431 that the grid of 2^16 points reads
@@ -261,13 +261,11 @@ def test_residual_witness_guards():
     j = 128
     sat = log_saturator(j)
     with pytest.raises(ValueError):
-        residual_witness(TrigPoly({200: 1.0}), j, 0.05, sat)
+        residual_witness(TrigPoly({200: 1.0}), 0.05, sat)
     with pytest.raises(ValueError):
-        residual_witness(TrigPoly(), j, 0.0, sat)
+        residual_witness(TrigPoly(), 0.0, sat)
     with pytest.raises(ValueError, match="eta_j / eps_n finite"):
-        residual_witness(TrigPoly(), j, 1e308, sat)
-    with pytest.raises(ValueError, match="saturator degree 256 differs from the block level 128"):
-        residual_witness(TrigPoly(), j, 0.05, log_saturator(256))
+        residual_witness(TrigPoly(), 1e308, sat)
 
 
 def _coset_poly(rng, r, g, q):
@@ -372,7 +370,7 @@ def test_certificates_transform_one_period_of_their_grid(monkeypatch):
     params = DyadicFamilyParams(16, 2.0)  # 2^J = 512 centres
     pj = saturator_pj(params, 2)
     sat = log_saturator(1024)  # k = 23 teeth: an odd decimation
-    witness = residual_witness(TrigPoly({0: 1.0, 3: 0.25}), 1024, 0.05, sat)
+    witness = residual_witness(TrigPoly({0: 1.0, 3: 0.25}), 0.05, sat)
     diff = witness.truncate(2048) - witness.truncate(1024)
     lengths = _transform_lengths(monkeypatch)
     # each certificate: the sup bound on K points, then the tooth's three chirp-z transforms of length K
@@ -383,7 +381,7 @@ def test_certificates_transform_one_period_of_their_grid(monkeypatch):
     logsat_certificate(sat)
     assert lengths == [16 * next_pow2(2 * _span(sat.poly.truncate(1024), sat.k))] * 4
     lengths.clear()
-    witness_certificate(witness, 1024, 0.05, sat)
+    witness_certificate(witness, 0.05, sat)
     assert lengths == [16 * next_pow2(2 * _span(diff, sat.k))] * 4
 
 # The full-grid certificates: every site samples its polynomial on all M
@@ -489,10 +487,10 @@ def test_logsat_certificate_matches_the_full_grid(n):
 def test_witness_certificate_matches_the_full_grid(j):
     sat = log_saturator(j)  # j = 1024 has k = 23 teeth, an odd decimation
     base = rademacher_poly(32, trial_rng(DEFAULT_SEED, j)) * 0.05
-    w = residual_witness(base, j, 0.05, sat)
+    w = residual_witness(base, 0.05, sat)
     M = _logsat_grid(sat)
     want = _full_grid_witness_certificate(w, j, 0.05, sat, M)
-    got = witness_certificate(w, j, 0.05, sat)
+    got = witness_certificate(w, 0.05, sat)
     diff = w.truncate(2 * j) - w.truncate(j)
     _assert_encloses(diff, sat.k, 0.5 / sat.omega, tooth_bounds(diff, sat.k).sup,
                      got["min_difference_on_comb"], want["diff_sup"], want["min_difference_on_comb"], M)

@@ -1,18 +1,32 @@
-"""Package surface: the names fdl exports, and the methods the benchmark tracer wraps."""
+"""Package surface: the names fdl exports, the README Quick start, and the methods the benchmark tracer wraps."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fdl
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in fdl.__all__ if not hasattr(fdl, name)]
     assert not missing
+
+
+def test_readme_quick_start_runs():
+    # the public signatures the README shows, run as written against src
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", block],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _tracer_targets():

@@ -88,6 +88,8 @@ def test_comb_params_validation():
         CombParams(2, 4.0)
     with pytest.raises(ValueError):
         CombParams(8, 1.0)
+    with pytest.raises(ValueError, match="at least log k"):  # disjoint teeth (omega > 1), but omega < log k
+        CombParams(100, 2.0)
 
 
 def test_box_dimension_full_interval_and_point():
@@ -147,6 +149,16 @@ def test_grid_oracle_answers_from_its_mask_only_below_its_probe_count():
         assert np.array_equal(_probe_hits(grid, exponent, 8), _probe_hits(lambda xs: grid(xs), exponent, 8))
     assert not _probe_hits(grid, 10, 8).any()
     assert box_dimension(grid, 4, 8).counts == [1 << m for m in range(4, 9)]
+
+
+def test_grid_oracle_reduces_points_mod_1_and_refuses_non_finite():
+    mask = np.arange(1 << 10) % 4 == 1
+    grid = GridOracle(mask)
+    # x - floor(x) is exact: -1023/1024 reads index 1, a huge x reads index 0, and -1e-20 rounds to 1 = index 0
+    assert np.array_equal(grid(np.array([-1023 / 1024, 1e300, -1e-20, 5 + 1 / 1024])), [True, False, False, True])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            grid(np.array([0.5, bad]))
 
 
 def test_scale_matched_limsup_cover():

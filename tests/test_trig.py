@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from fdl.analysis import dyadic_schedule, partial_sums_at
 from fdl.construct import (
     ROUNDING_SLACK,
-    HoloKernelParams,
     disjoint_family,
     holo_boundary,
     saturator_pj,
     tooth_bounds,
 )
-from fdl.sets import DyadicFamilyParams
+from fdl.sets import CombParams, DyadicFamilyParams
 from fdl.trig import (
     PRUNE_TOL,
     AliasingError,
@@ -170,7 +169,7 @@ def test_sample_headroom_guard():
     with pytest.raises(ValueError, match="power of two"):
         f.sample(48)
     with pytest.raises(ValueError, match="power of two"):
-        holo_boundary(HoloKernelParams(8, 3.0), 12)
+        holo_boundary(CombParams(8, 3.0), 12)
 
 
 def _coset_poly(rng, r, D, q):

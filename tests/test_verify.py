@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdl import verify
-from fdl.construct import HoloKernelParams, holo_boundary, holo_kernel
-from fdl.sets import comb_membership
+from fdl.construct import holo_boundary, holo_kernel
+from fdl.sets import CombParams, comb_membership
 from fdl.trig import TrigPoly, dirichlet_eval
 from fdl.util import DEFAULT_SEED, grid_for_degree, trial_rng
 from fdl.verify import (
@@ -403,7 +403,7 @@ def test_localization_guards():
 
 
 def test_holo_bounds_frozen_at_k16():
-    params = HoloKernelParams(16, 4.0)
+    params = CombParams(16, 4.0)
     b = check_holo_bounds(params, 1 << 12)
     assert b.f0_error == 0.0
     assert b.c1 == pytest.approx(35.948842423388086, rel=1e-9)
@@ -433,7 +433,7 @@ def _holo_grid_oracle(params, M=1 << 14, interior_samples=1000, seed=DEFAULT_SEE
 
 def test_holo_bounds_closed_forms_match_grid_oracle():
     for k in [*range(8, 257), 1000]:
-        params = HoloKernelParams(k, max(math.log(k), 3.0))
+        params = CombParams(k, max(math.log(k), 3.0))
         got = check_holo_bounds(params, 1 << 14)
         for key, want in _holo_grid_oracle(params).items():
             assert getattr(got, key) == pytest.approx(want, rel=1e-11), (k, key)
@@ -444,8 +444,8 @@ def test_holo_c2_is_the_masked_boundary_minimum_to_the_bit():
     for M, omegas in ((1 << 14, (None,)), (1 << 12, (None, 5.7, 40.0)), (64, (None,))):
         for k in range(8, 257):
             for omega in omegas:
-                params = HoloKernelParams(k, omega or HoloKernelParams.default_omega(k))
-                mask = comb_membership(params.comb, np.arange(M) / M)
+                params = CombParams(k, omega or CombParams.default_omega(k))
+                mask = comb_membership(params, np.arange(M) / M)
                 if not mask.any():
                     with pytest.raises(ValueError, match="resolves no comb point"):
                         check_holo_bounds(params, M)
@@ -453,7 +453,7 @@ def test_holo_c2_is_the_masked_boundary_minimum_to_the_bit():
                 want = float(np.abs(holo_boundary(params, M)[mask]).min() / params.omega)
                 assert check_holo_bounds(params, M).c2 == want, (M, k, omega)
     with pytest.raises(ValueError, match="power of two"):
-        check_holo_bounds(HoloKernelParams(16, 4.0), 1000)
+        check_holo_bounds(CombParams(16, 4.0), 1000)
 
 
 @pytest.mark.parametrize("N, ks", [(8, [8]), (100, [8, 16, 32, 64]), (256, [8, 16, 32, 64, 128, 256])])
