@@ -239,26 +239,30 @@ def _trial_passes(base: np.ndarray, blocks: np.ndarray, growth: np.ndarray, m_th
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """The success fraction and the failed trials, beside the config's rate gap and size condition."""
+
     fraction: float
     trials: int
     failures: list
     forced_zero_success: bool
     forced_unit_success: bool
-    config: ProbeConfig
+    rate_gap: float
+    size_condition_met: bool
 
 
 def prevalence_probe(f: TrigPoly, config: ProbeConfig) -> ProbeResult:
     """Monte-Carlo success fraction of the perturbed divergence lower bound.
 
     The perturbations g_r are the members of the family that the config
-    names, disjoint_family(s, alpha, p, jmax). A trial draws c uniformly in
-    the cube and succeeds when, at every test point, some schedule index n
-    has |S_n(f + sum c_r g_r)| >= m_thresh * n^beta. The two forced trials
+    names, disjoint_family(s, alpha, p, jmax), and the schedule 2^6, 2^7, ...
+    reaches the family's top frequency. A trial draws c uniformly in the
+    cube and succeeds when, at every test point, some schedule index n has
+    |S_n(f + sum c_r g_r)| >= m_thresh * n^beta. The two forced trials
     (all-zero c, first-unit c) are evaluated alongside and never counted in
     the fraction.
     """
     family = disjoint_family(config.s, config.alpha, config.p, config.jmax)
-    top = (2 * config.s + 1) * (1 << (config.jmax + 1))
+    top = family.freq_constant << config.jmax
     schedule = dyadic_schedule(6, max(7, math.ceil(math.log2(top))))
 
     base = _test_point_sums(f, config.alpha, config.depth, schedule)
@@ -276,5 +280,6 @@ def prevalence_probe(f: TrigPoly, config: ProbeConfig) -> ProbeResult:
         failures=failures,
         forced_zero_success=bool(passes[-2]),
         forced_unit_success=bool(passes[-1]),
-        config=config,
+        rate_gap=config.rate_gap,
+        size_condition_met=config.size_condition_met,
     )

@@ -184,17 +184,7 @@ def _run_probe_prevalence(cfg: dict, threads: int):
         jmax=cfg["jmax"], seed=cfg["seed"],
     )
     f = _load_poly(cfg["in"]) if cfg["in"] else TrigPoly({})
-    result = prevalence_probe(f, probe_cfg)
-    payload = {
-        "fraction": result.fraction,
-        "trials": result.trials,
-        "failures": result.failures,
-        "forced_zero_success": result.forced_zero_success,
-        "forced_unit_success": result.forced_unit_success,
-        "rate_gap": probe_cfg.rate_gap,
-        "size_condition_met": probe_cfg.size_condition_met,
-    }
-    return payload, None
+    return prevalence_probe(f, probe_cfg), None
 
 
 _COMMANDS = {

@@ -129,10 +129,7 @@ def tooth_bounds(poly: TrigPoly, g: int, half_width: float | None = None) -> Too
     modulus = np.abs(Q.sample(K))
     slack = ROUNDING_SLACK * float(np.abs(poly.c).sum())
     sup = float(modulus.max()) / math.sqrt(math.cos(math.pi * span / K)) + slack
-    l2 = float(np.linalg.norm(poly.c))
-    if not math.isfinite(l2):  # the squares overflowed: scale by the largest modulus
-        top = float(np.abs(poly.c).max())
-        l2 = top * float(np.linalg.norm(poly.c / top))
+    l2 = poly.norm(2)
     minimum, points = None, 0
     if half_width is not None:
         points = K - 2 * s - 1
@@ -178,7 +175,7 @@ class SaturatorFamily:
     members: tuple
     blocks: dict
     tail_norm_bound: float
-    freq_constant: int
+    freq_constant: int  # 2(2s + 1): every spectrum lies below freq_constant * 2^jmax
 
     def member(self, r: int) -> TrigPoly:
         if not (1 <= r <= self.s):
@@ -263,8 +260,7 @@ class LogSaturator:
     n: int
     eps_n: float
     floored: bool
-    omega: float
-    k: int
+    comb: CombParams  # the teeth the partial sum saturates on, and the kernel's poles
     grid_M: int  # K, the grid its sup bound sampled
     poly: TrigPoly
     sup_norm: float  # upper bound of max |poly| over the circle, at most 1
@@ -278,9 +274,9 @@ class LogSaturator:
 def log_saturator(n: int, eps_n: float | None = None) -> LogSaturator:
     """Builds the saturator with rate eps_n (floored at the admissible rate).
 
-    The sharpness omega and tooth count k are derived from the rate; the
-    polynomial is (2/pi) e_n sigma_n(Im g) with g = -log(1 - a^k) the
-    boundary logarithm of the comb kernel. Its series sum_m q^m z^(km) / m,
+    The sharpness omega and tooth count k of its comb are derived from the
+    rate; the polynomial is (2/pi) e_n sigma_n(Im g) with g = -log(1 - a^k)
+    the boundary logarithm of the comb kernel. Its series sum_m q^m z^(km) / m,
     q = (1+eps)^-k, gives the Fejer-weighted coefficients in closed form,
     one conjugate pair per multiple of k below n. Its spectrum is n mod k,
     so tooth_bounds certifies the sup norm here, once, from the polynomial
@@ -295,9 +291,9 @@ def log_saturator(n: int, eps_n: float | None = None) -> LogSaturator:
     k = int(n / (2.0 * math.pi * omega))
     if k < 3:
         raise ValueError(f"rate too aggressive at degree {n}: tooth count {k} < 3")
-    params = CombParams(k, omega)
+    comb = CombParams(k, omega)
 
-    q = (1.0 + params.eps) ** -k
+    q = (1.0 + comb.eps) ** -k
     m = np.arange(1, (n - 1) // k + 1)
     # float_power rounds as libm pow, as q ** m on floats does; numpy's power differs in the last ulp
     c = (2.0 / math.pi) * (1.0 - m * k / n) * np.float_power(q, m) / m
@@ -315,8 +311,7 @@ def log_saturator(n: int, eps_n: float | None = None) -> LogSaturator:
         n=n,
         eps_n=eps,
         floored=floored,
-        omega=omega,
-        k=k,
+        comb=comb,
         grid_M=bounds.grid,
         poly=poly,
         sup_norm=bounds.sup,
@@ -327,16 +322,16 @@ def logsat_certificate(sat: LogSaturator) -> dict:
     """The saturator's sup bound and a lower bound of its degree-n partial sum on the comb.
 
     The partial sum's spectrum is n mod k, and in y = k x every tooth i/k is
-    the interval |y| <= 1/(2 omega). AssertionError when the minimum misses
-    the rate.
+    the interval |y| <= sat.comb.tooth. AssertionError when the minimum
+    misses the rate.
     """
-    partial = tooth_bounds(sat.poly.truncate(sat.n), sat.k, 0.5 / sat.omega)
+    partial = tooth_bounds(sat.poly.truncate(sat.n), sat.comb.k, sat.comb.tooth)
     target = sat.target_level
     cert = {
         "n": sat.n,
         "eps_n": sat.eps_n,
-        "omega": sat.omega,
-        "k": sat.k,
+        "omega": sat.comb.omega,
+        "k": sat.comb.k,
         "floored": sat.floored,
         "sup_norm": sat.sup_norm,
         "min_partial_on_comb": partial.minimum,
@@ -376,7 +371,7 @@ def witness_certificate(witness: TrigPoly, eta_j: float, sat: LogSaturator) -> d
     does. AssertionError when the minimum misses that target.
     """
     j = sat.n
-    diff = tooth_bounds(witness.truncate(2 * j) - witness.truncate(j), sat.k, 0.5 / sat.omega)
+    diff = tooth_bounds(witness.truncate(2 * j) - witness.truncate(j), sat.comb.k, sat.comb.tooth)
     target = eta_j * math.log(j)
     cert = {
         "level": j,

@@ -128,6 +128,11 @@ class CombParams:
         return 1.0 / (2.0 * self.omega * self.k)
 
     @property
+    def tooth(self) -> float:
+        """The tooth half-width in y = k x, where every tooth is |y - i| <= 1/(2 omega)."""
+        return 0.5 / self.omega
+
+    @property
     def measure(self) -> float:
         return 1.0 / self.omega
 
@@ -254,15 +259,15 @@ def scale_matched_dyadic_counts(alpha: float, m_lo: int, m_hi: int) -> BoxDimEst
 
     At each scale m the counted set is the level-m family itself, the
     finite-depth cover whose intersection over levels is the limsup set.
+    Its dilated count is 4 * 2^J in closed form: each centre K/2^J is a
+    multiple of 2^-m whose radius-2^-m interval meets the two boxes beside
+    it, dilation adds one box on either side, and J <= m - 2 keeps the
+    centres at least 4 boxes apart.
     """
     scales = _box_scales(m_lo, m_hi)
     if m_lo < smallest_admissible_level(alpha):
         raise ValueError(f"m_lo below the smallest admissible level for alpha={alpha}")
-    counts = []
-    for m in scales:
-        occ = _probe_hits(DyadicFamily(DyadicFamilyParams(m, alpha)).contains, min(24, m + 6), m)
-        counts.append(count_occupied_boxes(occ, m))
-    return _box_fit(scales, counts)
+    return _box_fit(scales, [4 * DyadicFamilyParams(m, alpha).center_count for m in scales])
 
 
 def middle_thirds_cantor(depth: int):

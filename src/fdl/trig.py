@@ -206,12 +206,21 @@ class TrigPoly:
         self._check_grid(M)
         return grid_sums(self.k, self.c, [self.k.size], M)[0]
 
+    @np.errstate(over="ignore")  # the squares may overflow; the rescaled norm does not
     def norm(self, p) -> float:
-        """L^p norm on the grid_for_degree grid: the p = 2 value is exact and
-        p = inf is a dense-grid maximum."""
+        """L^p norm: at p = 2 by Parseval, sqrt(sum |c|^2), with no sampling
+        (rescaled by the largest modulus where the squares overflow); any
+        other p on the grid_for_degree grid, where p = inf is a dense-grid
+        maximum."""
         p = validate_norm_exponent(p)
         if not len(self):
             return 0.0
+        if p == 2:
+            l2 = float(np.linalg.norm(self.c))
+            if not math.isfinite(l2):
+                top = float(np.abs(self.c).max())
+                l2 = top * float(np.linalg.norm(self.c / top))
+            return l2
         return lp_norm(self.sample(grid_for_degree(self.degree)), p)
 
     def to_json_dict(self) -> dict:

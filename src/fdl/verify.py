@@ -46,6 +46,11 @@ def rademacher_poly(degree: int, rng: np.random.Generator) -> TrigPoly:
     return TrigPoly.from_arrays(np.arange(-degree, degree + 1), rademacher_coeffs(degree, rng))
 
 
+def _row_rng(seed: int, scale: int, trial: int) -> np.random.Generator:
+    """The generator of one Rademacher trial row at one scale of a sweep."""
+    return trial_rng(seed, (scale << 20) + trial)
+
+
 # Cap on partial quotients: a step this long is past every scan range, and
 # the cap keeps E / delta finite when delta is tiny.
 _CF_CAP = 2.0 ** 53
@@ -152,8 +157,7 @@ def _trial_sweep(name: str, N: int, trials: int, seed: int, threads: int, ratio_
     indexed_map; each task draws its own generator, so threads change no row."""
     def ratios(scales):
         tasks = [(scale, t) for scale in scales for t in range(trials)]
-        flat = indexed_map(lambda task: ratio_fn(task[0], trial_rng(seed, (task[0] << 20) + task[1])),
-                           tasks, threads)
+        flat = indexed_map(lambda task: ratio_fn(task[0], _row_rng(seed, *task)), tasks, threads)
         return [flat[i:i + trials] for i in range(0, len(flat), trials)]
 
     return _sweep(name, scale_ladder(N), trials, seed, ratios, worst)
@@ -275,8 +279,7 @@ def maximal_rows(N: int, a: float, trials: int, seed: int = DEFAULT_SEED,
 
     def ratios(scales):
         for scale in scales:
-            coeffs = np.stack([rademacher_coeffs(scale, trial_rng(seed, (scale << 20) + t))
-                               for t in range(trials)])
+            coeffs = np.stack([rademacher_coeffs(scale, _row_rng(seed, scale, t)) for t in range(trials)])
             yield _maximal_ratios(coeffs, scale, a, grid_for_degree(scale, factor=4))
 
     scales = scale_ladder(N) if scales is None else scales
@@ -410,20 +413,6 @@ class HoloBounds:
     grid: int
 
 
-def _comb_grid_points(params: CombParams, M: int) -> np.ndarray:
-    """The j < M whose grid point j/M comb_membership marks, found tooth by tooth.
-
-    Tooth i covers |j - i M/k| <= half-width M; rounding its centre to
-    the nearest j moves it by at most 1/2, so r = ceil(half-width M) + 1
-    candidates on either side hold every marked point. Where two windows
-    meet a point may appear twice, which no minimum minds.
-    """
-    r = math.ceil(params.half_width * M) + 1
-    centres = np.rint(np.arange(params.k) * (M / params.k)).astype(np.int64)
-    js = ((centres[:, None] + np.arange(-r, r + 1)) % M).ravel()
-    return js[comb_membership(params, js / M)]
-
-
 def check_holo_bounds(params: CombParams, M: int) -> HoloBounds:
     """Closed-form margins of the kernel bounds, plus the comb minimum on the grid.
 
@@ -437,7 +426,7 @@ def check_holo_bounds(params: CombParams, M: int) -> HoloBounds:
     """
     if not is_pow2(M):
         raise ValueError("grid size must be a power of two")
-    js = _comb_grid_points(params, M)
+    js = np.flatnonzero(comb_membership(params, np.arange(M) / M))
     if not js.size:
         raise ValueError("boundary grid resolves no comb point; increase M")
     # the expression of holo_boundary, on the comb points only, so c2 is the same to the bit

@@ -357,6 +357,7 @@ def test_prevalence_probe_small_frozen():
     assert res.failures == []
     assert not res.forced_zero_success  # zero input, zero coefficients: nothing grows
     assert res.forced_unit_success
+    assert (res.rate_gap, res.size_condition_met) == (cfg.rate_gap, cfg.size_condition_met)
     assert prevalence_probe(TrigPoly(), cfg) == res
 
 

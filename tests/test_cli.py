@@ -144,6 +144,16 @@ def test_byte_identical_reruns(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_verify_localization_writes_the_same_bytes_on_two_threads(tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        out, table = tmp_path / f"loc{threads}.json", tmp_path / f"loc{threads}.csv"
+        run_ok(["verify", "localization", "--N", "64", "--trials", "3", "--threads", threads,
+                "--out", str(out), "--csv", str(table)])
+        outputs.append((out.read_bytes(), table.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_probe_payload_keys(tmp_path):
     out = tmp_path / "probe.json"
     run_ok(["probe", "prevalence", "--s", "2", "--jmax", "7", "--trials", "2",
@@ -248,8 +258,9 @@ def test_construct_logsat_samples_on_its_grid_once_per_polynomial(tmp_path, monk
     (tmp_path / "base.json").write_text(json.dumps(base.to_json_dict()))
     diff = residual_witness(base, 0.05, sat)
     diff = diff.truncate(2048) - diff.truncate(1024)
-    K_sat, K_partial, K_diff = (_decimated_K(sat.poly, sat.k), _decimated_K(sat.poly.truncate(1024), sat.k),
-                                _decimated_K(diff, sat.k))
+    k = sat.comb.k
+    K_sat, K_partial, K_diff = (_decimated_K(sat.poly, k), _decimated_K(sat.poly.truncate(1024), k),
+                                _decimated_K(diff, k))
     assert sat.grid_M == K_sat
     lengths = _transform_lengths(monkeypatch)
     # the saturator's sup bound, then its partial sum: its sup bound and the tooth's three chirp-z transforms

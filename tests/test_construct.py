@@ -180,12 +180,12 @@ def test_log_saturator_matches_grid_log_lift(n):
     # boundary logarithm of the comb kernel, on a grid far finer than the degree
     sat = log_saturator(n)
     M = 1 << 16
-    spec = np.fft.fft(np.log(holo_boundary(CombParams(sat.k, sat.omega), M))) / M
+    spec = np.fft.fft(np.log(holo_boundary(sat.comb, M))) / M
     q = np.arange(-(n - 1), n)
     grid = (2.0 / math.pi) * (1.0 - np.abs(q) / n) * (spec[q % M] - np.conj(spec[-q % M])) / 2j
     got = np.array([sat.poly.coeff(n + int(f)) for f in q])
     assert np.max(np.abs(got - grid)) < 1e-13
-    mk = sat.k * np.arange(1, (n - 1) // sat.k + 1)
+    mk = sat.comb.k * np.arange(1, (n - 1) // sat.comb.k + 1)
     assert sorted(sat.poly.frequencies()) == sorted(np.concatenate([n - mk, n + mk]).tolist())
 
 
@@ -339,7 +339,7 @@ def test_tooth_bounds_refuse_coefficients_whose_transforms_overflow(scale):
     # at 1e306 the sup bound is finite, but the tooth's chirp-z samples are not
     sat = log_saturator(256)
     with pytest.raises(ValueError, match="too large to bound"):
-        tooth_bounds(scale * sat.poly.truncate(256), sat.k, 0.5 / sat.omega)
+        tooth_bounds(scale * sat.poly.truncate(256), sat.comb.k, sat.comb.tooth)
 
 
 @pytest.mark.parametrize("coeffs", [{0: 1e200, 4: -3e199}, {-4: 3e180 + 4e180j, 8: -1e181j}, {0: 3.0, 4: -4j}])
@@ -379,10 +379,10 @@ def test_certificates_transform_one_period_of_their_grid(monkeypatch):
     lengths.clear()
     # log_saturator already bounded the saturator's sup; the certificate reads its partial sum
     logsat_certificate(sat)
-    assert lengths == [16 * next_pow2(2 * _span(sat.poly.truncate(1024), sat.k))] * 4
+    assert lengths == [16 * next_pow2(2 * _span(sat.poly.truncate(1024), sat.comb.k))] * 4
     lengths.clear()
     witness_certificate(witness, 0.05, sat)
-    assert lengths == [16 * next_pow2(2 * _span(diff, sat.k))] * 4
+    assert lengths == [16 * next_pow2(2 * _span(diff, sat.comb.k))] * 4
 
 # The full-grid certificates: every site samples its polynomial on all M
 # points of a fine grid (at least 8 samples per degree) and masks all M
@@ -393,7 +393,8 @@ def test_certificates_transform_one_period_of_their_grid(monkeypatch):
 
 def _logsat_grid(sat):
     """The grid of at least 64 samples per degree and 32 per tooth."""
-    return max(next_pow2(32 * int(sat.omega * sat.k) + 1), next_pow2(64 * max(sat.k, sat.n)))
+    k, omega = sat.comb.k, sat.comb.omega
+    return max(next_pow2(32 * int(omega * k) + 1), next_pow2(64 * max(k, sat.n)))
 
 
 def _full_grid_saturator_certificate(poly, params, p, M):
@@ -408,7 +409,7 @@ def _full_grid_saturator_certificate(poly, params, p, M):
 def _full_grid_logsat_certificate(sat, M):
     sup = float(np.abs(sat.poly.sample(M)).max())
     partial = sat.poly.truncate(sat.n).sample(M)
-    mask = comb_membership(CombParams(sat.k, sat.omega), np.arange(M) / M)
+    mask = comb_membership(sat.comb, np.arange(M) / M)
     observed = float(np.abs(partial[mask]).min())
     return {"sup_norm": sup, "partial_sup": float(np.abs(partial).max()), "min_partial_on_comb": observed,
             "margin": observed - sat.target_level, "grid": M}
@@ -417,7 +418,7 @@ def _full_grid_logsat_certificate(sat, M):
 def _full_grid_witness_certificate(witness, j, eta_j, sat, M):
     diff = witness.truncate(2 * j) - witness.truncate(j)
     sig = diff.sample(M)
-    mask = comb_membership(CombParams(sat.k, sat.omega), np.arange(M) / M)
+    mask = comb_membership(sat.comb, np.arange(M) / M)
     observed = float(np.abs(sig[mask]).min())
     return {"diff_sup": float(np.abs(sig).max()), "min_difference_on_comb": observed,
             "margin": observed - eta_j * math.log(j), "grid": M}
@@ -475,12 +476,12 @@ def test_logsat_certificate_matches_the_full_grid(n):
     got = logsat_certificate(sat)
     assert set(got) == {"n", "eps_n", "omega", "k", "floored", "sup_norm", "min_partial_on_comb",
                         "target_level", "margin", "points_per_tooth"}
-    _assert_encloses(sat.poly, sat.k, None, got["sup_norm"], None, want["sup_norm"], None, M)
+    _assert_encloses(sat.poly, sat.comb.k, None, got["sup_norm"], None, want["sup_norm"], None, M)
     partial = sat.poly.truncate(n)
-    _assert_encloses(partial, sat.k, 0.5 / sat.omega, tooth_bounds(partial, sat.k).sup,
+    _assert_encloses(partial, sat.comb.k, sat.comb.tooth, tooth_bounds(partial, sat.comb.k).sup,
                      got["min_partial_on_comb"], want["partial_sup"], want["min_partial_on_comb"], M)
     assert got["margin"] == got["min_partial_on_comb"] - sat.target_level >= 0.0
-    assert sat.grid_M == 16 * next_pow2(2 * _span(sat.poly, sat.k))
+    assert sat.grid_M == 16 * next_pow2(2 * _span(sat.poly, sat.comb.k))
 
 
 @pytest.mark.parametrize("j", [1 << e for e in range(7, 14)])
@@ -492,7 +493,7 @@ def test_witness_certificate_matches_the_full_grid(j):
     want = _full_grid_witness_certificate(w, j, 0.05, sat, M)
     got = witness_certificate(w, 0.05, sat)
     diff = w.truncate(2 * j) - w.truncate(j)
-    _assert_encloses(diff, sat.k, 0.5 / sat.omega, tooth_bounds(diff, sat.k).sup,
+    _assert_encloses(diff, sat.comb.k, sat.comb.tooth, tooth_bounds(diff, sat.comb.k).sup,
                      got["min_difference_on_comb"], want["diff_sup"], want["min_difference_on_comb"], M)
     assert got["margin"] == got["min_difference_on_comb"] - 0.05 * math.log(j) >= 0.0
     assert got["points_per_tooth"] == logsat_certificate(sat)["points_per_tooth"]

@@ -76,6 +76,7 @@ def test_membership_wraps_around_the_circle():
 def test_comb_membership_and_measure():
     params = CombParams(8, 4.0)
     assert params.half_width == pytest.approx(1.0 / 64.0)
+    assert params.tooth == params.half_width * params.k == 0.125  # the half-width in y = k x
     assert params.measure == pytest.approx(0.25)
     teeth = np.arange(8) / 8.0
     assert comb_membership(params, teeth).all()
@@ -167,6 +168,16 @@ def test_scale_matched_limsup_cover():
     assert est.slope == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         scale_matched_dyadic_counts(2.0, 4, 10)  # below the smallest admissible level
+
+
+@pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3])
+def test_scale_matched_counts_are_the_probed_family_counts(alpha):
+    # oracle: the level-m family probed at 2^(m+6) box centres and dilated
+    m_lo = max(4, smallest_admissible_level(alpha))
+    est = scale_matched_dyadic_counts(alpha, m_lo, 13)
+    probed = [count_occupied_boxes(_probe_hits(DyadicFamily(DyadicFamilyParams(m, alpha)).contains, m + 6, m), m)
+              for m in est.scales]
+    assert list(est.counts) == probed
 
 
 def test_box_dim_estimate_is_plain_data():

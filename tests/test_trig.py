@@ -429,9 +429,18 @@ def test_evaluate_progression_of_constants():
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6), degree=st.integers(0, 24))
 def test_parseval_identity(seed, degree):
+    # oracle: the mean square of the exact grid samples
     f = random_poly(trial_rng(seed, 0), degree)
     coeff_energy = sum(abs(v) ** 2 for _, v in f.items())
     assert f.norm(2.0) ** 2 == pytest.approx(coeff_energy, rel=1e-12)
+    assert f.norm(2.0) == pytest.approx(lp_norm(f.sample(grid_for_degree(f.degree)), 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1e200, 4: -3e199}, {-4: 3e180 + 4e180j, 8: -1e181j}, {0: 3.0, 4: -4j}])
+def test_l2_norm_reads_the_coefficients_only(coeffs, monkeypatch):
+    # above about 1e154 the squares overflow, but the norm does not
+    monkeypatch.setattr(TrigPoly, "sample", None)
+    assert TrigPoly(coeffs).norm(2) == pytest.approx(math.hypot(*(abs(v) for v in coeffs.values())), rel=1e-15)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -155,6 +155,15 @@ def test_verify_sweeps_need_a_trial(sweep, trials):
         sweep(trials)
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda threads: nikolsky_rows(64, 2.0, math.inf, 3, threads=threads),
+    lambda threads: derivative_rows(64, 2.0, 3, threads=threads),
+    lambda threads: localization_rows(64, 2.0, 0.5, 1.0, 3, threads=threads),
+], ids=["nikolsky", "derivative", "localization"])
+def test_trial_sweeps_return_the_same_rows_on_two_threads(sweep):
+    assert sweep(2) == sweep(1)
+
+
 @pytest.mark.parametrize("a", [0.0, -0.5, math.nan])
 def test_maximal_rows_rejects_nonpositive_exponent(a):
     with pytest.raises(ValueError, match="excess exponent must be positive"):
@@ -382,7 +391,8 @@ def test_localization_rows_sample_each_polynomial_once(monkeypatch, p):
     monkeypatch.setattr(verify, "check_localization", oracle_check)
     _, rows = localization_rows(64, p, 0.5, 1.0, 3)
     assert len(checks) == len(rows) and all(checks)
-    assert len(samples) == 2 * len(rows)  # once in localization_rows, once in the oracle's P.norm
+    # once in localization_rows, once in the oracle's P.norm unless p = 2, which is Parseval
+    assert len(samples) == (1 if p == 2 else 2) * len(rows)
 
 
 def test_localization_guards():
