@@ -46,6 +46,7 @@ from .sets import CombParams, DyadicFamilyParams, box_dimension
 from .trig import TrigPoly, validate_norm_exponent
 from .util import DEFAULT_SEED, round_sig
 from .verify import (
+    HOLO_GRID,
     check_holo_bounds,
     derivative_rows,
     dirichlet_rows,
@@ -65,15 +66,20 @@ def _pnorm(text):
 
 _Param = collections.namedtuple("_Param", "key conv default help required choices", defaults=(False, None))
 
-
-def _dest(key: str) -> str:
-    return "infile" if key == "in" else key.replace("-", "_")
-
-
 _SEED_PARAM = _Param("seed", int, None, "master seed (FDL_SEED overrides the default)")
 _OUT_PARAM = _Param("out", str, None, "JSON report path (default: stdout, when there is no table)")
 _CSV_PARAM = _Param("csv", str, None, "CSV table path (stdout when omitted)")
 _PATH_KEYS = ("out", "csv")  # where the outputs go, not what they hold: left out of the recorded config
+_FUNCTION_PARAM = _Param("in", str, None, "coefficient JSON of the function", required=True)
+# the profile and box-count flags of analyze levelset and analyze spectrum, in their help order
+_LEVEL_PARAMS = (
+    _Param("tol", float, 0.05, "level-set tolerance around beta"),
+    _Param("grid", int, 1 << 12, "number of profile points"),
+    _Param("smlo", int, 6, "smallest schedule exponent"),
+    _Param("smhi", int, 14, "largest schedule exponent"),
+    _Param("mlo", int, 4, "smallest box scale exponent"),
+    _Param("mhi", int, 10, "largest box scale exponent"),
+)
 
 # A handler maps (config, threads) to (payload, table): the JSON report without
 # its config block, as a dict or a dataclass, and the CSV (header, rows) or
@@ -205,7 +211,7 @@ _COMMANDS = {
         _run_construct_holo,
         _Param("k", int, None, "number of comb teeth, at least 3", required=True),
         _Param("omega", float, None, "pole offset parameter (default max(log k, 3))"),
-        _Param("grid", int, 1 << 14, "boundary grid size, power of two"),
+        _Param("grid", int, HOLO_GRID, "boundary grid size, power of two"),
     ),
     ("construct", "logsat"): _command(
         _run_construct_logsat,
@@ -263,54 +269,44 @@ _COMMANDS = {
     ("verify", "holo"): _command(
         _run_verify(lambda cfg, threads: holo_rows(cfg["N"], cfg["grid"], cfg["seed"])),
         _Param("N", int, 256, "largest tooth count; sweep doubles from 8"),
-        _Param("grid", int, 1 << 14, "boundary grid size, power of two"),
+        _Param("grid", int, HOLO_GRID, "boundary grid size, power of two"),
         table=True,
     ),
     ("analyze", "index"): _command(
         _run_analyze_index,
-        _Param("in", str, None, "coefficient JSON of the function", required=True),
+        _FUNCTION_PARAM,
         _Param("x", float, None, "evaluation point in [0, 1)", required=True),
         _Param("mlo", int, 6, "smallest schedule exponent"),
         _Param("mhi", int, 18, "largest schedule exponent"),
     ),
     ("analyze", "levelset"): _command(
         _run_analyze_levelset,
-        _Param("in", str, None, "coefficient JSON of the function", required=True),
+        _FUNCTION_PARAM,
         _Param("beta", float, None, "level of the divergence index", required=True),
-        _Param("tol", float, 0.05, "level-set tolerance around beta"),
-        _Param("grid", int, 1 << 12, "number of profile points"),
-        _Param("smlo", int, 6, "smallest schedule exponent"),
-        _Param("smhi", int, 14, "largest schedule exponent"),
-        _Param("mlo", int, 4, "smallest box scale exponent"),
-        _Param("mhi", int, 10, "largest box scale exponent"),
+        *_LEVEL_PARAMS,
         table=True,
     ),
     ("analyze", "spectrum"): _command(
         _run_analyze_spectrum,
-        _Param("in", str, None, "coefficient JSON of the function", required=True),
+        _FUNCTION_PARAM,
         _Param("p", _pnorm, None, "norm exponent for the reference line", required=True),
         _Param("beta-min", float, 0.0, "first beta on the grid"),
         _Param("beta-max", float, 0.5, "last beta on the grid"),
         _Param("steps", int, 11, "number of beta grid points"),
-        _Param("tol", float, 0.05, "level-set tolerance around each beta"),
-        _Param("grid", int, 1 << 12, "number of profile points"),
-        _Param("smlo", int, 6, "smallest schedule exponent"),
-        _Param("smhi", int, 14, "largest schedule exponent"),
-        _Param("mlo", int, 4, "smallest box scale exponent"),
-        _Param("mhi", int, 10, "largest box scale exponent"),
+        *_LEVEL_PARAMS,
         table=True,
     ),
     ("probe", "prevalence"): _command(
         _run_probe_prevalence,
-        _Param("s", int, 9, "perturbation dimension"),
-        _Param("alpha", float, 2.0, "approximation exponent of the family"),
-        _Param("p", _pnorm, 2.0, "norm exponent of the family"),
-        _Param("beta", float, 0.2, "growth exponent tested against"),
-        _Param("R", float, 1.0, "half-width of the coefficient cube"),
-        _Param("trials", int, 200, "Monte-Carlo trials"),
-        _Param("thresh", float, 1e-4, "success threshold for the normalized envelope"),
-        _Param("depth", int, 4, "level of the dyadic test points"),
-        _Param("jmax", int, 12, "top block level of the family"),
+        _Param("s", int, ProbeConfig.s, "perturbation dimension"),
+        _Param("alpha", float, ProbeConfig.alpha, "approximation exponent of the family"),
+        _Param("p", _pnorm, ProbeConfig.p, "norm exponent of the family"),
+        _Param("beta", float, ProbeConfig.beta, "growth exponent tested against"),
+        _Param("R", float, ProbeConfig.R, "half-width of the coefficient cube"),
+        _Param("trials", int, ProbeConfig.trials, "Monte-Carlo trials"),
+        _Param("thresh", float, ProbeConfig.m_thresh, "success threshold for the normalized envelope"),
+        _Param("depth", int, ProbeConfig.depth, "level of the dyadic test points"),
+        _Param("jmax", int, ProbeConfig.jmax, "top block level of the family"),
         _Param("in", str, None, "coefficient JSON of the base function (default: zero)"),
     ),
 }
@@ -320,8 +316,8 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     """The command parser, built once per process.
 
-    Every flag defaults to None and _resolve fills in the defaults, so one
-    parse leaves nothing behind for the next.
+    Every parameter flag defaults to None and _resolve fills in the
+    defaults, so one parse leaves nothing behind for the next.
     """
     top = argparse.ArgumentParser(prog="fdl", description=__doc__.splitlines()[0])
     commands = top.add_subparsers(dest="command", required=True)
@@ -331,12 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
             subcommands[command] = commands.add_parser(command).add_subparsers(dest="subcommand", required=True)
         sp = subcommands[command].add_parser(sub)
         for param in entry.params:
-            sp.add_argument(f"--{param.key}", dest=_dest(param.key), type=param.conv,
+            sp.add_argument(f"--{param.key}", dest=param.key, type=param.conv,
                             default=None, choices=param.choices, help=param.help)
-        sp.add_argument("--config", dest="config", default=None,
-                        help="flat key=value file; flags override its entries")
-        sp.add_argument("--threads", dest="threads", type=int, default=None,
-                        help="worker pool size for trial batches (default: machine parallelism)")
+        sp.add_argument("--config", help="flat key=value file; flags override its entries")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker pool size for trial batches (default: 1, serial)")
     return top
 
 
@@ -348,8 +343,10 @@ def _read_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ValueError(f"config key {key!r} is set twice")
+        entries[key] = value
     return entries
 
 
@@ -361,7 +358,7 @@ def _resolve(ns: argparse.Namespace) -> dict:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg = {}
     for param in spec:
-        value = getattr(ns, _dest(param.key))
+        value = getattr(ns, param.key)
         if value is None and param.key in filecfg:
             value = param.conv(filecfg[param.key])
         if value is None:
@@ -377,6 +374,8 @@ def _resolve(ns: argparse.Namespace) -> dict:
         if param.conv is float and value is not None and math.isinf(value):
             raise ValueError(f"--{param.key} must be finite, got {value}")
         cfg[param.key] = value
+    if cfg.get("out") and cfg.get("csv") and Path(cfg["out"]).resolve() == Path(cfg["csv"]).resolve():
+        raise ValueError(f"--out and --csv name the same file: {cfg['out']}")
     return cfg
 
 
@@ -421,10 +420,9 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = _resolve(ns)
-        if ns.threads is not None and ns.threads < 1:
+        if ns.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {ns.threads}")
-        threads = ns.threads or os.cpu_count() or 1
-        payload, table = _COMMANDS[(ns.command, ns.subcommand)].handler(cfg, threads)
+        payload, table = _COMMANDS[(ns.command, ns.subcommand)].handler(cfg, ns.threads)
         # both texts are rendered, and so NaN-checked, before either is written
         outputs = [] if table is None else [(_render_csv(*table), cfg["csv"])]
         if table is None or cfg["out"]:

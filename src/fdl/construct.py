@@ -20,8 +20,8 @@ from .trig import SpectrumInterval, TrigPoly, fejer_mean, lp_norm, modulate, val
 from .util import is_pow2, next_pow2
 
 
-def chi_coefficients(params: DyadicFamilyParams, kmax: int | None = None) -> TrigPoly:
-    """Exact Fourier coefficients of the plateau bump, up to frequency kmax.
+def chi_coefficients(params: DyadicFamilyParams) -> TrigPoly:
+    """Exact Fourier coefficients of the plateau bump below frequency 2^j.
 
     The bump is the sum over centers K/2^J of a trapezoid with plateau
     radius 2^-j and support radius 2^(1-j); it equals the convolution of
@@ -29,9 +29,7 @@ def chi_coefficients(params: DyadicFamilyParams, kmax: int | None = None) -> Tri
     sinc factors supported on multiples of 2^J.
     """
     j, J = params.j, params.J
-    if kmax is None:
-        kmax = (1 << j) - 1
-    qmax = kmax >> J
+    qmax = ((1 << j) - 1) >> J
     q = np.arange(-qmax, qmax + 1)
     u = q * 2.0 ** (J - j)
     vals = 3.0 * 2.0 ** (J - j) * np.sinc(3.0 * u) * np.sinc(u)
@@ -54,7 +52,7 @@ def saturator_pj(params: DyadicFamilyParams, p) -> TrigPoly:
     stays above the quarter of the scale on the target intervals.
     """
     n = 1 << params.j
-    chi = chi_coefficients(params, kmax=n - 1)
+    chi = chi_coefficients(params)
     return modulate(fejer_mean(saturator_scale(params, p) * chi, n), n)
 
 
@@ -199,15 +197,13 @@ def disjoint_family(s: int, alpha: float, p, jmax: int) -> SaturatorFamily:
     validate_norm_exponent(p)
 
     saturators = {j: saturator_pj(DyadicFamilyParams(j, alpha), p) for j in range(j_min, jmax + 1)}
-    members = []
-    blocks = {}
-    for r in range(1, s + 1):
-        g = TrigPoly()
-        for j in range(j_min, jmax + 1):
-            shift = (s + r) * (1 << (j + 1))
-            g = g + (1.0 / (j * j)) * modulate(saturators[j], shift)
-            blocks[(j, r)] = SpectrumInterval(shift, shift + (1 << (j + 1)) - 1)
-        members.append(g)
+    blocks = {(j, r): SpectrumInterval((s + r) << (j + 1), ((s + r + 1) << (j + 1)) - 1)
+              for r in range(1, s + 1) for j in saturators}
+    # the block spectra are disjoint, so a member is the concatenation of its blocks
+    parts = [[(1.0 / (j * j)) * modulate(saturators[j], blocks[(j, r)].lo) for j in saturators]
+             for r in range(1, s + 1)]
+    members = [TrigPoly.from_arrays(np.concatenate([b.k for b in row]), np.concatenate([b.c for b in row]))
+               for row in parts]
 
     windows = sorted(blocks.values(), key=lambda w: w.lo)
     for a, b in zip(windows, windows[1:]):

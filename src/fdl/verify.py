@@ -19,6 +19,8 @@ from .sets import CombParams, comb_membership
 from .trig import TrigPoly, dirichlet_eval, lp_norm, validate_norm_exponent
 from .util import DEFAULT_SEED, fractional_part, grid_for_degree, indexed_map, is_pow2, trial_rng
 
+HOLO_GRID = 1 << 14  # the boundary grid of holo_sweep and holo_rows unless a caller sets M
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -450,7 +452,7 @@ def check_holo_bounds(params: CombParams, M: int) -> HoloBounds:
     )
 
 
-def holo_sweep(ks, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[HoloBounds]]:
+def holo_sweep(ks, M: int = HOLO_GRID, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[HoloBounds]]:
     """Runs the bound check across tooth counts with the default omega = max(log k, 3)."""
     params = [CombParams(k, CombParams.default_omega(k)) for k in ks]
     bounds = [check_holo_bounds(p, M) for p in params]
@@ -465,7 +467,7 @@ def holo_sweep(ks, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[Verifica
     return report, bounds
 
 
-def holo_rows(N: int, M: int = 1 << 14, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[tuple]]:
+def holo_rows(N: int, M: int = HOLO_GRID, seed: int = DEFAULT_SEED) -> tuple[VerificationReport, list[tuple]]:
     """The bound check at tooth counts 8, 16, 32, ... up to N, on the M-point boundary grid.
 
     Rows are (i, seed, k, c4) for the i-th tooth count; the ratio is c4.

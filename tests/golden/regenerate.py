@@ -38,6 +38,7 @@ INPUTS = {
     "pj.conf": "alpha = 3\nseed = 5  # flags override these\n",
     "nan.conf": "eps = nan\n",
     "unknown.conf": "twist = 3\n",
+    "twice.conf": "alpha = 2\nalpha = 3\n",
 }
 
 _LEVELSET = "analyze levelset --in pj.json --beta 0.2 --grid 1024 --smhi 10 --mhi 8"
@@ -136,6 +137,9 @@ CALLS = [
     # exit 1: a two-entry schedule, whose fitted tail half is one point
     "analyze index --in pj.json --x 0.03125 --mlo 5 --mhi 6",
     "analyze levelset --in pj.json --beta 0 --grid 1024 --smlo 5 --smhi 6 --mhi 8 --csv short_level.csv",
+    # exit 1: two outputs routed to one file, and a config key set twice
+    "verify maximal --N 16 --trials 1 --out same.txt --csv same.txt",
+    "construct pj --j 6 --p 2 --config twice.conf --out twice.json",
 ]
 
 

@@ -1,13 +1,16 @@
 """Command-line contract: JSON/CSV layout, precedence, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import fdl.cli as cli
 import fdl.construct
+import fdl.util
 from fdl.analysis import DivergenceEstimate
 from fdl.construct import holo_kernel, log_saturator, residual_witness
 from fdl.sets import CombParams
@@ -152,6 +155,42 @@ def test_verify_localization_writes_the_same_bytes_on_two_threads(tmp_path):
                 "--out", str(out), "--csv", str(table)])
         outputs.append((out.read_bytes(), table.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_threads_default_to_one_and_only_an_explicit_value_builds_a_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(fdl.util, "ThreadPoolExecutor", RecordingPool)
+    argv = ["verify", "localization", "--N", "64", "--trials", "3", "--csv", str(tmp_path / "loc.csv")]
+    run_ok(argv)
+    assert pools == []
+    run_ok(argv + ["--threads", "2"])
+    assert pools == [2]
+
+
+def test_out_and_csv_naming_one_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = cli.run(["verify", "maximal", "--N", "16", "--trials", "1",
+                    "--out", "same.txt", "--csv", str(tmp_path / "same.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --out and --csv name the same file")
+    assert not (tmp_path / "same.txt").exists()
+
+
+def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
+    conf = tmp_path / "twice.conf"
+    conf.write_text("alpha = 2\nalpha = 3\n")
+    out = tmp_path / "twice.json"
+    code = cli.run(["construct", "pj", "--j", "6", "--p", "2", "--config", str(conf), "--out", str(out)])
+    assert code == 1
+    assert "'alpha' is set twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_probe_payload_keys(tmp_path):

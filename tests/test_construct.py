@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fdl.construct
 from fdl.construct import (
     ROUNDING_SLACK,
     chi_coefficients,
@@ -21,7 +22,7 @@ from fdl.construct import (
     tooth_bounds,
     witness_certificate,
 )
-from fdl.sets import CombParams, DyadicFamily, DyadicFamilyParams, comb_membership
+from fdl.sets import CombParams, DyadicFamily, DyadicFamilyParams, comb_membership, smallest_admissible_level
 from fdl.trig import SpectrumInterval, TrigPoly, lp_norm, modulate
 from fdl.util import DEFAULT_SEED, next_pow2, trial_rng
 from fdl.verify import check_holo_bounds, rademacher_poly
@@ -123,6 +124,32 @@ def test_disjoint_family_summary_fields():
         fam.member(0)
     with pytest.raises(ValueError):
         fam.member(4)
+
+
+def _running_sum_member(s, alpha, p, jmax, r):
+    """Member r as a running TrigPoly sum of its scaled, modulated level saturators."""
+    g = TrigPoly()
+    for j in range(smallest_admissible_level(alpha), jmax + 1):
+        g = g + (1.0 / (j * j)) * modulate(saturator_pj(DyadicFamilyParams(j, alpha), p), (s + r) * (1 << (j + 1)))
+    return g
+
+
+@pytest.mark.parametrize("s, alpha, p, jmax", [(9, 2.0, 2, 12), (3, 2.0, 2, 14), (2, 1.5, 3, 10),
+                                               (4, 2.5, math.inf, 13)])
+def test_disjoint_family_members_are_the_running_sum_of_their_blocks(s, alpha, p, jmax):
+    fam = disjoint_family(s, alpha, p, jmax)
+    for r in range(1, s + 1):
+        want = _running_sum_member(s, alpha, p, jmax, r)
+        assert fam.member(r).k.tobytes() == want.k.tobytes()
+        assert fam.member(r).c.tobytes() == want.c.tobytes()
+
+
+def test_disjoint_family_refuses_a_block_that_escaped_its_window(monkeypatch):
+    # a level-j block reaching 2^(j+2) into member 1 of a one-member family lands on the level-(j+1) block
+    monkeypatch.setattr(fdl.construct, "saturator_pj",
+                        lambda params, p: TrigPoly({1: 1.0, (1 << (params.j + 2)) + 1: 1.0}))
+    with pytest.raises(ValueError, match="frequencies must be distinct"):
+        disjoint_family(1, 2.0, 2, 6)
 
 
 def test_disjoint_family_validation():
