@@ -26,6 +26,7 @@ from .util import DEFAULT_SEED, fractional_part, loglog_fit, trial_uniform_rows
 
 _VANISH_TOL = 1e-14
 _LOG_FLOOR = 1e-300
+_TRIAL_CHUNK = 1 << 15  # points x trials per chunk of _trial_passes
 
 
 def dyadic_schedule(m_lo: int, m_hi: int) -> list[int]:
@@ -128,8 +129,8 @@ def level_set(f: TrigPoly, beta: float, tolerance: float, grid: int, schedule) -
     return _level_sets(f, tolerance, grid, schedule)(beta)
 
 
-def spectrum_curve(f: TrigPoly, beta_grid, schedule, grid: int = 1 << 12,
-                   tolerance: float = 0.05, m_lo: int = 4, m_hi: int = 10) -> list[tuple[float, BoxDimEstimate]]:
+def spectrum_curve(f: TrigPoly, beta_grid, schedule, grid: int, tolerance: float,
+                   m_lo: int, m_hi: int) -> list[tuple[float, BoxDimEstimate]]:
     """Box dimension of each empirical level set along a grid of betas.
 
     One divergence profile is shared across all betas; the theoretical
@@ -216,20 +217,32 @@ def _trial_passes(base: np.ndarray, blocks: np.ndarray, growth: np.ndarray, m_th
     S_n = base + sum_r c_r blocks[r], shape (points, schedule). Which column
     clears a point does not matter, so the columns go from the top n down,
     each as one real matmul over the trials of a chunk that still have an
-    open point; a trial leaves once its last point clears.
+    open point; a trial leaves once its last point clears. The product,
+    its modulus and the cleared points go into three buffers of one chunk,
+    allocated once per call, whose leading rows hold a column's open
+    trials.
     """
     points, columns = base.shape
     # (columns, s, 2 * points): Re and Im interleaved, so each column is one real matmul
     per_column = np.ascontiguousarray(blocks.transpose(2, 0, 1)).view(float)
     passes = np.empty(len(draws), dtype=bool)
-    chunk = max(1, (1 << 18) // points)
+    chunk = max(1, _TRIAL_CHUNK // points)
+    product = np.empty((chunk, 2 * points))
+    modulus = np.empty((chunk, points))
+    cleared = np.empty((chunk, points), dtype=bool)
     for start in range(0, len(draws), chunk):
         c = draws[start : start + chunk]
         open_points = np.ones((len(c), points), dtype=bool)
         rows = np.arange(len(c))
         for col in range(columns - 1, -1, -1):
-            sums = base[:, col] + (c[rows] @ per_column[col]).view(complex)
-            open_points[rows] &= ~(np.abs(sums) / growth[col] >= m_thresh)
+            n = rows.size
+            sums = np.matmul(c[rows], per_column[col], out=product[:n]).view(complex)
+            sums += base[:, col]
+            ratio = np.abs(sums, out=modulus[:n])
+            ratio /= growth[col]
+            # not (ratio >= m_thresh) rather than ratio < m_thresh: a NaN ratio leaves its point open
+            hit = np.greater_equal(ratio, m_thresh, out=cleared[:n])
+            open_points[rows] &= np.logical_not(hit, out=hit)
             rows = rows[open_points[rows].any(axis=1)]
             if not rows.size:
                 break

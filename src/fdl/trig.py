@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,16 +269,17 @@ _PHASE_LIMIT = 1 << 27  # below this, one split of x makes n x exact; up to 2^53
 _EXACT_LIMIT = 1 << 53
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant for float64
 _LIMB = float(1 << 26)
-_POINT_CHUNK = 1 << 20  # points x terms per block of point_sums
+_POINT_CHUNK = 1 << 17  # points x terms per block of point_sums: a criterion-08 panel is one block
+_WORKSPACE = threading.local()  # each thread's point_sums block buffers, see _block_workspace
 
 
-def _frac(v: np.ndarray) -> np.ndarray:
-    """v minus its nearest integer, in place; exact for every float64."""
-    v -= np.rint(v)
+def _frac(v: np.ndarray, scratch=None) -> np.ndarray:
+    """v minus its nearest integer in place, exact for every float64; scratch, if given, takes the integers."""
+    v -= np.rint(v, out=scratch)
     return v
 
 
-def _phase(n, x) -> np.ndarray:
+def _phase(n, x, out=None, scratch=(None, None)) -> np.ndarray:
     """n x mod 1 within a few ulp, for integers |n| <= 2^53 (larger n raise), as a float below 2 in modulus.
 
     n (integer or integer-valued float) and x broadcast against each other.
@@ -287,7 +289,10 @@ def _phase(n, x) -> np.ndarray:
     for |n| < 2^27 the product n hi is exact and rint reduces it exactly;
     only the small n lo is rounded. Larger n split as n1 2^26 + n0 with
     0 <= n0 < 2^26: n1 (2^26 hi), n1 (2^26 lo) and n0 hi are then exact
-    products, each reduced exactly, and n0 lo is small.
+    products, each reduced exactly, and n0 lo is small. The terms are
+    summed left to right into out, a float64 array of the broadcast shape,
+    with the products and their integers in scratch, a pair of such arrays;
+    numpy allocates whichever is not given.
     """
     top = np.abs(n).max(initial=0)
     if top > _EXACT_LIMIT:
@@ -298,31 +303,59 @@ def _phase(n, x) -> np.ndarray:
     c = _SPLIT * x
     hi = c - (c - x)
     lo = x - hi
+    integers, term = scratch
     if top < _PHASE_LIMIT:
-        return _frac(n * hi) + n * lo
+        out = _frac(np.multiply(n, hi, out=out), integers)
+        out += np.multiply(n, lo, out=term)
+        return out
     n1 = np.floor(n / _LIMB)
     n0 = n - n1 * _LIMB
-    return _frac(n1 * (hi * _LIMB)) + _frac(n1 * (lo * _LIMB)) + _frac(n0 * hi) + n0 * lo
+    out = _frac(np.multiply(n1, hi * _LIMB, out=out), integers)
+    out += _frac(np.multiply(n1, lo * _LIMB, out=term), integers)
+    out += _frac(np.multiply(n0, hi, out=term), integers)
+    out += np.multiply(n0, lo, out=term)
+    return out
 
 
-def _turns(theta: np.ndarray) -> np.ndarray:
+def _turns(theta: np.ndarray, out=None) -> np.ndarray:
     """exp(2 pi i theta) from t = tan(pi theta), overwriting the float64 array theta.
 
     cos 2 pi theta = (1 - t^2)/(1 + t^2) and sin 2 pi theta = 2t/(1 + t^2)
-    are written straight into the real and imaginary parts. tan has period
-    pi, so any finite theta works, and at theta = +-1/2 the tangent of the
-    rounded pi/2 is about 1.6e16, whose square is still finite.
+    are written straight into the real and imaginary parts of out, a
+    complex array of theta's shape (allocated when not given); theta holds
+    the denominator once t is spent. tan has period pi, so any finite theta
+    works, and at theta = +-1/2 the tangent of the rounded pi/2 is about
+    1.6e16, whose square is still finite.
     """
     t = np.tan(np.multiply(theta, np.pi, out=theta), out=theta)
-    out = np.empty(t.shape, dtype=complex)
+    if out is None:
+        out = np.empty(t.shape, dtype=complex)
     re, im = out.real, out.imag
+    np.multiply(t, 2, out=im)
     np.multiply(t, t, out=re)
-    denominator = re + 1
+    denominator = np.add(re, 1, out=t)
     np.subtract(1, re, out=re)
     re /= denominator
-    np.multiply(t, 2, out=im)
     im /= denominator
     return out
+
+
+def _block_workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A float64 and a complex buffer of at least size entries for one point_sums block.
+
+    Up to _POINT_CHUNK entries they are this thread's pair, allocated at
+    that size on its first call and kept for the thread's life (3 MB), so a
+    run of calls reuses pages the first one faulted in instead of asking the
+    allocator for fresh ones each time; threading.local keeps concurrent
+    calls apart. A larger block (two points of more than _POINT_CHUNK / 2
+    terms) takes a pair of its own.
+    """
+    if size > _POINT_CHUNK:
+        return np.empty(size), np.empty(size, dtype=complex)
+    buffers = getattr(_WORKSPACE, "buffers", None)
+    if buffers is None:
+        buffers = _WORKSPACE.buffers = (np.empty(_POINT_CHUNK), np.empty(_POINT_CHUNK, dtype=complex))
+    return buffers
 
 
 def point_sums(k: np.ndarray, c: np.ndarray, cuts, xs) -> np.ndarray:
@@ -336,18 +369,31 @@ def point_sums(k: np.ndarray, c: np.ndarray, cuts, xs) -> np.ndarray:
     numpy's float64 tan is vectorised and its cos and sin are not: on a
     2-core Xeon with numpy 2.4.6 the 124,416 phases of one criterion-08
     panel (256 points x 486 terms) take a median of 1.4-1.6 ms this way
-    against 3.5-3.8 ms for cos and sin. Each segment of k between
-    consecutive cuts is then one matrix-vector product, and a cumulative sum
-    over the segments gives the partial sums at the cuts.
+    against 3.5-3.8 ms for cos and sin. The phases, their scratch products
+    (in the complex buffer's memory, unused until _turns) and the turns all
+    live in the thread's block workspace (_block_workspace). Each segment
+    of k between consecutive cuts is then one matrix-vector product, and a
+    cumulative sum over the segments gives the partial sums at the cuts.
+    numpy takes the product of a one-row matrix by dot, which rounds
+    otherwise, so a block holds at least two points (a last point alone is
+    recomputed beside its neighbour) and a point's sums do not depend on
+    the other points of the call, unless it is the only one.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if not np.isfinite(xs).all():
         raise ValueError("points must be finite")
     out = np.empty((xs.size, len(cuts)), dtype=complex)
     segments = list(zip([0, *cuts[:-1]], cuts))
-    chunk = max(1, _POINT_CHUNK // max(k.size, 1))
+    chunk = max(2, _POINT_CHUNK // max(k.size, 1))
+    phases, turns = _block_workspace(min(xs.size, chunk) * k.size)
     for i in range(0, xs.size, chunk):
-        terms = _turns(_phase(k, xs[i : i + chunk, None]))
+        i = max(0, min(i, xs.size - 2))  # a last point alone would be summed by dot, not gemv: pair it
+        x = xs[i : i + chunk, None]
+        shape, size = (x.size, k.size), x.size * k.size
+        theta = phases[:size].reshape(shape)
+        terms = turns[:size].reshape(shape)
+        _phase(k, x, out=theta, scratch=terms.view(float).reshape(2, *shape))
+        _turns(theta, out=terms)
         block = out[i : i + chunk]
         for col, (start, stop) in enumerate(segments):
             block[:, col] = terms[:, start:stop] @ c[start:stop]

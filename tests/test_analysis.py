@@ -1,13 +1,19 @@
 """Divergence-index fits, level sets, spectrum curves, prevalence probe."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdl
 from fdl.analysis import (
     _LOG_FLOOR,
     ProbeConfig,
@@ -184,7 +190,7 @@ def test_divergence_fits_need_three_schedule_entries():
     for fit in (lambda: divergence_index(f, 0.03125, short),
                 lambda: divergence_profile(f, np.arange(64) / 64, short),
                 lambda: level_set(f, 0.0, 0.05, 64, short),
-                lambda: spectrum_curve(f, [0.0], short, grid=64)):
+                lambda: spectrum_curve(f, [0.0], short, grid=64, tolerance=0.05, m_lo=4, m_hi=10)):
         with pytest.raises(ValueError, match="at least 3 entries"):
             fit()
     assert divergence_profile(f, np.arange(64) / 64, dyadic_schedule(5, 7))[0].shape == (64,)
@@ -233,7 +239,7 @@ def test_level_set_and_spectrum_share_their_grid_and_tolerance_rules(grid, toler
     with pytest.raises(ValueError):
         level_set(f, 0.0, tolerance, grid, schedule)
     with pytest.raises(ValueError):
-        spectrum_curve(f, [0.0], schedule, grid=grid, tolerance=tolerance)
+        spectrum_curve(f, [0.0], schedule, grid=grid, tolerance=tolerance, m_lo=4, m_hi=10)
 
 
 def test_partial_sums_at_no_points():
@@ -244,7 +250,8 @@ def test_partial_sums_at_no_points():
 
 def test_spectrum_curve_shares_one_profile():
     schedule = dyadic_schedule(6, 10)
-    curve = spectrum_curve(TrigPoly({1: 1.0}), [0.0, 0.1], schedule, grid=1 << 8)
+    curve = spectrum_curve(TrigPoly({1: 1.0}), [0.0, 0.1], schedule, grid=1 << 8,
+                           tolerance=0.05, m_lo=4, m_hi=10)
     assert [(b, est.slope) for b, est in curve] == [(0.0, 1.0), (0.1, 0.0)]
 
 
@@ -473,3 +480,46 @@ def test_prevalence_probe_matches_per_trial_loop_when_trials_fail(workload_block
     assert len(failures) > cfg.trials // 2
     assert res.failures == failures
     assert (res.forced_zero_success, res.forced_unit_success) == (zero_ok, unit_ok)
+
+
+@pytest.mark.parametrize("base", ["zero", "rademacher"])
+def test_prevalence_probe_at_the_workload_shape_peaks_below_6_mb(base):
+    # the family's test-point sums and their per-column copy take about 4 MB at this shape;
+    # the trial loop adds only its chunk of product, modulus and cleared-point buffers
+    f = TrigPoly() if base == "zero" else rademacher_poly(256, trial_rng(DEFAULT_SEED, 9000))
+    cfg = ProbeConfig(**_WORKLOAD)
+    tracemalloc.start()
+    try:
+        prevalence_probe(f, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 << 20
+
+
+_PANEL_FAULTS = """
+import resource
+from fdl.analysis import divergence_profile, dyadic_schedule
+from fdl.construct import disjoint_family
+from fdl.util import DEFAULT_SEED, trial_rng
+f = disjoint_family(3, 2.0, 2.0, 14).member(1)
+schedule = dyadic_schedule(6, 18)
+panels = [trial_rng(DEFAULT_SEED, 8000 + i).uniform(0.0, 1.0, 256) for i in range(10)]
+divergence_profile(f, panels[0], schedule)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for xs in panels:
+    divergence_profile(f, xs, schedule)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_divergence_panels_reuse_their_pages():
+    # criterion 08's panel calls in a fresh interpreter, whose heap this suite has not shaped:
+    # point_sums keeps its block buffers per thread, so once warm a panel touches no fresh page;
+    # fresh phase and turn arrays per call cost about 940 faults a panel there
+    pytest.importorskip("resource")
+    proc = subprocess.run([sys.executable, "-c", _PANEL_FAULTS],
+                          env={**os.environ, "PYTHONPATH": str(Path(fdl.__file__).parents[1])},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100

@@ -1,6 +1,7 @@
 """Fourier engine: coefficient algebra, sampling, kernels, norms, serialization."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from fdl.construct import (
     saturator_pj,
     tooth_bounds,
 )
+from fdl import trig
 from fdl.sets import CombParams, DyadicFamilyParams
 from fdl.trig import (
     PRUNE_TOL,
@@ -32,7 +34,7 @@ from fdl.trig import (
     point_sums,
     validate_norm_exponent,
 )
-from fdl.util import DEFAULT_SEED, grid_for_degree, trial_rng
+from fdl.util import DEFAULT_SEED, grid_for_degree, indexed_map, trial_rng
 from fdl.verify import rademacher_poly
 
 
@@ -361,6 +363,55 @@ def test_point_sums_match_the_cos_sin_kernel_up_to_frequency_2_53():
     xs = np.concatenate([[0.0, 0.5, -0.25, 1 / 3, 1e-9], rng.uniform(-2.0, 2.0, 64)])
     gap = np.abs(point_sums(ks, cs, cuts, xs) - _cos_sin_point_sums(ks, cs, cuts, xs)).max()
     assert gap <= 4e-16 * np.abs(cs).sum()
+
+
+def _one_block_point_sums(k, c, cuts, xs):
+    """point_sums in one block of fresh arrays: _turns(_phase(k, x)), then the segment matvecs."""
+    terms = _turns(_phase(k, np.asarray(xs, dtype=float)[:, None]))
+    segments = [terms[:, start:stop] @ c[start:stop] for start, stop in zip([0, *cuts[:-1]], cuts)]
+    return np.cumsum(np.stack(segments, axis=1), axis=1)
+
+
+def _workspace_case(seed, top, terms, points):
+    rng = trial_rng(DEFAULT_SEED, seed)
+    ks = np.unique(rng.integers(-top, top, size=terms, endpoint=True))
+    cs = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
+    cuts = np.unique(np.concatenate([rng.integers(1, ks.size, size=3), [ks.size]]))
+    return ks, cs, cuts, rng.uniform(-2.0, 2.0, points)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("top", [(1 << 27) - 1, 1 << 53])  # both branches of _phase
+def test_point_sums_workspace_matches_one_fresh_block_bit_for_bit(top):
+    # 700 points x 480 terms span three blocks of the thread's workspace; the smaller call that
+    # follows reads a slice of it; points of more terms than a block holds go two by two into
+    # buffers of their own, the third beside the second again
+    cases = [_workspace_case(1, top, 480, 700), _workspace_case(2, top, 37, 5),
+             _workspace_case(3, top, (1 << 17) + 200, 3)]
+    assert cases[0][0].size * cases[0][3].size > 2 * trig._POINT_CHUNK
+    assert cases[2][0].size > trig._POINT_CHUNK
+    for ks, cs, cuts, xs in cases:
+        assert _same_bits(point_sums(ks, cs, cuts, xs), _one_block_point_sums(ks, cs, cuts, xs))
+    assert sum(buffer.nbytes for buffer in trig._block_workspace(1)) <= 4 << 20
+
+
+def test_point_sums_on_concurrent_threads_match_one_thread():
+    # each thread fills its own workspace; four threads switching every microsecond interleave
+    # their blocks, through point_sums directly and through TrigPoly.evaluate
+    cases = [_workspace_case(seed, 1 << 40, 300 + 40 * seed, 500) for seed in range(8)]
+    run = lambda case: (point_sums(*case), TrigPoly.from_arrays(*case[:2]).evaluate(case[3]))
+    serial = indexed_map(run, cases, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = indexed_map(run, cases, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for (sums, values), (sums_threaded, values_threaded) in zip(serial, threaded):
+        assert _same_bits(sums, sums_threaded) and _same_bits(values, values_threaded)
 
 
 def test_half_angle_turns_are_unit_phasors_up_to_and_past_a_half():
