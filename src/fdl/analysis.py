@@ -199,7 +199,7 @@ def dyadic_test_points(alpha: float, depth: int) -> np.ndarray:
 
 
 def _test_point_sums(f: TrigPoly, alpha: float, depth: int, schedule: list[int]) -> np.ndarray:
-    """partial_sums_at(f, dyadic_test_points(alpha, depth), schedule), one trig.grid_sums per copy.
+    """partial_sums_at(f, dyadic_test_points(alpha, depth), schedule).T, one trig.grid_sums per copy.
 
     grid_sums sums at the exact points K/2^depth + shift, with the phase of
     every |k| <= 2^53 reduced exactly; dyadic_test_points holds their float
@@ -207,37 +207,39 @@ def _test_point_sums(f: TrigPoly, alpha: float, depth: int, schedule: list[int])
     """
     ks, cs, cuts = _sorted_terms(f, schedule)
     return np.concatenate([grid_sums(ks, cs, cuts, 1 << depth, shift)
-                           for shift in _test_shifts(alpha, depth)], axis=1).T
+                           for shift in _test_shifts(alpha, depth)], axis=1)
 
 
 def _trial_passes(base: np.ndarray, blocks: np.ndarray, growth: np.ndarray, m_thresh: float,
                   draws: np.ndarray) -> np.ndarray:
     """Per row c of draws, whether at every point some column has |S_n| / n^beta >= m_thresh.
 
-    S_n = base + sum_r c_r blocks[r], shape (points, schedule). Which column
-    clears a point does not matter, so the columns go from the top n down,
-    each as one real matmul over the trials of a chunk that still have an
-    open point; a trial leaves once its last point clears. The product,
-    its modulus and the cleared points go into three buffers of one chunk,
-    allocated once per call, whose leading rows hold a column's open
-    trials.
+    S_n = base[col] + sum_r c_r blocks[col, r]: base is (schedule, points)
+    and blocks (schedule, s, points). Which column clears a point does not
+    matter, so the columns go from the top n down, each as one real matmul
+    over the trials of a chunk that still have an open point; a trial
+    leaves once its last point clears. numpy rounds a one-row product
+    otherwise than a row of a larger one, so a lone open trial is multiplied
+    beside a closed one and a chunk holds at least two draws. The product,
+    its modulus and the cleared points go into three chunk buffers,
+    allocated once per call.
     """
-    points, columns = base.shape
-    # (columns, s, 2 * points): Re and Im interleaved, so each column is one real matmul
-    per_column = np.ascontiguousarray(blocks.transpose(2, 0, 1)).view(float)
+    columns, points = base.shape
+    per_column = blocks.view(float)  # Re and Im interleaved, so each column is one real matmul
     passes = np.empty(len(draws), dtype=bool)
-    chunk = max(1, _TRIAL_CHUNK // points)
+    chunk = max(2, _TRIAL_CHUNK // points)
     product = np.empty((chunk, 2 * points))
     modulus = np.empty((chunk, points))
     cleared = np.empty((chunk, points), dtype=bool)
     for start in range(0, len(draws), chunk):
+        start = max(0, min(start, len(draws) - 2))
         c = draws[start : start + chunk]
         open_points = np.ones((len(c), points), dtype=bool)
         rows = np.arange(len(c))
         for col in range(columns - 1, -1, -1):
             n = rows.size
             sums = np.matmul(c[rows], per_column[col], out=product[:n]).view(complex)
-            sums += base[:, col]
+            sums += base[col]
             ratio = np.abs(sums, out=modulus[:n])
             ratio /= growth[col]
             # not (ratio >= m_thresh) rather than ratio < m_thresh: a NaN ratio leaves its point open
@@ -246,6 +248,8 @@ def _trial_passes(base: np.ndarray, blocks: np.ndarray, growth: np.ndarray, m_th
             rows = rows[open_points[rows].any(axis=1)]
             if not rows.size:
                 break
+            if rows.size == 1 and len(c) > 1:  # pair the lone open trial with trial 0 or 1, closed
+                rows = np.array([0, rows[0] or 1])
         passes[start : start + chunk] = ~open_points.any(axis=1)
     return passes
 
@@ -280,8 +284,9 @@ def prevalence_probe(f: TrigPoly, config: ProbeConfig) -> ProbeResult:
 
     base = _test_point_sums(f, config.alpha, config.depth, schedule)
     blocks = np.stack([_test_point_sums(family.member(r), config.alpha, config.depth, schedule)
-                       for r in range(1, config.s + 1)])
-    growth = np.array(schedule, dtype=float) ** config.beta
+                       for r in range(1, config.s + 1)], axis=1)
+    with np.errstate(over="ignore"):  # an infinite n^beta clears no point, the limit of a huge one
+        growth = np.array(schedule, dtype=float) ** config.beta
     draws = trial_uniform_rows(config.seed, config.trials, -config.R, config.R, config.s)
     forced = np.zeros((2, config.s))  # all-zero c, then the first unit vector
     forced[1, 0] = 1.0

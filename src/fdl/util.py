@@ -1,7 +1,6 @@
 """Shared numeric plumbing: power-of-two grids, log-log fits, seeded RNG streams."""
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -92,23 +91,10 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = [(0x2360ED051FC65DA44385DF649FCCF645 >> (32 * i)) & _MASK32 for i in range(4)]
 
 
-def _hash(value, const: int):
-    """SeedSequence's hash of value by const; value is a Python int or a uint64 array of 32-bit words."""
+def _hash(value, const):
+    """SeedSequence's hash of value by const, uint64 arrays of 32-bit words."""
     value = (value ^ const) * (const * _MULT_A & _MASK32) & _MASK32
     return value ^ (value >> 16)
-
-
-def _mix_entropy(words: list) -> list:
-    """SeedSequence's 4-word pool from its entropy words (more than 4 of them)."""
-    consts = (_INIT_A * pow(_MULT_A, i, 1 << 32) & _MASK32 for i in itertools.count())
-    pool = [_hash(w, next(consts)) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(consts)))
-    for w in words[4:]:
-        pool = [_mix(p, _hash(w, next(consts))) for p in pool]
-    return pool
 
 
 def _mix(x, y):
@@ -146,16 +132,15 @@ def _lcg_step(state: list, inc: list) -> list:
 def trial_uniform_rows(seed: int, trials: int, low: float, high: float, size: int) -> np.ndarray:
     """Row t is trial_rng(seed, t).uniform(low, high, size), bit for bit, for t < trials.
 
-    numpy's generator, rebuilt once over all trials: SeedSequence hashes the
-    seed's 32-bit words (padded to 4) and then the spawn word t into a
-    4-word pool, with hash constants that do not depend on t; the pool's 8
-    state words seed PCG64, whose 128-bit LCG runs here on 32-bit limbs held
-    in uint64 arrays; each draw is low + (high - low) * (output >> 11) / 2^53.
+    numpy's generator, rebuilt once over all trials: the spawn word t is
+    hashed into each word of the seed's pool, SeedSequence(seed).pool, with
+    constants that do not depend on t; the pool's 8 state words seed PCG64,
+    whose 128-bit LCG runs here on 32-bit limbs held in uint64 arrays; each
+    draw is low + (high - low) * (output >> 11) / 2^53.
     t must fit one 32-bit spawn word, so trials <= 2^32.
     """
     seed, trials, size = int(seed), int(trials), int(size)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
     if not 0 <= trials <= 1 << 32:
         raise ValueError(f"trial indices must fit one 32-bit word, got {trials} trials")
     span = float(high) - float(low)
@@ -163,17 +148,14 @@ def trial_uniform_rows(seed: int, trials: int, low: float, high: float, size: in
         raise OverflowError("high - low range exceeds valid bounds")
     if span < 0:
         raise ValueError("high - low < 0")
-    words = [(seed >> (32 * i)) & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
-    words += [0] * (4 - len(words))
-    words.append(np.arange(trials, dtype=np.uint64))
-    pool = _mix_entropy(words)
-    w = []  # generate_state(4, uint64): 8 words hashed from the pool in turn
-    const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        w.append(value ^ (value >> 16))
+    # the seed's words (at least 4) took hash constants 0..15 and 4 more per word past the 4th
+    first = 16 + 4 * max(0, -(-seed.bit_length() // 32) - 4)
+    consts = np.array([_INIT_A * pow(_MULT_A, first + i, 1 << 32) & _MASK32 for i in range(4)], np.uint64)
+    pool = _mix(pool, _hash(np.arange(trials, dtype=np.uint64)[:, None], consts))  # (trials, 4)
+    # generate_state(4, uint64): word i hashes pool word i % 4 by _INIT_B * _MULT_B^i and ^(i + 1)
+    consts = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)], np.uint64)
+    value = (np.tile(pool, 2) ^ consts[:8]) * consts[1:] & _MASK32
+    w = list((value ^ (value >> 16)).T)
     initstate = [w[2], w[3], w[0], w[1]]  # (w0 | w1 << 32) << 64 | (w2 | w3 << 32), low limb first
     initseq = [w[6], w[7], w[4], w[5]]
     inc = [(initseq[0] << 1 | 1) & _MASK32] + [(initseq[i] << 1 | initseq[i - 1] >> 31) & _MASK32

@@ -355,7 +355,8 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
     log_power = -(1.0 + eps) / p * math.log(math.log(n))
     log_rate = log_power - (math.log(math.log(1.0 / interval_length)) if p == 1 else 0.0)
     if max(abs(log_power), abs(log_rate)) > _LOG_NORMAL:
-        raise ValueError(f"eps {eps} takes the localization rate at degree {n} out of the float range")
+        cause = f"eps {eps}" + (f" with interval length {interval_length}" if p == 1 else "")
+        raise ValueError(f"{cause} takes the localization rate at degree {n} out of the float range")
     h = interval_length / 512
     # as in lp_norm, the p-th powers are taken relative to the interval's own maximum m,
     # so none exceeds 1 at any p; lp_I is relative to the peak

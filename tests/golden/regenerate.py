@@ -140,6 +140,8 @@ CALLS = [
     # exit 1: two outputs routed to one file, and a config key set twice
     "verify maximal --N 16 --trials 1 --out same.txt --csv same.txt",
     "construct pj --j 6 --p 2 --config twice.conf --out twice.json",
+    # exit 0: a beta whose n^beta overflows, so every trial fails
+    "probe prevalence --s 3 --jmax 8 --depth 3 --trials 20 --beta 200 --out probe_beta.json",
 ]
 
 

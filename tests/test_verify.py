@@ -410,6 +410,9 @@ def test_localization_guards():
             check_localization(TrigPoly.dirichlet(2), 0.0, 0.5, p, 4400)
         with pytest.raises(ValueError, match="eps 4400 .* degree 8"):
             check_localization(d8, 0.0, 1.0 / 8, p, 4400)
+    # at p = 1 the rate divides by log(1/|I|), and 1/|I| overflows for a subnormal |I|
+    with pytest.raises(ValueError, match="eps 0.5 with interval length 1e-320 takes .* degree 8"):
+        check_localization(d8, 0.0, 1e-320, 1, 0.5)
 
 
 def test_holo_bounds_frozen_at_k16():
