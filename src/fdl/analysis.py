@@ -5,8 +5,11 @@ The divergence index at a point is estimated from the running maximum of
 partial-sum moduli along a dyadic index schedule, fitted on the tail half
 of the schedule where the block constructions have settled, so a schedule
 needs at least 3 entries. Partial sums on a uniform grid, shifted or not,
-come from trig.grid_sums, the grid kernel that TrigPoly.sample also runs;
+come from trig.grid_rows, the grid kernel that TrigPoly.sample also runs;
 at any other points from trig.point_sums, the exact-phase off-grid kernel.
+A profile streams them into _envelope_fits one schedule entry at a time,
+so on the grid it holds the fitted tail of the log envelope (8 bytes per
+point per fitted entry) and two complex rows, never every partial sum.
 The prevalence probe draws all its trials at once
 (util.trial_uniform_rows), bit for bit the per-trial trial_rng rows. A
 level set is a mask over a uniform grid of such estimates, a
@@ -21,25 +24,35 @@ import numpy as np
 
 from .construct import disjoint_family
 from .sets import BoxDimEstimate, GridOracle, box_dimension
-from .trig import TrigPoly, grid_sums, point_sums
+from .trig import TrigPoly, grid_rows, grid_sums, point_sums
 from .util import DEFAULT_SEED, fractional_part, loglog_fit, trial_uniform_rows
 
 _VANISH_TOL = 1e-14
 _LOG_FLOOR = 1e-300
 _TRIAL_CHUNK = 1 << 15  # points x trials per chunk of _trial_passes
+_FIT_CHUNK = 1 << 15  # points x fitted entries per loglog_fit call of _envelope_fits
 
 
 def dyadic_schedule(m_lo: int, m_hi: int) -> list[int]:
-    if not (0 < m_lo < m_hi):
-        raise ValueError("need 0 < m_lo < m_hi")
+    """The indices 2^m for m_lo <= m <= m_hi; m_hi <= 1023 keeps 2^m_hi, and so log n, a finite float."""
+    if not (0 < m_lo < m_hi <= 1023):
+        raise ValueError(f"schedule exponents must satisfy 0 < m_lo < m_hi <= 1023, got {m_lo} and {m_hi}")
     return [1 << m for m in range(m_lo, m_hi + 1)]
 
 
 def _sorted_terms(f: TrigPoly, schedule: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f's frequencies and coefficients sorted by |k|, and each schedule entry's end in them."""
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
     order = np.argsort(np.abs(f.k), kind="stable")
     ks, cs = f.k[order], f.c[order]
     return ks, cs, np.searchsorted(np.abs(ks), np.array(schedule), side="right")
+
+
+def _on_unit_grid(xs: np.ndarray) -> bool:
+    """Whether xs is the uniform grid arange(M)/M, M >= 1, which the grid kernel serves."""
+    M = xs.size
+    return M >= 1 and xs.ndim == 1 and np.array_equal(xs, np.arange(M) / M)
 
 
 def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
@@ -52,16 +65,12 @@ def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     mod 1 from the exact frequencies, one matrix-vector product per
     schedule segment and a cumulative sum over the segments.
     """
-    schedule = list(schedule)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    ks, cs, cuts = _sorted_terms(f, list(schedule))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not len(f):
-        return np.zeros((xs.size, len(schedule)), dtype=complex)
-    ks, cs, cuts = _sorted_terms(f, schedule)
-    M = xs.size
-    if M >= 1 and xs.ndim == 1 and np.array_equal(xs, np.arange(M) / M):
-        return grid_sums(ks, cs, cuts, M).T
+        return np.zeros((xs.size, len(cuts)), dtype=complex)
+    if _on_unit_grid(xs):
+        return grid_sums(ks, cs, cuts, xs.size).T
     return point_sums(ks, cs, cuts, xs)
 
 
@@ -74,19 +83,44 @@ class DivergenceEstimate:
     vanishing: bool = False
 
 
-def _envelope_fits(sums: np.ndarray, schedule: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _envelope_fits(rows, schedule: list[int], keep: int | None = None):
+    """Tail-fitted growth exponents of the partial-sum envelope at every point.
+
+    rows yields S_n f at the points for each n of the schedule in turn; a
+    row may be a buffer that the next one overwrites, as trig.grid_rows'
+    is. Their moduli go into a running maximum, whose log from schedule
+    entry keep on (by default the fitted tail half) is kept as one row per
+    entry. The fit then runs over chunks of points, each a C-contiguous
+    (points, tail) copy: loglog_fit sums every point's series along a
+    contiguous row, which rounds the same in any chunk. Returns beta_hat,
+    r^2, the kept log envelope (entries x points) and the points where the
+    envelope vanishes.
+    """
     if len(schedule) < 3:  # the fitted tail half would be one point
         raise ValueError(f"a divergence fit needs a schedule of at least 3 entries, got {len(schedule)}")
-    # one M x len(schedule) array holds the moduli, their running maximum and its log, in row
-    # order whatever the layout of sums: numpy rounds a sum along a strided row differently
-    env = np.abs(sums, order="C")
-    np.maximum.accumulate(env, axis=1, out=env)
-    vanishing = env[:, -1] < _VANISH_TOL
+    tail = len(schedule) // 2
+    keep = tail if keep is None else keep
+    # the running maximum lives in env itself: up to entry keep it folds into env[0], with
+    # env[1] (at least 2 rows when keep > 0) as the scratch modulus; then row r is the
+    # maximum of row r - 1 and the new modulus, written in place
+    for n, sums in enumerate(rows):
+        if n == 0:
+            env = np.empty((len(schedule) - keep, sums.size))
+            np.abs(sums, out=env[0])
+        elif n > keep:
+            np.maximum(env[n - keep - 1], np.abs(sums, out=env[n - keep]), out=env[n - keep])
+        else:
+            np.maximum(env[0], np.abs(sums, out=env[1]), out=env[0])
+    del sums  # the last row; with it the buffers of a finished grid_rows go before the fit's come
+    vanishing = env[-1] < _VANISH_TOL
     np.maximum(env, _LOG_FLOOR, out=env)
     np.log(env, out=env)
-    tail = len(schedule) // 2
     logn = np.log(np.array(schedule[tail:], dtype=float))
-    betas, r2s = loglog_fit(logn, env[:, tail:])
+    betas, r2s = np.empty(env.shape[1]), np.empty(env.shape[1])
+    chunk = max(1, _FIT_CHUNK // logn.size)
+    for i in range(0, env.shape[1], chunk):
+        series = np.ascontiguousarray(env[tail - keep :, i : i + chunk].T)
+        betas[i : i + chunk], r2s[i : i + chunk] = loglog_fit(logn, series)
     betas[vanishing] = 0.0
     r2s[vanishing] = 1.0
     return betas, r2s, env, vanishing
@@ -95,22 +129,30 @@ def _envelope_fits(sums: np.ndarray, schedule: list[int]) -> tuple[np.ndarray, n
 def divergence_index(f: TrigPoly, x: float, schedule) -> DivergenceEstimate:
     """Tail-fitted growth exponent of the partial-sum envelope at one point."""
     schedule = list(schedule)
-    sums = partial_sums_at(f, [x], schedule)
-    betas, r2s, env, vanishing = _envelope_fits(sums, schedule)
+    betas, r2s, env, vanishing = _envelope_fits(partial_sums_at(f, [x], schedule).T, schedule, keep=0)
     return DivergenceEstimate(
         beta_hat=float(betas[0]),
         r2=float(r2s[0]),
         schedule=schedule,
-        envelope=[float(v) for v in env[0]],
+        envelope=[float(v) for v in env[:, 0]],
         vanishing=bool(vanishing[0]),
     )
 
 
 def divergence_profile(f: TrigPoly, xs, schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized beta_hat and fit quality across many points."""
+    """Vectorized beta_hat and fit quality across many points.
+
+    On the uniform grid the sums stream from trig.grid_rows, one reused row
+    per schedule entry, into _envelope_fits, which keeps only the fitted
+    tail of the log envelope.
+    """
     schedule = list(schedule)
-    sums = partial_sums_at(f, xs, schedule)
-    betas, r2s, _, _ = _envelope_fits(sums, schedule)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if len(f) and _on_unit_grid(xs):
+        rows = grid_rows(*_sorted_terms(f, schedule), xs.size)
+    else:
+        rows = partial_sums_at(f, xs, schedule).T
+    betas, r2s, _, _ = _envelope_fits(rows, schedule)
     return betas, r2s
 
 

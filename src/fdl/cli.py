@@ -81,6 +81,8 @@ _LEVEL_PARAMS = (
     _Param("mhi", int, 10, "largest box scale exponent"),
 )
 
+_MAX_STEPS = 10_000  # beta grid points of analyze spectrum, one box count each
+
 # A handler maps (config, threads) to (payload, table): the JSON report without
 # its config block, as a dict or a dataclass, and the CSV (header, rows) or
 # None. run renders and writes both.
@@ -156,15 +158,22 @@ def _run_verify(sweep):
     return handler
 
 
+def _schedule(cfg: dict, lo: str, hi: str) -> list[int]:
+    """dyadic_schedule of the exponent flags lo and hi; a refusal names both flags."""
+    try:
+        return dyadic_schedule(cfg[lo], cfg[hi])
+    except ValueError as exc:
+        raise ValueError(f"--{lo}/--{hi}: {exc}") from None
+
+
 def _run_analyze_index(cfg: dict, threads: int):
     f = _load_poly(cfg["in"])
-    return divergence_index(f, cfg["x"], dyadic_schedule(cfg["mlo"], cfg["mhi"])), None
+    return divergence_index(f, cfg["x"], _schedule(cfg, "mlo", "mhi")), None
 
 
 def _run_analyze_levelset(cfg: dict, threads: int):
     f = _load_poly(cfg["in"])
-    oracle = level_set(f, cfg["beta"], cfg["tol"], cfg["grid"],
-                       dyadic_schedule(cfg["smlo"], cfg["smhi"]))
+    oracle = level_set(f, cfg["beta"], cfg["tol"], cfg["grid"], _schedule(cfg, "smlo", "smhi"))
     est = box_dimension(oracle, cfg["mlo"], cfg["mhi"])
     table = (("scale_exponent", "m_boxes_occupied"), list(zip(est.scales, est.counts)))
     return {"slope": est.slope, "r2": est.r2, "scales": list(est.scales)}, table
@@ -173,11 +182,11 @@ def _run_analyze_levelset(cfg: dict, threads: int):
 def _run_analyze_spectrum(cfg: dict, threads: int):
     if math.isinf(validate_norm_exponent(cfg["p"])):
         raise ValueError("the reference line needs a finite norm exponent")
-    if cfg["steps"] < 1:
-        raise ValueError("need at least one beta grid point")
+    if not 1 <= cfg["steps"] <= _MAX_STEPS:
+        raise ValueError(f"--steps must lie in 1..{_MAX_STEPS}, got {cfg['steps']}")
     f = _load_poly(cfg["in"])
     betas = np.linspace(cfg["beta-min"], cfg["beta-max"], cfg["steps"])
-    curve = spectrum_curve(f, betas, dyadic_schedule(cfg["smlo"], cfg["smhi"]),
+    curve = spectrum_curve(f, betas, _schedule(cfg, "smlo", "smhi"),
                            cfg["grid"], cfg["tol"], cfg["mlo"], cfg["mhi"])
     rows = [(beta, est.slope, est.r2, 1.0 - beta * cfg["p"]) for beta, est in curve]
     return {"curve": [list(row) for row in rows]}, (("beta", "dimension", "r2", "theory"), rows)
@@ -292,7 +301,7 @@ _COMMANDS = {
         _Param("p", _pnorm, None, "norm exponent for the reference line", required=True),
         _Param("beta-min", float, 0.0, "first beta on the grid"),
         _Param("beta-max", float, 0.5, "last beta on the grid"),
-        _Param("steps", int, 11, "number of beta grid points"),
+        _Param("steps", int, 11, f"number of beta grid points, 1 to {_MAX_STEPS}"),
         *_LEVEL_PARAMS,
         table=True,
     ),

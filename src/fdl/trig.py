@@ -8,13 +8,16 @@ exactly as Python's complex arithmetic on each coefficient. Samples are plain
 arrays over grids j/M with M a power of two: the FFT round trip is then exact,
 and the uniform Riemann sum integrates every polynomial of degree < M
 exactly, which is what makes the grid norms of low-degree polynomials
-certificates rather than estimates. There is one kernel per job: grid_sums
-on a grid j/M + shift (TrigPoly.sample is its one-cut case), point_sums
-off it, where each phase k x is reduced mod 1 from the exact integer k and
-its cosine and sine come from one vectorised tangent of half the angle.
+certificates rather than estimates. There is one kernel per job: grid_rows
+on a grid j/M + shift, which yields the partial sums at a run of cuts one
+row at a time (grid_sums keeps every row; TrigPoly.sample is its one-cut
+case), and point_sums off it, where each phase k x is reduced mod 1 from the
+exact integer k and its cosine and sine come from one vectorised tangent of
+half the angle.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
@@ -27,6 +30,7 @@ from .util import grid_for_degree, is_pow2, next_pow2
 
 PRUNE_TOL = 1e-15
 _SIN_EPS = 1e-12
+_JSON_REALS = (int, float)  # the number types json.loads makes
 
 
 class AliasingError(ValueError):
@@ -235,20 +239,27 @@ class TrigPoly:
         if not isinstance(entries, list):
             raise ValueError(f"coeffs must be a list of [k, re, im] triples, got {entries!r}")
         coeffs = {}
+        top = sys.float_info.max
         for entry in entries:
+            # json.loads' own int and float pass on their exact type; any other type takes the
+            # numbers ABCs, which bool, a subclass of int, fails
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3
-                    and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry)
-                    and isinstance(entry[0], numbers.Integral)):
+                    and ((type(entry[0]) is int and type(entry[1]) in _JSON_REALS
+                          and type(entry[2]) in _JSON_REALS)
+                         or (all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry)
+                             and isinstance(entry[0], numbers.Integral)))):
                 raise ValueError(f"coefficient entry {entry!r} is not an [integer, number, number] triple")
             k, re, im = entry
-            if abs(k) > 1 << 53:
+            if abs(k) > _EXACT_LIMIT:
                 raise ValueError(f"coefficient entry {entry!r} has |k| above 2^53")
-            if not (abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
+            if not (abs(re) <= top and abs(im) <= top):
                 raise ValueError(f"coefficient entry {entry!r} is not finite")
-            if int(k) in coeffs:
+            k = int(k)
+            if k in coeffs:
                 raise ValueError(f"coefficient entry {entry!r} repeats frequency {k}")
-            coeffs[int(k)] = complex(re, im)
-        return cls(coeffs)
+            coeffs[k] = complex(re, im)
+        return cls.from_arrays(np.fromiter(coeffs, dtype=np.int64, count=len(coeffs)),
+                               np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs)))
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -401,25 +412,35 @@ def point_sums(k: np.ndarray, c: np.ndarray, cuts, xs) -> np.ndarray:
     return out
 
 
-def grid_sums(k: np.ndarray, c: np.ndarray, cuts, M: int, shift: float = 0.0) -> np.ndarray:
-    """sum_{j < cut} c_j e(k_j (i/M + shift)) for each cut and i < M, shape (len(cuts), M).
+def grid_rows(k: np.ndarray, c: np.ndarray, cuts, M: int, shift: float = 0.0, rows=None):
+    """Yields sum_{j < cut} c_j e(k_j (i/M + shift)) for i < M, one complex row per cut in turn.
 
     The grid kernel, for integer |k| <= 2^53 and increasing cuts into k: a
     grid point sees k only through k mod M and e(k shift), k shift reduced
     mod 1 by _phase. Each segment between cuts is folded into one spectrum,
-    and row r is M times its inverse FFT in place, so one cut copies nothing.
+    and each row is M times its inverse FFT, written in place into the next
+    of rows, an iterable of complex (M,) buffers. Without rows every cut
+    lands in one reused buffer, so a row holds its values only until the
+    next is yielded, and a whole pass keeps two rows of memory.
     """
     if shift:
         c = c * np.exp(2j * np.pi * _phase(k, shift))
     spec = np.zeros(M, dtype=complex)
-    out = np.empty((len(cuts), M), dtype=complex)
     bins = k % M
     start = 0
-    for row, stop in zip(out, cuts):
+    for row, stop in zip(itertools.repeat(np.empty(M, dtype=complex)) if rows is None else rows, cuts):
         np.add.at(spec, bins[start:stop], c[start:stop])
         np.fft.ifft(spec, out=row)
         row *= M
         start = stop
+        yield row
+
+
+def grid_sums(k: np.ndarray, c: np.ndarray, cuts, M: int, shift: float = 0.0) -> np.ndarray:
+    """Every row of grid_rows, written in place into one (len(cuts), M) array, so one cut copies nothing."""
+    out = np.empty((len(cuts), M), dtype=complex)
+    for _ in grid_rows(k, c, cuts, M, shift, out):
+        pass
     return out
 
 

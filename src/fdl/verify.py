@@ -358,6 +358,9 @@ def check_localization(P: TrigPoly, a: float, interval_length: float, p, eps: fl
         cause = f"eps {eps}" + (f" with interval length {interval_length}" if p == 1 else "")
         raise ValueError(f"{cause} takes the localization rate at degree {n} out of the float range")
     h = interval_length / 512
+    if h < sys.float_info.min:  # a subnormal step keeps too few bits to space the 513 points evenly
+        raise ValueError(f"interval length {interval_length} leaves a subnormal trapezoid step |I|/512 = {h}; "
+                         "a larger --ifrac keeps it normal")
     # as in lp_norm, the p-th powers are taken relative to the interval's own maximum m,
     # so none exceeds 1 at any p; lp_I is relative to the peak
     vals = np.abs(P.evaluate_progression(a - interval_length / 2, h, 513))

@@ -142,6 +142,15 @@ CALLS = [
     "construct pj --j 6 --p 2 --config twice.conf --out twice.json",
     # exit 0: a beta whose n^beta overflows, so every trial fails
     "probe prevalence --s 3 --jmax 8 --depth 3 --trials 20 --beta 200 --out probe_beta.json",
+    # exit 1: a schedule exponent past 1023, whose 2^m has no float logarithm
+    "analyze index --in pj.json --x 0.03125 --mhi 1100",
+    "analyze levelset --in pj.json --beta 0.2 --grid 1024 --smhi 1100 --mhi 8 --csv smhi1100.csv",
+    "analyze spectrum --in pj.json --p 2 --grid 1024 --smhi 1100 --mhi 8 --csv spectrum_smhi1100.csv",
+    # exit 1: a beta grid past the stated maximum of --steps
+    "analyze spectrum --in pj.json --p 2 --steps 9223372036854775808 --csv steps_huge.csv",
+    "analyze spectrum --in pj.json --p 2 --steps 10001",
+    # exit 1: a localization interval whose trapezoid step |I|/512 is subnormal
+    "verify localization --N 4 --trials 1 --p 2 --ifrac 1e-320 --csv ifrac_subnormal.csv",
 ]
 
 

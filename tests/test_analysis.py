@@ -43,6 +43,10 @@ def test_dyadic_schedule():
         dyadic_schedule(0, 8)
     with pytest.raises(ValueError):
         dyadic_schedule(8, 8)
+    # the fit takes log n of every entry as a float, and 2^1024 has none
+    assert float(dyadic_schedule(1021, 1023)[-1]) == 2.0 ** 1023
+    with pytest.raises(ValueError, match="m_hi <= 1023"):
+        dyadic_schedule(6, 1024)
 
 
 def test_partial_sums_match_truncations():
@@ -223,6 +227,90 @@ def test_divergence_profile_agrees_with_pointwise():
         est = divergence_index(f, float(x), schedule)
         assert est.beta_hat == pytest.approx(float(beta), abs=1e-15)
         assert est.r2 == pytest.approx(float(r2), abs=1e-15)
+
+
+def _materialised_profile(f, xs, schedule):
+    """The envelope fit as it stood before the rows were streamed: every partial sum held at once."""
+    env = np.abs(partial_sums_at(f, xs, schedule), order="C")
+    np.maximum.accumulate(env, axis=1, out=env)
+    vanishing = env[:, -1] < 1e-14
+    env = np.log(np.maximum(env, _LOG_FLOOR))
+    tail = len(schedule) // 2
+    betas, r2s = loglog_fit(np.log(np.array(schedule[tail:], dtype=float)), env[:, tail:])
+    betas[vanishing] = 0.0
+    r2s[vanishing] = 1.0
+    return betas, r2s, vanishing
+
+
+_STREAM_CASES = {
+    # name: (f, schedule, M)
+    "empty": (TrigPoly(), dyadic_schedule(6, 8), 16),
+    # S_n = 2i sin(16 pi x) for every n, which vanishes at every fourth point of the 64-grid
+    "vanishing": (TrigPoly({8: 1.0, -8: -1.0}), dyadic_schedule(4, 9), 64),
+    # frequencies up to 2^53 fold mod M on the grid; off it _phase splits them
+    "2^53": (TrigPoly({5: 1.0, 1 << 40: 0.25, -(1 << 53) + 3: 0.5j, 1 << 53: -0.75}),
+             [4, 1 << 20, 1 << 40, (1 << 53) - 1, 1 << 53], 1024),
+    "non_pow2": (rademacher_poly(700, trial_rng(DEFAULT_SEED, 60)), [1, 9, 100, 300, 699, 700], 1000),
+    "block_member": (disjoint_family(3, 2.0, 2.0, 14).member(1), dyadic_schedule(6, 18), 1 << 14),
+}
+
+
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+def test_streamed_profile_is_the_materialised_one_to_the_bit(case):
+    # on the grid the rows stream from grid_rows into the running maximum; at other points the
+    # columns of point_sums feed the same fold; both must be the all-at-once fit bit for bit
+    f, schedule, M = _STREAM_CASES[case]
+    assert 3 <= len(schedule) <= 13
+    grid = np.arange(M) / M
+    off = trial_rng(DEFAULT_SEED, M).uniform(0.0, 1.0, 257)
+    for xs in (grid, off):
+        betas, r2s, vanishing = _materialised_profile(f, xs, schedule)
+        got = divergence_profile(f, xs, schedule)
+        assert np.array_equal(got[0].view(np.uint64), betas.view(np.uint64))
+        assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
+        if case == "vanishing" and xs is grid:
+            assert vanishing.sum() == M // 4
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), terms=st.integers(0, 40), log_top=st.integers(1, 53),
+       log_m=st.integers(4, 14), entries=st.integers(3, 13))
+def test_streamed_grid_profile_matches_the_materialised_one(seed, terms, log_top, log_m, entries):
+    rng = trial_rng(seed, 61)
+    top = 1 << log_top
+    f = TrigPoly({int(k): complex(*rng.normal(size=2)) for k in rng.integers(-top, top + 1, size=terms)})
+    schedule = sorted({int(n) for n in rng.integers(0, top + 1, size=entries)} | {top})
+    while len(schedule) < 3:  # a small top leaves too few distinct entries
+        schedule.append(schedule[-1] + 1)
+    M = 1 << log_m
+    betas, r2s, _ = _materialised_profile(f, np.arange(M) / M, schedule)
+    got = divergence_profile(f, np.arange(M) / M, schedule)
+    assert np.array_equal(got[0].view(np.uint64), betas.view(np.uint64))
+    assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
+
+
+def test_divergence_index_keeps_the_whole_envelope():
+    f, schedule = disjoint_family(2, 2.0, 2.0, 9).member(1), dyadic_schedule(3, 11)
+    est = divergence_index(f, 0.3, schedule)
+    env = np.maximum.accumulate(np.abs(partial_sums_at(f, [0.3], schedule)[0]))
+    assert est.envelope == np.log(np.maximum(env, _LOG_FLOOR)).tolist()
+    assert len(est.envelope) == len(schedule)
+
+
+def test_level_set_at_grid_2_16_peaks_below_6_5_mb():
+    # At M = 2^16 and 13 schedule entries the streamed profile holds the fitted tail of the log
+    # envelope (7 rows of M floats, 3.5 MB), grid_rows' spectrum and reused row (2 x 1 MB) and the
+    # grid itself (0.5 MB): 6 MB. The fit's chunks, betas and r^2 (1.75 MB) come after the
+    # spectrum and the row are freed. Holding the (13, M) complex sums would take 13 MB, and a
+    # separate running maximum and modulus 1 MB more
+    f = disjoint_family(3, 2.0, 2.0, 14).member(1)
+    tracemalloc.start()
+    try:
+        level_set(f, 0.2, 0.05, 1 << 16, dyadic_schedule(6, 18))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 << 19
 
 
 def test_level_set_oracle_mapping():

@@ -235,6 +235,34 @@ def test_spectrum_rejects_bad_arguments(tmp_path):
                     "--steps", "0"]) == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    # 2^1100 has no float, so neither has its log; 2^1023 is the largest power of two that does
+    ("analyze index --in g.json --x 0.1 --mhi 1100", "--mlo/--mhi"),
+    ("analyze levelset --in g.json --beta 0.2 --smhi 1100", "--smlo/--smhi"),
+    ("analyze spectrum --in g.json --p 2 --smhi 1100", "--smlo/--smhi"),
+    ("analyze index --in g.json --x 0.1 --mlo 0", "--mlo/--mhi"),
+    ("analyze spectrum --in g.json --p 2 --steps 9223372036854775808", "--steps"),
+    ("analyze spectrum --in g.json --p 2 --steps 10001", "--steps"),
+    ("analyze spectrum --in g.json --p 2 --steps 0", "--steps"),
+    # the interval 2.5e-321 has a subnormal trapezoid step, which rounds the 513 points apart
+    ("verify localization --N 4 --trials 1 --p 2 --ifrac 1e-320", "--ifrac"),
+])
+def test_refusals_name_their_flag(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    run_ok(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2", "--out", "g.json"])
+    assert cli.run(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.out == ""
+
+
+def test_largest_schedule_exponents_are_accepted(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_ok(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2", "--out", "g.json"])
+    run_ok("analyze index --in g.json --x 0.1 --mlo 1021 --mhi 1023".split())
+    assert json.loads(capsys.readouterr().out)["schedule"] == [1 << 1021, 1 << 1022, 1 << 1023]
+
+
 def test_construct_family_payload(tmp_path):
     out = tmp_path / "family.json"
     argv = ["construct", "family", "--s", "2", "--alpha", "2", "--p", "2", "--jmax", "6"]

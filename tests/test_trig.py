@@ -615,6 +615,64 @@ def test_json_refuses_entries_it_cannot_represent(kind, data):
     assert repr(bad) in str(err.value)
 
 
+class _Int(int):
+    """An int that from_json_dict checks through the numbers ABCs, not by its exact type."""
+
+
+class _Float(float):
+    """A float that from_json_dict checks through the numbers ABCs, not by its exact type."""
+
+
+def _abc_typed(entries):
+    """The same entries with every plain int and float replaced by its subclass, repr unchanged."""
+    def cast(x):
+        return _Int(x) if type(x) is int else _Float(x) if type(x) is float else x
+    return [[cast(x) for x in e] if isinstance(e, list) else e for e in entries]
+
+
+_REFUSED = [
+    ([[True, 1.0, 0.0]], "triple"),
+    ([[1, False, 0.0]], "triple"),
+    ([[1, 1.0, True]], "triple"),
+    ([[1.0, 1.0, 0.0]], "triple"),
+    ([[1, "1", 0.0]], "triple"),
+    ([[1, None, 0.0]], "triple"),
+    ([[1, 1.0]], "triple"),
+    ([[1, 1.0, 0.0, 0.0]], "triple"),
+    ([{"k": 1}], "triple"),
+    ([[(1 << 53) + 1, 1.0, 0.0]], "2\\^53"),
+    ([[-(1 << 53) - 1, 1.0, 0.0]], "2\\^53"),
+    ([[1, math.inf, 0.0]], "not finite"),
+    ([[1, 0.0, -math.inf]], "not finite"),
+    ([[1, math.nan, 0.0]], "not finite"),
+    ([[1, 10**400, 0.0]], "not finite"),
+    ([[1, 1.0, 0.0], [2, 1.0, 0.0], [1, 2.0, 0.0]], "repeats frequency 1"),
+]
+
+
+@pytest.mark.parametrize("entries, message", _REFUSED)
+def test_json_refuses_the_same_entries_through_both_type_checks(entries, message):
+    # json.loads' own int and float are checked by exact type, any other number by the numbers
+    # ABCs: an entry that one path refuses the other refuses too, with the same message
+    texts = []
+    for coeffs in (entries, _abc_typed(entries)):
+        with pytest.raises(ValueError, match=message) as err:
+            TrigPoly.from_json_dict({"coeffs": coeffs})
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
+    mixed = [[1, 1.0, 0.0], [_Int(1), _Float(2.0), 0.0]]  # a repeat across the two paths
+    with pytest.raises(ValueError, match="repeats frequency 1"):
+        TrigPoly.from_json_dict({"coeffs": mixed})
+
+
+def test_json_accepts_the_same_entries_through_both_type_checks():
+    entries = [[-(1 << 53), 1.0, 0.0], [1 << 53, 0, -2], [0, 0.5, 1e-300], [7, Fraction(1, 3), np.float64(2.0)],
+               [np.int64(-3), 1, 1.5]]
+    f = TrigPoly.from_json_dict({"coeffs": entries})
+    assert f == TrigPoly.from_json_dict({"coeffs": _abc_typed(entries)})
+    assert f == TrigPoly({-(1 << 53): 1.0, 1 << 53: -2j, 0: complex(0.5, 1e-300), 7: complex(1 / 3, 2.0), -3: 1 + 1.5j})
+
+
 def test_grid_for_degree_floor():
     assert grid_for_degree(0) == 16
     assert grid_for_degree(100) == 1024
