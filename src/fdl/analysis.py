@@ -5,11 +5,12 @@ The divergence index at a point is estimated from the running maximum of
 partial-sum moduli along a dyadic index schedule, fitted on the tail half
 of the schedule where the block constructions have settled, so a schedule
 needs at least 3 entries. Partial sums on a uniform grid, shifted or not,
-come from trig.grid_rows, the grid kernel that TrigPoly.sample also runs;
+come from trig.grid_sums, the grid kernel that TrigPoly.sample also runs;
 at any other points from trig.point_sums, the exact-phase off-grid kernel.
-A profile streams them into _envelope_fits one schedule entry at a time,
-so on the grid it holds the fitted tail of the log envelope (8 bytes per
-point per fitted entry) and two complex rows, never every partial sum.
+_envelope_fits folds them one schedule entry at a time. A level set asks
+partial_sums_at for one entry per call, so its grid profile holds the
+fitted tail of the log envelope (8 bytes per point per fitted entry) and
+one entry's sums, never every partial sum.
 The prevalence probe draws all its trials at once
 (util.trial_uniform_rows), bit for bit the per-trial trial_rng rows. A
 level set is a mask over a uniform grid of such estimates, a
@@ -24,13 +25,14 @@ import numpy as np
 
 from .construct import disjoint_family
 from .sets import BoxDimEstimate, GridOracle, box_dimension
-from .trig import TrigPoly, grid_rows, grid_sums, point_sums
+from .trig import TrigPoly, grid_sums, point_sums
 from .util import DEFAULT_SEED, fractional_part, loglog_fit, trial_uniform_rows
 
 _VANISH_TOL = 1e-14
 _LOG_FLOOR = 1e-300
 _TRIAL_CHUNK = 1 << 15  # points x trials per chunk of _trial_passes
 _FIT_CHUNK = 1 << 15  # points x fitted entries per loglog_fit call of _envelope_fits
+_GRID_CHUNK = 1 << 15  # points per comparison of _on_unit_grid
 
 
 def dyadic_schedule(m_lo: int, m_hi: int) -> list[int]:
@@ -42,17 +44,21 @@ def dyadic_schedule(m_lo: int, m_hi: int) -> list[int]:
 
 def _sorted_terms(f: TrigPoly, schedule: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f's frequencies and coefficients sorted by |k|, and each schedule entry's end in them."""
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
     order = np.argsort(np.abs(f.k), kind="stable")
     ks, cs = f.k[order], f.c[order]
     return ks, cs, np.searchsorted(np.abs(ks), np.array(schedule), side="right")
 
 
 def _on_unit_grid(xs: np.ndarray) -> bool:
-    """Whether xs is the uniform grid arange(M)/M, M >= 1, which the grid kernel serves."""
+    """Whether xs is the uniform grid arange(M) / M, M >= 1, compared a block at a time.
+
+    A level set asks for one schedule entry per call, and a whole-grid
+    arange per call would churn two grid-sized temporaries through the heap.
+    """
     M = xs.size
-    return M >= 1 and xs.ndim == 1 and np.array_equal(xs, np.arange(M) / M)
+    return M >= 1 and xs.ndim == 1 and all(
+        np.array_equal(xs[i : i + _GRID_CHUNK], np.arange(i, min(i + _GRID_CHUNK, M)) / M)
+        for i in range(0, M, _GRID_CHUNK))
 
 
 def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
@@ -65,10 +71,13 @@ def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     mod 1 from the exact frequencies, one matrix-vector product per
     schedule segment and a cumulative sum over the segments.
     """
-    ks, cs, cuts = _sorted_terms(f, list(schedule))
+    schedule = list(schedule)
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not len(f):
-        return np.zeros((xs.size, len(cuts)), dtype=complex)
+        return np.zeros((xs.size, len(schedule)), dtype=complex)
+    ks, cs, cuts = _sorted_terms(f, schedule)
     if _on_unit_grid(xs):
         return grid_sums(ks, cs, cuts, xs.size).T
     return point_sums(ks, cs, cuts, xs)
@@ -86,16 +95,19 @@ class DivergenceEstimate:
 def _envelope_fits(rows, schedule: list[int], keep: int | None = None):
     """Tail-fitted growth exponents of the partial-sum envelope at every point.
 
-    rows yields S_n f at the points for each n of the schedule in turn; a
-    row may be a buffer that the next one overwrites, as trig.grid_rows'
-    is. Their moduli go into a running maximum, whose log from schedule
-    entry keep on (by default the fitted tail half) is kept as one row per
-    entry. The fit then runs over chunks of points, each a C-contiguous
+    rows yields S_n f at the points for each n of the schedule in turn, and
+    each row is dropped before the next is drawn, so a generator that
+    computes one row per entry holds one at a time. Their moduli go into a
+    running maximum, whose log from schedule entry keep on (by default the
+    fitted tail half) is kept as one row per entry. The fit then runs over
+    chunks of points, each a C-contiguous
     (points, tail) copy: loglog_fit sums every point's series along a
     contiguous row, which rounds the same in any chunk. Returns beta_hat,
     r^2, the kept log envelope (entries x points) and the points where the
     envelope vanishes.
     """
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
     if len(schedule) < 3:  # the fitted tail half would be one point
         raise ValueError(f"a divergence fit needs a schedule of at least 3 entries, got {len(schedule)}")
     tail = len(schedule) // 2
@@ -103,7 +115,9 @@ def _envelope_fits(rows, schedule: list[int], keep: int | None = None):
     # the running maximum lives in env itself: up to entry keep it folds into env[0], with
     # env[1] (at least 2 rows when keep > 0) as the scratch modulus; then row r is the
     # maximum of row r - 1 and the new modulus, written in place
-    for n, sums in enumerate(rows):
+    rows = iter(rows)
+    for n in range(len(schedule)):
+        sums = next(rows)  # not enumerate, whose cached tuple would hold the last row meanwhile
         if n == 0:
             env = np.empty((len(schedule) - keep, sums.size))
             np.abs(sums, out=env[0])
@@ -111,7 +125,7 @@ def _envelope_fits(rows, schedule: list[int], keep: int | None = None):
             np.maximum(env[n - keep - 1], np.abs(sums, out=env[n - keep]), out=env[n - keep])
         else:
             np.maximum(env[0], np.abs(sums, out=env[1]), out=env[0])
-    del sums  # the last row; with it the buffers of a finished grid_rows go before the fit's come
+        del sums  # before the next row is computed
     vanishing = env[-1] < _VANISH_TOL
     np.maximum(env, _LOG_FLOOR, out=env)
     np.log(env, out=env)
@@ -140,19 +154,21 @@ def divergence_index(f: TrigPoly, x: float, schedule) -> DivergenceEstimate:
 
 
 def divergence_profile(f: TrigPoly, xs, schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized beta_hat and fit quality across many points.
-
-    On the uniform grid the sums stream from trig.grid_rows, one reused row
-    per schedule entry, into _envelope_fits, which keeps only the fitted
-    tail of the log envelope.
-    """
+    """Vectorized beta_hat and fit quality across many points."""
     schedule = list(schedule)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if len(f) and _on_unit_grid(xs):
-        rows = grid_rows(*_sorted_terms(f, schedule), xs.size)
-    else:
-        rows = partial_sums_at(f, xs, schedule).T
-    betas, r2s, _, _ = _envelope_fits(rows, schedule)
+    betas, r2s, _, _ = _envelope_fits(partial_sums_at(f, xs, schedule).T, schedule)
+    return betas, r2s
+
+
+def _grid_profile(f: TrigPoly, grid: int, schedule: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """divergence_profile(f, arange(grid) / grid, schedule), one partial_sums_at call per entry.
+
+    Each call is one grid fold of f's terms up to that entry and one
+    inverse FFT, whose row _envelope_fits folds and drops before the next
+    call: the profile holds one entry's sums instead of every entry's.
+    """
+    xs = np.arange(grid) / grid
+    betas, r2s, _, _ = _envelope_fits((partial_sums_at(f, xs, [n])[:, 0] for n in schedule), schedule)
     return betas, r2s
 
 
@@ -162,7 +178,7 @@ def _level_sets(f: TrigPoly, tolerance: float, grid: int, schedule):
         raise ValueError("grid too coarse for a level set")
     if not tolerance >= 0:
         raise ValueError(f"level-set tolerance must be nonnegative, got {tolerance}")
-    betas, _ = divergence_profile(f, np.arange(grid) / grid, schedule)
+    betas, _ = _grid_profile(f, grid, list(schedule))
     return lambda beta: GridOracle(np.abs(betas - beta) <= tolerance)
 
 

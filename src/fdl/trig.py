@@ -8,16 +8,13 @@ exactly as Python's complex arithmetic on each coefficient. Samples are plain
 arrays over grids j/M with M a power of two: the FFT round trip is then exact,
 and the uniform Riemann sum integrates every polynomial of degree < M
 exactly, which is what makes the grid norms of low-degree polynomials
-certificates rather than estimates. There is one kernel per job: grid_rows
-on a grid j/M + shift, which yields the partial sums at a run of cuts one
-row at a time (grid_sums keeps every row; TrigPoly.sample is its one-cut
-case), and point_sums off it, where each phase k x is reduced mod 1 from the
-exact integer k and its cosine and sine come from one vectorised tangent of
-half the angle.
+certificates rather than estimates. There is one kernel per job: grid_sums
+on a grid j/M + shift (TrigPoly.sample is its one-cut case), point_sums
+off it, where each phase k x is reduced mod 1 from the exact integer k and
+its cosine and sine come from one vectorised tangent of half the angle.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import sys
@@ -239,7 +236,6 @@ class TrigPoly:
         if not isinstance(entries, list):
             raise ValueError(f"coeffs must be a list of [k, re, im] triples, got {entries!r}")
         coeffs = {}
-        top = sys.float_info.max
         for entry in entries:
             # json.loads' own int and float pass on their exact type; any other type takes the
             # numbers ABCs, which bool, a subclass of int, fails
@@ -250,16 +246,14 @@ class TrigPoly:
                              and isinstance(entry[0], numbers.Integral)))):
                 raise ValueError(f"coefficient entry {entry!r} is not an [integer, number, number] triple")
             k, re, im = entry
-            if abs(k) > _EXACT_LIMIT:
+            if abs(k) > 1 << 53:
                 raise ValueError(f"coefficient entry {entry!r} has |k| above 2^53")
-            if not (abs(re) <= top and abs(im) <= top):
+            if not (abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
                 raise ValueError(f"coefficient entry {entry!r} is not finite")
-            k = int(k)
-            if k in coeffs:
+            if int(k) in coeffs:
                 raise ValueError(f"coefficient entry {entry!r} repeats frequency {k}")
-            coeffs[k] = complex(re, im)
-        return cls.from_arrays(np.fromiter(coeffs, dtype=np.int64, count=len(coeffs)),
-                               np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs)))
+            coeffs[int(k)] = complex(re, im)
+        return cls(coeffs)
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -412,35 +406,25 @@ def point_sums(k: np.ndarray, c: np.ndarray, cuts, xs) -> np.ndarray:
     return out
 
 
-def grid_rows(k: np.ndarray, c: np.ndarray, cuts, M: int, shift: float = 0.0, rows=None):
-    """Yields sum_{j < cut} c_j e(k_j (i/M + shift)) for i < M, one complex row per cut in turn.
+def grid_sums(k: np.ndarray, c: np.ndarray, cuts, M: int, shift: float = 0.0) -> np.ndarray:
+    """sum_{j < cut} c_j e(k_j (i/M + shift)) for each cut and i < M, shape (len(cuts), M).
 
     The grid kernel, for integer |k| <= 2^53 and increasing cuts into k: a
     grid point sees k only through k mod M and e(k shift), k shift reduced
     mod 1 by _phase. Each segment between cuts is folded into one spectrum,
-    and each row is M times its inverse FFT, written in place into the next
-    of rows, an iterable of complex (M,) buffers. Without rows every cut
-    lands in one reused buffer, so a row holds its values only until the
-    next is yielded, and a whole pass keeps two rows of memory.
+    and row r is M times its inverse FFT in place, so one cut copies nothing.
     """
     if shift:
         c = c * np.exp(2j * np.pi * _phase(k, shift))
     spec = np.zeros(M, dtype=complex)
+    out = np.empty((len(cuts), M), dtype=complex)
     bins = k % M
     start = 0
-    for row, stop in zip(itertools.repeat(np.empty(M, dtype=complex)) if rows is None else rows, cuts):
+    for row, stop in zip(out, cuts):
         np.add.at(spec, bins[start:stop], c[start:stop])
         np.fft.ifft(spec, out=row)
         row *= M
         start = stop
-        yield row
-
-
-def grid_sums(k: np.ndarray, c: np.ndarray, cuts, M: int, shift: float = 0.0) -> np.ndarray:
-    """Every row of grid_rows, written in place into one (len(cuts), M) array, so one cut copies nothing."""
-    out = np.empty((len(cuts), M), dtype=complex)
-    for _ in grid_rows(k, c, cuts, M, shift, out):
-        pass
     return out
 
 

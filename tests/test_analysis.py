@@ -18,6 +18,7 @@ from fdl import analysis
 from fdl.analysis import (
     _LOG_FLOOR,
     ProbeConfig,
+    _grid_profile,
     _test_point_sums,
     _test_shifts,
     _trial_passes,
@@ -257,15 +258,16 @@ _STREAM_CASES = {
 
 @pytest.mark.parametrize("case", list(_STREAM_CASES))
 def test_streamed_profile_is_the_materialised_one_to_the_bit(case):
-    # on the grid the rows stream from grid_rows into the running maximum; at other points the
-    # columns of point_sums feed the same fold; both must be the all-at-once fit bit for bit
+    # a level set's grid profile streams one partial_sums_at call per entry into the running
+    # maximum; divergence_profile feeds the same fold the columns of one call, on the grid and off
+    # it; each must be the all-at-once fit bit for bit
     f, schedule, M = _STREAM_CASES[case]
     assert 3 <= len(schedule) <= 13
     grid = np.arange(M) / M
     off = trial_rng(DEFAULT_SEED, M).uniform(0.0, 1.0, 257)
-    for xs in (grid, off):
+    for xs, got in ((grid, _grid_profile(f, M, schedule)), (grid, divergence_profile(f, grid, schedule)),
+                    (off, divergence_profile(f, off, schedule))):
         betas, r2s, vanishing = _materialised_profile(f, xs, schedule)
-        got = divergence_profile(f, xs, schedule)
         assert np.array_equal(got[0].view(np.uint64), betas.view(np.uint64))
         assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
         if case == "vanishing" and xs is grid:
@@ -284,7 +286,7 @@ def test_streamed_grid_profile_matches_the_materialised_one(seed, terms, log_top
         schedule.append(schedule[-1] + 1)
     M = 1 << log_m
     betas, r2s, _ = _materialised_profile(f, np.arange(M) / M, schedule)
-    got = divergence_profile(f, np.arange(M) / M, schedule)
+    got = _grid_profile(f, M, schedule)
     assert np.array_equal(got[0].view(np.uint64), betas.view(np.uint64))
     assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
 
@@ -299,10 +301,10 @@ def test_divergence_index_keeps_the_whole_envelope():
 
 def test_level_set_at_grid_2_16_peaks_below_6_5_mb():
     # At M = 2^16 and 13 schedule entries the streamed profile holds the fitted tail of the log
-    # envelope (7 rows of M floats, 3.5 MB), grid_rows' spectrum and reused row (2 x 1 MB) and the
-    # grid itself (0.5 MB): 6 MB. The fit's chunks, betas and r^2 (1.75 MB) come after the
-    # spectrum and the row are freed. Holding the (13, M) complex sums would take 13 MB, and a
-    # separate running maximum and modulus 1 MB more
+    # envelope (7 rows of M floats, 3.5 MB), the grid itself (0.5 MB) and, for one entry at a time,
+    # grid_sums' spectrum and row (2 x 1 MB): 6 MB. The fit's chunks, betas and r^2 (1.75 MB) come
+    # after the last row is freed. Holding the (13, M) complex sums would take 13 MB, a previous
+    # entry's row kept while the next is computed 1 MB more
     f = disjoint_family(3, 2.0, 2.0, 14).member(1)
     tracemalloc.start()
     try:
