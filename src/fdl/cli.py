@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from .construct import (
 )
 from .sets import CombParams, DyadicFamilyParams, box_dimension
 from .trig import TrigPoly, validate_norm_exponent
-from .util import DEFAULT_SEED, round_sig
+from .util import DEFAULT_SEED
 from .verify import (
     HOLO_GRID,
     check_holo_bounds,
@@ -388,26 +389,49 @@ def _resolve(ns: argparse.Namespace) -> dict:
     return cfg
 
 
-def _jsonable(value, path: str = "payload"):
-    """JSON-ready copy of a payload; a NaN anywhere fails the run, naming its field."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+def _json_text(value, pad: str = "\n") -> str:
+    """What json.dumps(sort_keys=True, indent=2) writes for value, in one walk: each float as
+    repr(util.round_sig(x)), an infinity as "inf" or "-inf"; pad opens a line at value's depth.
+    Floats, plain ints and lists make up most of a payload, so their type checks come first."""
     if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            raise AssertionError(f"{path} is NaN")
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return round_sig(x)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v, f"{path}.{k}") for k, v in value.items()}
+        text = "%.12g" % value  # as _render_csv writes a float
+        if text == "nan":  # each container the error leaves adds its key to its args, innermost first
+            raise FloatingPointError()
+        if text[-1] == "f":
+            return f'"{text}"'
+        if "e+1" in text or "e-3" in text:  # repr writes 1e12..1e16 unexponented, a subnormal in fewer digits
+            return repr(float(text))
+        return text if "." in text or "e" in text else text + ".0"
+    if type(value) is int:
+        return repr(value)
+    inner, texts = pad + "  ", []
     if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        try:
+            for v in value.tolist() if isinstance(value, np.ndarray) else value:
+                texts.append(_json_text(v, inner))
+        except FloatingPointError as exc:
+            exc.args += (f"[{len(texts)}]",)
+            raise
+        return "[" + inner + ("," + inner).join(texts) + pad + "]" if texts else "[]"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        try:
+            for key, v in sorted({str(k): v for k, v in value.items()}.items()):
+                texts.append(f"{encode_basestring_ascii(key)}: {_json_text(v, inner)}")
+        except FloatingPointError as exc:
+            exc.args += (f".{key}",)
+            raise
+        return "{" + inner + ("," + inner).join(texts) + pad + "}" if texts else "{}"
     if dataclasses.is_dataclass(value):  # checked last, so that the many leaves above never pay for it
-        return _jsonable(dataclasses.asdict(value), path)
-    return value
+        return _json_text(dataclasses.asdict(value), pad)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render_csv(header, rows) -> str:
@@ -416,8 +440,10 @@ def _render_csv(header, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for i, row in enumerate(rows):
-        cells = [_jsonable(v, f"csv row {i} column {name}") for name, v in zip(header, row)]
-        writer.writerow([format(v, ".12g") if isinstance(v, float) else v for v in cells])
+        cells = ["%.12g" % v if isinstance(v, (float, np.floating)) else v for _, v in zip(header, row)]
+        if "nan" in cells:
+            raise AssertionError(f"csv row {i} column {header[cells.index('nan')]} is NaN")
+        writer.writerow(cells)
     return buf.getvalue()
 
 
@@ -435,10 +461,13 @@ def run(argv) -> int:
         # both texts are rendered, and so NaN-checked, before either is written
         outputs = [] if table is None else [(_render_csv(*table), cfg["csv"])]
         if table is None or cfg["out"]:
-            report = _jsonable(payload)
-            report["config"] = _jsonable({"command": ns.command, "subcommand": ns.subcommand,
-                                          **{k: v for k, v in cfg.items() if k not in _PATH_KEYS}})
-            outputs.append((json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", cfg["out"]))
+            report = {**(dataclasses.asdict(payload) if dataclasses.is_dataclass(payload) else payload),
+                      "config": {"command": ns.command, "subcommand": ns.subcommand,
+                                 **{k: v for k, v in cfg.items() if k not in _PATH_KEYS}}}
+            try:
+                outputs.append((_json_text(report) + "\n", cfg["out"]))
+            except FloatingPointError as exc:
+                raise AssertionError(f"payload{''.join(reversed(exc.args))} is NaN") from None
         for text, path in outputs:
             if path is None:
                 sys.stdout.write(text)

@@ -1,12 +1,19 @@
 """Command-line contract: JSON/CSV layout, precedence, exit codes, determinism."""
 
 import concurrent.futures
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fdl.cli as cli
 import fdl.construct
@@ -534,3 +541,180 @@ def test_nan_or_overflowing_flag_maps_to_exit_1(tmp_path, capsys, argv):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not paths["csv"].exists() and not paths["out"].exists()
+
+
+# --- the one-walk report writer against the two-step writer it replaced ---
+
+def _old_round_sig(x, digits=12):
+    """util.round_sig as it was, with numpy's scalar finiteness test."""
+    if x == 0 or not np.isfinite(x):
+        return float(x)
+    return float(format(float(x), f".{digits}g"))
+
+
+def _old_jsonable(value, path="payload"):
+    """The JSON-ready copy that json.dumps used to write, as cli built it before the one-walk renderer."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isnan(x):
+            raise AssertionError(f"{path} is NaN")
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return fdl.util.round_sig(x)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, dict):
+        return {str(k): _old_jsonable(v, f"{path}.{k}") for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_old_jsonable(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if dataclasses.is_dataclass(value):
+        return _old_jsonable(dataclasses.asdict(value), path)
+    return value
+
+
+def _old_report(payload, config):
+    report = _old_jsonable(payload)
+    report["config"] = _old_jsonable(config)
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_PJ_ARGV = ["construct", "pj", "--j", "8", "--alpha", "2", "--p", "2", "--seed", "5"]
+_PJ_CONFIG = {"command": "construct", "subcommand": "pj", "j": 8, "alpha": 2.0, "p": 2.0, "seed": 5}
+
+
+def _run_with_payload(payload):
+    """Exit code, stdout and stderr of cli.run(_PJ_ARGV) when the construct pj handler returns payload."""
+    entry = cli._COMMANDS[("construct", "pj")]._replace(handler=lambda cfg, threads: (payload, None))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli._COMMANDS, {("construct", "pj"): entry}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(_PJ_ARGV)
+    return code, out.getvalue(), err.getvalue()
+
+
+@dataclasses.dataclass
+class _Record:
+    a: object
+    b: object
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits).filter(lambda x: x == x),
+    st.floats(-2.3e-308, 2.3e-308),  # the subnormals and the smallest normals
+    st.floats(1e11, 1e17).flatmap(lambda x: st.sampled_from([x, -x])),  # where repr drops the exponent below 1e16
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, 1e12, 1e16, 999999999999.5, 9999999999999998.0]),
+)
+_LEAVES = st.one_of(
+    _FLOATS,
+    st.integers(-2**70, 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=6),
+    _FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=False).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+_VALUES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    st.builds(_Record, kids, kids),
+), max_leaves=24)
+_PAYLOADS = st.one_of(
+    st.dictionaries(st.text(max_size=6).filter(lambda k: k != "config"), _VALUES, max_size=5),
+    st.builds(_Record, _VALUES, _VALUES),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=_PAYLOADS)
+def test_report_writer_matches_the_two_step_writer(payload):
+    code, out, err = _run_with_payload(payload)
+    assert (code, err) == (0, "")
+    assert out == _old_report(payload, _PJ_CONFIG)
+
+
+def _with_nan(value, n):
+    """value with its n-th scalar leaf, counted depth first, replaced by NaN; and n less the leaves passed."""
+    if isinstance(value, dict):
+        out = {}
+        for k, v in value.items():
+            out[k], n = _with_nan(v, n)
+        return out, n
+    if isinstance(value, (list, tuple)):
+        out = []
+        for v in value:
+            w, n = _with_nan(v, n)
+            out.append(w)
+        return type(value)(out), n
+    if dataclasses.is_dataclass(value):
+        fields = {}
+        for f in dataclasses.fields(value):
+            fields[f.name], n = _with_nan(getattr(value, f.name), n)
+        return type(value)(**fields), n
+    return (math.nan if n == 0 else value), n - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=_PAYLOADS, data=st.data())
+def test_report_writer_names_a_nan_at_any_depth_as_before(payload, data):
+    leaves = -1 - _with_nan(payload, -1)[1]  # n = -1 replaces nothing and counts every leaf down
+    assume(leaves > 0)
+    payload = _with_nan(payload, data.draw(st.integers(0, leaves - 1)))[0]
+    with pytest.raises(AssertionError) as old:
+        _old_report(payload, _PJ_CONFIG)
+    assert _run_with_payload(payload) == (2, "", f"assertion failed: {old.value}\n")
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"a": np.array([[1.0, 2.0], [np.nan, 4.0]])}, "payload.a[1][0]"),
+    ({"b": [{"c": (1, math.nan)}]}, "payload.b[0].c[1]"),
+    (_Record(a=[np.float32("nan")], b=0.0), "payload.a[0]"),
+])
+def test_report_writer_names_a_nan_in_arrays_tuples_and_dataclasses(payload, field):
+    assert _run_with_payload(payload) == (2, "", f"assertion failed: {field} is NaN\n")
+
+
+def test_report_writer_renders_numpy_arrays_and_booleans_as_python_values():
+    rows = np.array([[1.5, -0.0], [np.inf, 1e300]])
+    assert cli._json_text({"rows": rows}) == cli._json_text({"rows": rows.tolist()})
+    assert cli._json_text(np.arange(3)) == cli._json_text([0, 1, 2])
+    # the two-step writer refused numpy booleans with a TypeError; they render as true and false
+    assert cli._json_text([np.bool_(True), np.bool_(False)]) == cli._json_text([True, False])
+    with pytest.raises(TypeError, match="complex is not JSON serializable"):
+        cli._json_text({"z": [1j]})
+
+
+def test_float_text_is_repr_of_round_sig_on_random_bit_patterns():
+    rng = np.random.default_rng(27)
+    xs = np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64)
+    # every decade boundary, where rounding to 12 digits can carry into the exponent
+    decades = 10.0 ** np.arange(-323, 309)
+    xs = np.concatenate([xs, decades, decades * (1 - 4e-13), decades * (1 + 4e-13), -decades])
+    xs = xs[np.isfinite(xs)].tolist()
+    assert len(xs) > 100_000
+    assert [x for x in xs if cli._json_text(x) != repr(fdl.util.round_sig(x))] == []
+    # the CSV cells as the two-step writer formatted them
+    assert cli._render_csv(("x",), [(x,) for x in xs]) == "x\n" + "".join(
+        f"{format(fdl.util.round_sig(x), '.12g')}\n" for x in xs)
+    assert [cli._json_text(x) for x in (math.inf, -math.inf)] == ['"inf"', '"-inf"']
+
+
+def test_round_sig_is_bitwise_the_numpy_checked_one():
+    rng = np.random.default_rng(2011)
+    doubles = np.frombuffer(rng.bytes(8 * 20_000), dtype=np.float64)
+    inputs = [*doubles.tolist(), *doubles[:2000], 0.0, -0.0, math.inf, -math.inf, math.nan, 7, -3, 0,
+              *np.frombuffer(rng.bytes(4 * 2000), dtype=np.float32),
+              *np.frombuffer(rng.bytes(2 * 2000), dtype=np.float16),
+              *rng.integers(-2**62, 2**62, size=200), np.float32(-0.0), np.int32(0)]
+    for digits in (12, 3, 17):
+        old = [struct.pack("<d", _old_round_sig(x, digits)) for x in inputs]
+        new = [struct.pack("<d", fdl.util.round_sig(x, digits)) for x in inputs]
+        assert new == old
