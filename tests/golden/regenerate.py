@@ -151,6 +151,9 @@ CALLS = [
     "analyze spectrum --in pj.json --p 2 --steps 10001",
     # exit 1: a localization interval whose trapezoid step |I|/512 is subnormal
     "verify localization --N 4 --trials 1 --p 2 --ifrac 1e-320 --csv ifrac_subnormal.csv",
+    # exit 0: fitted tails of 8 or more entries (10 and 9), one on a grid that is not a power of two
+    "analyze index --in pj.json --x 0.3 --mlo 4 --mhi 22",
+    "analyze spectrum --in pj.json --p 2 --grid 1000 --smlo 4 --smhi 21 --mhi 8",
 ]
 
 
