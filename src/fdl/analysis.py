@@ -31,7 +31,7 @@ from .util import DEFAULT_SEED, fractional_part, loglog_fit, trial_uniform_rows
 _VANISH_TOL = 1e-14
 _LOG_FLOOR = 1e-300
 _TRIAL_CHUNK = 1 << 15  # points x trials per chunk of _trial_passes
-_FIT_CHUNK = 1 << 15  # points x fitted entries per loglog_fit call of _envelope_fits
+_FIT_CHUNK = 1 << 15  # points x fitted entries per loglog_fit call of _envelope_fits: a view, and two fit buffers
 _GRID_CHUNK = 1 << 15  # points per comparison of _on_unit_grid
 
 
@@ -100,11 +100,10 @@ def _envelope_fits(rows, schedule: list[int], keep: int | None = None):
     computes one row per entry holds one at a time. Their moduli go into a
     running maximum, whose log from schedule entry keep on (by default the
     fitted tail half) is kept as one row per entry. The fit then runs over
-    chunks of points, each a C-contiguous
-    (points, tail) copy: loglog_fit sums every point's series along a
-    contiguous row, which rounds the same in any chunk. Returns beta_hat,
-    r^2, the kept log envelope (entries x points) and the points where the
-    envelope vanishes.
+    chunks of points, each a (points, tail) view of those rows, not a copy:
+    loglog_fit sums every point's series in the same order in any chunk and
+    any layout. Returns beta_hat, r^2, the kept log envelope (entries x
+    points) and the points where the envelope vanishes.
     """
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
@@ -133,8 +132,7 @@ def _envelope_fits(rows, schedule: list[int], keep: int | None = None):
     betas, r2s = np.empty(env.shape[1]), np.empty(env.shape[1])
     chunk = max(1, _FIT_CHUNK // logn.size)
     for i in range(0, env.shape[1], chunk):
-        series = np.ascontiguousarray(env[tail - keep :, i : i + chunk].T)
-        betas[i : i + chunk], r2s[i : i + chunk] = loglog_fit(logn, series)
+        betas[i : i + chunk], r2s[i : i + chunk] = loglog_fit(logn, env[tail - keep :, i : i + chunk].T)
     betas[vanishing] = 0.0
     r2s[vanishing] = 1.0
     return betas, r2s, env, vanishing

@@ -207,10 +207,39 @@ def _probe_hits(oracle, probe_exponent: int, m: int) -> np.ndarray:
     return occ
 
 
+def _dilated_counts(hits: np.ndarray, m_lo: int, m_hi: int) -> list[int]:
+    """count_occupied_boxes(hits, m) for m = m_lo..m_hi, from one pass down the scales.
+
+    From the occupancy of the hits' 2^P boxes, each coarser occupancy ORs
+    pairs of adjacent boxes of the finer; OR is associative, so every scale
+    reads the same boxes as a direct grouping of the hits. At scales m_hi
+    down to m_lo the occupancy is dilated by one box either way, circularly,
+    into one buffer, and counted.
+    """
+    P = max(hits.size.bit_length() - 1, 0)
+    if hits.size != 1 << P or P < m_hi:
+        raise ValueError(f"box counts at scale {m_hi} need 2^P hits with P >= {m_hi}, got {hits.size}")
+    occ, buf, counts = hits, np.empty(1 << m_hi, dtype=bool), []
+    for m in range(P, m_lo - 1, -1):
+        if m <= m_hi:
+            out = buf[: occ.size]
+            np.bitwise_or(occ[:-1], occ[1:], out=out[:-1])
+            out[-1] = occ[-1] | occ[0]
+            out[1:] |= occ[:-1]
+            out[0] |= occ[-1]
+            counts.append(int(np.count_nonzero(out)))
+        if m > m_lo:
+            occ = occ[0::2] | occ[1::2]
+    return counts[::-1]
+
+
 def count_occupied_boxes(hits: np.ndarray, m: int) -> int:
-    """Occupied dyadic boxes of size 2^-m, with circular one-box dilation."""
-    occ = hits.reshape(1 << m, -1).any(axis=1)
-    return int((occ | np.roll(occ, 1) | np.roll(occ, -1)).sum())
+    """Occupied dyadic boxes of size 2^-m, with circular one-box dilation.
+
+    hits holds 2^P >= 2^m equal cells of the circle; a box is occupied
+    when any of its 2^(P - m) cells is. Any other size is a ValueError.
+    """
+    return _dilated_counts(hits, m, m)[0]
 
 
 def _box_scales(m_lo: int, m_hi: int) -> list[int]:
@@ -244,14 +273,14 @@ def box_dimension(oracle, m_lo: int, m_hi: int) -> BoxDimEstimate:
 
     The oracle is probed once at 2^_probe_exponent(m_hi) box centers, or
     2^_probe_exponent(m_hi, G) for a GridOracle of G points, which answers
-    from its mask. The counts at each scale come from collapsing that one
-    finest occupancy, so they are monotone under set inclusion by
-    construction.
+    from its mask. The counts at each scale come from that one finest
+    occupancy, each coarser one the pairwise OR of the one below, so they
+    are monotone under set inclusion by construction.
     """
     scales = _box_scales(m_lo, m_hi)
     grid = oracle.mask.size if isinstance(oracle, GridOracle) else 0
     occ = _probe_hits(oracle, _probe_exponent(m_hi, grid), m_hi)
-    return _box_fit(scales, [count_occupied_boxes(occ, m) for m in scales])
+    return _box_fit(scales, _dilated_counts(occ, m_lo, m_hi))
 
 
 def scale_matched_dyadic_counts(alpha: float, m_lo: int, m_hi: int) -> BoxDimEstimate:

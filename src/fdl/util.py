@@ -40,6 +40,34 @@ def fractional_part(x) -> np.ndarray:
 _FLAT_RTOL = 1e-13
 
 
+def _series_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of a (entries, points), each point's sum bit for bit
+    numpy's sum of that point's entries as one contiguous row.
+
+    numpy adds a row of n < 8 entries in index order; a longer row in eight
+    interleaved partial sums, combined pairwise, and then its last n mod 8
+    entries in order; above 128 entries it splits the row at a multiple of
+    8 near the middle. A reduction starts from 0.0, so a sum of -0.0 is 0.0.
+    Here each of those additions is one vector add across the points.
+    """
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _series_sums(a[:half]) + _series_sums(a[half:])
+    if n < 8:
+        total, rest = a[0].copy(), a[1:]
+    else:
+        lanes = a[:8].copy()
+        for i in range(8, n - n % 8, 8):
+            lanes += a[i : i + 8]
+        total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+        total += (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        rest = a[n - n % 8 :]
+    for row in rest:
+        total += row
+    return total + 0.0
+
+
 def loglog_fit(logx, logy):
     """Least-squares slope and r^2 for already-logged data.
 
@@ -51,31 +79,37 @@ def loglog_fit(logx, logy):
     mean is below 1e-30 or its root mean square spread is within _FLAT_RTOL
     of |mean|: the mean of equal values rounds at their own magnitude, so
     the absolute cut alone calls seven copies of log 17 noise (r^2 = 0).
+
+    The fit runs on logy.T, entries by series, so each of its four sums over
+    a series is a few vector adds across all series (_series_sums), in the
+    order numpy sums one contiguous row: every bit is that of the row-wise
+    fit of a C-contiguous logy, and logy may be any strided view.
     """
     x = np.asarray(logx, dtype=float)
     y = np.asarray(logy, dtype=float)
     if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != x.size:
         raise ValueError("mismatched fit inputs")
-    slope = np.zeros(y.shape[:-1])
-    r2 = np.ones(y.shape[:-1])
+    rows = y if y.ndim == 2 else y[None]
+    slope, r2 = np.zeros(len(rows)), np.ones(len(rows))
     if x.size >= 2:
-        # two y-sized buffers: the centered y, later the residuals, and one for each product
+        # entries by series; two such buffers: the centered y, later the residuals, and one for each product
         vx = x - x.mean()
-        mean = y.mean(axis=-1, keepdims=True)
-        vy = y - mean
+        mean = _series_sums(rows.T) / x.size
+        vy = rows.T - mean
         buf = np.empty_like(vy)
         sxx = float((vx * vx).sum())
-        syy = np.multiply(vy, vy, out=buf).sum(axis=-1)
-        flat = (syy < 1e-30) | (syy <= x.size * (_FLAT_RTOL * mean[..., 0]) ** 2)
+        vx = vx[:, None]
+        syy = _series_sums(np.multiply(vy, vy, out=buf))
+        flat = (syy < 1e-30) | (syy <= x.size * (_FLAT_RTOL * mean) ** 2)
         if sxx < 1e-30:
             r2 = np.where(flat, 1.0, 0.0)
         else:
-            slope = np.multiply(vy, vx, out=buf).sum(axis=-1) / sxx
-            resid = np.subtract(vy, np.multiply(slope[..., None], vx, out=buf), out=vy)
+            slope = _series_sums(np.multiply(vy, vx, out=buf)) / sxx
+            resid = np.subtract(vy, np.multiply(vx, slope, out=buf), out=vy)
             r2 = np.where(flat, 1.0,
-                          1.0 - np.multiply(resid, resid, out=buf).sum(axis=-1) / np.where(flat, 1.0, syy))
+                          1.0 - _series_sums(np.multiply(resid, resid, out=buf)) / np.where(flat, 1.0, syy))
     if y.ndim == 1:
-        return float(slope), float(r2)
+        return float(slope[0]), float(r2[0])
     return slope, r2
 
 

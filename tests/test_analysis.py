@@ -34,7 +34,7 @@ from fdl.analysis import (
 from fdl.construct import disjoint_family
 from fdl.sets import GridOracle, _probe_hits, box_dimension, count_occupied_boxes
 from fdl.trig import TrigPoly
-from fdl.util import DEFAULT_SEED, loglog_fit, trial_rng, trial_uniform_rows
+from fdl.util import DEFAULT_SEED, _series_sums, loglog_fit, trial_rng, trial_uniform_rows
 from fdl.verify import rademacher_poly
 
 
@@ -181,6 +181,91 @@ def test_loglog_fit_reuses_its_buffers_with_bit_identical_fits():
     assert np.array_equal(slopes, slope)
     assert np.array_equal(r2s, np.where(flat, 1.0, 1.0 - (resid * resid).sum(axis=-1) / np.where(flat, 1.0, syy)))
     assert np.array_equal(y, before)
+
+
+def _row_loglog_fit(logx, logy):
+    """loglog_fit as it stood before it summed across series: numpy's reductions along each row, kept as an oracle."""
+    x = np.asarray(logx, dtype=float)
+    y = np.asarray(logy, dtype=float)
+    slope = np.zeros(y.shape[:-1])
+    r2 = np.ones(y.shape[:-1])
+    if x.size >= 2:
+        vx = x - x.mean()
+        mean = y.mean(axis=-1, keepdims=True)
+        vy = y - mean
+        buf = np.empty_like(vy)
+        sxx = float((vx * vx).sum())
+        syy = np.multiply(vy, vy, out=buf).sum(axis=-1)
+        flat = (syy < 1e-30) | (syy <= x.size * (1e-13 * mean[..., 0]) ** 2)
+        if sxx < 1e-30:
+            r2 = np.where(flat, 1.0, 0.0)
+        else:
+            slope = np.multiply(vy, vx, out=buf).sum(axis=-1) / sxx
+            resid = np.subtract(vy, np.multiply(slope[..., None], vx, out=buf), out=vy)
+            r2 = np.where(flat, 1.0,
+                          1.0 - np.multiply(resid, resid, out=buf).sum(axis=-1) / np.where(flat, 1.0, syy))
+    if y.ndim == 1:
+        return float(slope), float(r2)
+    return slope, r2
+
+
+def _fit_series(rng, logx, points):
+    """Noisy lines at several scales, beside a constant, a vanishing, a zero, a -0.0 and an exact line."""
+    n = logx.size
+    noisy = (rng.uniform(-1.0, 1.0, (points, 1)) * logx + rng.normal(0.0, 30.0, (points, 1))
+             + rng.normal(size=(points, n)) * 10.0 ** rng.integers(-12, 2, (points, 1)))
+    special = np.vstack([np.full(n, math.log(17.0)), np.full(n, math.log(_LOG_FLOOR)), np.zeros(n),
+                         np.full(n, -0.0), 0.25 * logx + 1.0])
+    return np.vstack([noisy, special])
+
+
+def _layouts(rows):
+    """The rows as a C array and three strided views of the same values."""
+    n = rows.shape[1]
+    wide = np.zeros((rows.shape[0], 2 * n))
+    wide[:, ::2] = rows
+    below = np.zeros((n + 3, rows.shape[0]))  # the envelope's layout: entries by points, fitted from a row on
+    below[3:] = rows.T
+    return {"C": np.ascontiguousarray(rows), "F": np.asfortranarray(rows), "step": wide[:, ::2], "envelope": below[3:].T}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 32), m_lo=st.integers(1, 900), points=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_loglog_fit_is_the_row_wise_fit(n, m_lo, points, seed):
+    # up to 7 entries every layout fits to the bit; longer C rows too, while the row-wise fit of a
+    # strided row with 8 or more entries took its mean in index order and its other sums pairwise
+    logx = np.log(np.array(dyadic_schedule(m_lo, m_lo + n - 1), dtype=float))
+    rows = _fit_series(np.random.default_rng(seed), logx, points)
+    for layout, y in _layouts(rows).items():
+        got, want = loglog_fit(logx, y), _row_loglog_fit(logx, y)
+        if n <= 7 or layout == "C":
+            assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want)), layout
+        else:
+            assert all(np.max(np.abs(g - w), initial=0.0) <= 1e-12 for g, w in zip(got, want)), layout
+    for row in rows[-6:]:
+        assert _bits(loglog_fit(logx, row)).tolist() == _bits(_row_loglog_fit(logx, row)).tolist()
+
+
+def test_series_sums_are_numpys_row_sums_to_the_bit():
+    # numpy's row sum starts from 0.0, so a row of -0.0 sums to 0.0, which no fit output shows
+    rng = np.random.default_rng(62)
+    for n in [*range(1, 41), 127, 128, 129, 136, 200, 511]:
+        rows = rng.normal(size=(30, n)) * 10.0 ** rng.integers(-20, 20, size=(30, n))
+        rows[0], rows[1, ::2] = -0.0, -0.0
+        assert np.array_equal(_bits(_series_sums(rows.T)), _bits(rows.sum(axis=1))), n
+
+
+@pytest.mark.parametrize("n", [8, 64, 127, 128, 129, 136, 200, 511])
+def test_loglog_fit_of_long_c_rows_is_the_row_wise_fit_to_the_bit(n):
+    # past 128 entries numpy splits a row's sum at a multiple of 8 near its middle
+    logx = np.log(np.array(dyadic_schedule(4, n + 3), dtype=float))
+    rows = _fit_series(np.random.default_rng(n), logx, 50)
+    for got, want in zip(loglog_fit(logx, rows), _row_loglog_fit(logx, rows)):
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_partial_sums_schedule_must_increase():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdl.sets import (
     BoxDimEstimate,
@@ -11,6 +13,8 @@ from fdl.sets import (
     DyadicFamily,
     DyadicFamilyParams,
     GridOracle,
+    _box_fit,
+    _probe_exponent,
     _probe_hits,
     box_dimension,
     comb_membership,
@@ -131,6 +135,50 @@ def test_count_occupied_boxes_dilates_cyclically():
     hits = np.zeros(1 << 10, dtype=bool)
     hits[0] = True  # occupies box 0; dilation adds boxes 1 and 2^m - 1
     assert count_occupied_boxes(hits, 4) == 3
+
+
+def _grouped_box_count(hits, m):
+    """The box count as it stood before the scales were coarsened pairwise: each
+    scale groups the hits afresh, kept as an oracle."""
+    occ = hits.reshape(1 << m, -1).any(axis=1)
+    return int((occ | np.roll(occ, 1) | np.roll(occ, -1)).sum())
+
+
+@pytest.mark.parametrize("size, m", [(48, 4), (8, 4), (0, 4), (3 << 10, 6), ((1 << 12) + 1, 12)])
+def test_count_occupied_boxes_refuses_hits_that_are_not_2_to_the_P_ge_m(size, m):
+    # 48 hits at m = 4 would group by 3, which are not dyadic boxes; 8 cannot fill 16 boxes
+    with pytest.raises(ValueError, match=rf"scale {m} need 2\^P hits with P >= {m}, got {size}$"):
+        count_occupied_boxes(np.ones(size, dtype=bool), m)
+
+
+def test_count_occupied_boxes_is_the_grouped_count_at_every_scale():
+    rng = np.random.default_rng(3)
+    for P in range(13):
+        for density in (0.0, 0.01, 0.3, 1.0):
+            hits = rng.random(1 << P) < density
+            for m in range(P + 1):
+                assert count_occupied_boxes(hits, m) == _grouped_box_count(hits, m), (P, density, m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=st.one_of(st.integers(16, 1 << 16), st.sampled_from([16, 1 << 10, (1 << 16) - 1, 1 << 16])),
+       kind=st.sampled_from(["random", "empty", "full", "first", "last", "ends"]),
+       density=st.sampled_from([1e-4, 0.01, 0.2, 0.7]), seed=st.integers(0, 2**32 - 1),
+       m_hi=st.integers(5, 20))
+def test_box_counts_are_the_grouped_counts_for_every_scale_pair(grid, kind, density, seed, m_hi):
+    # the marks at index 0 and G - 1 sit in the first and last boxes, which the dilation wraps onto each other
+    mask = np.random.default_rng(seed).random(grid) < density if kind == "random" else np.full(grid, kind == "full")
+    mask[0] |= kind in ("first", "ends")
+    mask[-1] |= kind in ("last", "ends")
+    oracle = GridOracle(mask)
+    occ = _probe_hits(oracle, _probe_exponent(m_hi, grid), m_hi)
+    grouped = {m: _grouped_box_count(occ, m) for m in range(4, m_hi + 1)}
+    for m_lo in range(4, m_hi):
+        scales = list(range(m_lo, m_hi + 1))
+        est = box_dimension(oracle, m_lo, m_hi)
+        assert est.counts == [grouped[m] for m in scales]
+        assert est == _box_fit(scales, [grouped[m] for m in scales])
+    assert [count_occupied_boxes(occ, m) for m in grouped] == list(grouped.values())
 
 
 def test_probe_hits_collapse_each_chunk_into_its_boxes():
