@@ -75,8 +75,6 @@ def partial_sums_at(f: TrigPoly, xs, schedule) -> np.ndarray:
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not len(f):
-        return np.zeros((xs.size, len(schedule)), dtype=complex)
     ks, cs, cuts = _sorted_terms(f, schedule)
     if _on_unit_grid(xs):
         return grid_sums(ks, cs, cuts, xs.size).T
@@ -172,8 +170,8 @@ def _grid_profile(f: TrigPoly, grid: int, schedule: list[int]) -> tuple[np.ndarr
 
 def _level_sets(f: TrigPoly, tolerance: float, grid: int, schedule):
     """Profiles the grid j/grid once; returns beta -> the GridOracle of that level."""
-    if grid < 16:
-        raise ValueError("grid too coarse for a level set")
+    if not 16 <= grid < 1 << 31:  # box counting reads a mask of fewer than 2^31 points in int64
+        raise ValueError(f"level-set grid must lie in 16..2^31 - 1, got {grid}")
     if not tolerance >= 0:
         raise ValueError(f"level-set tolerance must be nonnegative, got {tolerance}")
     betas, _ = _grid_profile(f, grid, list(schedule))
@@ -218,8 +216,8 @@ class ProbeConfig:
             raise ValueError(f"cube half-width R must be positive with 2R finite, got {self.R}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.depth < 1:
-            raise ValueError("test depth must be positive")
+        if not 1 <= self.depth <= 53:  # so that every centre K/2^depth is an exact float
+            raise ValueError(f"test depth must lie in 1..53, got {self.depth}")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta) and math.isfinite(self.m_thresh)):
             raise ValueError("alpha, beta and the growth threshold must be finite")
         if not self.m_thresh > 0:

@@ -86,13 +86,14 @@ _MAX_STEPS = 10_000  # beta grid points of analyze spectrum, one box count each
 
 # A handler maps (config, threads) to (payload, table): the JSON report without
 # its config block, as a dict or a dataclass, and the CSV (header, rows) or
-# None. run renders and writes both.
-_Command = collections.namedtuple("_Command", "handler params")
+# None. run renders and writes both. pool marks the handlers that pass threads
+# on to a worker pool; every other subcommand takes only --threads 1.
+_Command = collections.namedtuple("_Command", "handler params pool")
 
 
-def _command(handler, *params, table=False) -> _Command:
+def _command(handler, *params, table=False, pool=False) -> _Command:
     """A subcommand: its handler and its own flags, then --seed, --csv if it writes a table, and --out."""
-    return _Command(handler, (*params, _SEED_PARAM, *((_CSV_PARAM,) if table else ()), _OUT_PARAM))
+    return _Command(handler, (*params, _SEED_PARAM, *((_CSV_PARAM,) if table else ()), _OUT_PARAM), pool)
 
 
 def _load_poly(path: str) -> TrigPoly:
@@ -258,6 +259,7 @@ _COMMANDS = {
         _Param("q", _pnorm, math.inf, "upper norm exponent"),
         _Param("trials", int, 10, "random polynomials per scale"),
         table=True,
+        pool=True,
     ),
     ("verify", "derivative"): _command(
         _run_verify(lambda cfg, threads: derivative_rows(cfg["N"], cfg["p"], cfg["trials"], cfg["seed"], threads)),
@@ -265,6 +267,7 @@ _COMMANDS = {
         _Param("p", _pnorm, 2.0, "norm exponent"),
         _Param("trials", int, 10, "random polynomials per scale"),
         table=True,
+        pool=True,
     ),
     ("verify", "localization"): _command(
         _run_verify(lambda cfg, threads: localization_rows(cfg["N"], cfg["p"], cfg["eps"], cfg["ifrac"],
@@ -275,6 +278,7 @@ _COMMANDS = {
         _Param("ifrac", float, 1.0, "interval length as a fraction of 1/degree"),
         _Param("trials", int, 10, "random polynomials per scale"),
         table=True,
+        pool=True,
     ),
     ("verify", "holo"): _command(
         _run_verify(lambda cfg, threads: holo_rows(cfg["N"], cfg["grid"], cfg["seed"])),
@@ -341,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             default=None, choices=param.choices, help=param.help)
         sp.add_argument("--config", help="flat key=value file; flags override its entries")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker pool size for trial batches (default: 1, serial)")
+                        help="worker pool size for trial batches (default: 1, serial)" if entry.pool
+                        else "only 1: this subcommand runs no worker pool")
     return top
 
 
@@ -390,9 +395,10 @@ def _resolve(ns: argparse.Namespace) -> dict:
 
 
 def _json_text(value, pad: str = "\n") -> str:
-    """What json.dumps(sort_keys=True, indent=2) writes for value, in one walk: each float as
-    repr(util.round_sig(x)), an infinity as "inf" or "-inf"; pad opens a line at value's depth.
-    Floats, plain ints and lists make up most of a payload, so their type checks come first."""
+    """What json.dumps(sort_keys=True, indent=2) writes for value, in one walk: each finite float x
+    as repr(float("%.12g" % x)), x rounded to 12 significant digits, an infinity as "inf" or "-inf";
+    pad opens a line at value's depth. Floats, plain ints and lists make up most of a payload, so
+    their type checks come first."""
     if isinstance(value, (float, np.floating)):
         text = "%.12g" % value  # as _render_csv writes a float
         if text == "nan":  # each container the error leaves adds its key to its args, innermost first
@@ -455,9 +461,12 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = _resolve(ns)
+        entry = _COMMANDS[(ns.command, ns.subcommand)]
         if ns.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {ns.threads}")
-        payload, table = _COMMANDS[(ns.command, ns.subcommand)].handler(cfg, ns.threads)
+        if ns.threads != 1 and not entry.pool:
+            raise ValueError(f"--threads must be 1: {ns.command} {ns.subcommand} runs no worker pool, got {ns.threads}")
+        payload, table = entry.handler(cfg, ns.threads)
         # both texts are rendered, and so NaN-checked, before either is written
         outputs = [] if table is None else [(_render_csv(*table), cfg["csv"])]
         if table is None or cfg["out"]:
@@ -478,7 +487,7 @@ def run(argv) -> int:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

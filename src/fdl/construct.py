@@ -49,8 +49,11 @@ def saturator_pj(params: DyadicFamilyParams, p) -> TrigPoly:
     Fejer smoothing at order 2^j keeps only bump frequencies below 2^j;
     modulating by 2^j then puts the spectrum inside (0, 2^(j+1) - 1], and
     the scale factor 2^(-(J-j+2)/p) caps the p-norm at 1 while the modulus
-    stays above the quarter of the scale on the target intervals.
+    stays above the quarter of the scale on the target intervals. The
+    spectrum reaches 2^(j+1) - 1, so j is at most 52, where every phase is exact.
     """
+    if params.j > 52:
+        raise ValueError(f"level j={params.j} puts the spectrum above 2^53, where no phase is exact")
     n = 1 << params.j
     chi = chi_coefficients(params)
     return modulate(fejer_mean(saturator_scale(params, p) * chi, n), n)
@@ -187,13 +190,17 @@ def disjoint_family(s: int, alpha: float, p, jmax: int) -> SaturatorFamily:
     Member r is the sum over levels j of (1/j^2) times the level-j saturator
     modulated to start at (s+r)*2^(j+1). Blocks from different members and
     levels never overlap, so partial-sum differences isolate single blocks
-    exactly on coefficients.
+    exactly on coefficients. Every spectrum lies below 2(2s+1) 2^jmax, which
+    must not pass 2^53, the largest frequency with an exact float64 phase.
     """
     if s < 1:
         raise ValueError("family size must be positive")
     j_min = smallest_admissible_level(alpha)
     if jmax < j_min:
         raise ValueError(f"jmax must be at least {j_min} for alpha={alpha}")
+    freq_constant = 2 * (2 * s + 1)
+    if jmax > 53 or freq_constant << jmax > 1 << 53:
+        raise ValueError(f"top frequency 2(2s+1) 2^jmax exceeds 2^53 at s={s}, jmax={jmax}")
     validate_norm_exponent(p)
 
     saturators = {j: saturator_pj(DyadicFamilyParams(j, alpha), p) for j in range(j_min, jmax + 1)}
@@ -220,7 +227,7 @@ def disjoint_family(s: int, alpha: float, p, jmax: int) -> SaturatorFamily:
         members=tuple(members),
         blocks=blocks,
         tail_norm_bound=tail,
-        freq_constant=2 * (2 * s + 1),
+        freq_constant=freq_constant,
     )
 
 

@@ -49,11 +49,6 @@ class DyadicFamilyParams:
     def center_count(self) -> int:
         return 1 << self.J
 
-    @property
-    def measure(self) -> float:
-        """Total measure of the union: 2^J intervals of length 2^(1-j)."""
-        return 2.0 ** (self.J - self.j + 1)
-
 
 def smallest_admissible_level(alpha: float) -> int:
     """Least j >= 3 with floor(j/alpha) + 1 <= j - 2.
@@ -131,10 +126,6 @@ class CombParams:
     def tooth(self) -> float:
         """The tooth half-width in y = k x, where every tooth is |y - i| <= 1/(2 omega)."""
         return 0.5 / self.omega
-
-    @property
-    def measure(self) -> float:
-        return 1.0 / self.omega
 
 
 def comb_membership(params: CombParams, x):

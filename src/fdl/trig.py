@@ -113,9 +113,6 @@ class TrigPoly:
     def items(self):
         return list(zip(self.k.tolist(), self.c.tolist()))
 
-    def frequencies(self):
-        return self.k.tolist()
-
     def __len__(self) -> int:
         return self.k.size
 
@@ -196,7 +193,7 @@ class TrigPoly:
         """Refuse a grid j/M that is not a power of two or on which two frequencies alias."""
         if not is_pow2(M):
             raise ValueError(f"grid size must be a power of two, got {M}")
-        if len(self) and 2 * self.degree >= M:
+        if 2 * self.degree >= M:
             raise AliasingError(f"grid {M} too coarse for degree {self.degree}")
 
     def sample(self, M: int) -> np.ndarray:
@@ -215,8 +212,6 @@ class TrigPoly:
         other p on the grid_for_degree grid, where p = inf is a dense-grid
         maximum."""
         p = validate_norm_exponent(p)
-        if not len(self):
-            return 0.0
         if p == 2:
             l2 = float(np.linalg.norm(self.c))
             if not math.isfinite(l2):
@@ -322,19 +317,17 @@ def _phase(n, x, out=None, scratch=(None, None)) -> np.ndarray:
     return out
 
 
-def _turns(theta: np.ndarray, out=None) -> np.ndarray:
+def _turns(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(2 pi i theta) from t = tan(pi theta), overwriting the float64 array theta.
 
     cos 2 pi theta = (1 - t^2)/(1 + t^2) and sin 2 pi theta = 2t/(1 + t^2)
     are written straight into the real and imaginary parts of out, a
-    complex array of theta's shape (allocated when not given); theta holds
+    complex array of theta's shape; theta holds
     the denominator once t is spent. tan has period pi, so any finite theta
     works, and at theta = +-1/2 the tangent of the rounded pi/2 is about
     1.6e16, whose square is still finite.
     """
     t = np.tan(np.multiply(theta, np.pi, out=theta), out=theta)
-    if out is None:
-        out = np.empty(t.shape, dtype=complex)
     re, im = out.real, out.imag
     np.multiply(t, 2, out=im)
     np.multiply(t, t, out=re)

@@ -214,9 +214,3 @@ def indexed_map(fn, items, threads: int = 1) -> list:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
-
-def round_sig(x: float, digits: int = 12) -> float:
-    """Round to a fixed number of significant digits (stable serialization)."""
-    if x == 0 or not math.isfinite(x):
-        return float(x)
-    return float(format(float(x), f".{digits}g"))

@@ -33,9 +33,12 @@ class VerificationReport:
 
 
 def scale_ladder(N: int) -> list[int]:
-    """The dyadic scales N/8, N/4, N/2, N of a verify sweep, each at least 4, deduplicated."""
-    if N < 4:
-        raise ValueError("N must be at least 4")
+    """The dyadic scales N/8, N/4, N/2, N of a verify sweep, each at least 4, deduplicated.
+
+    N is at most 2^52, so that every frequency and every Dirichlet order 2n + 1 has an exact phase.
+    """
+    if not 4 <= N <= 1 << 52:
+        raise ValueError(f"N must be at least 4 and at most 2^52, got {N}")
     return sorted({max(4, N >> 3), max(4, N >> 2), max(4, N >> 1), N})
 
 
@@ -48,9 +51,12 @@ def rademacher_poly(degree: int, rng: np.random.Generator) -> TrigPoly:
     return TrigPoly.from_arrays(np.arange(-degree, degree + 1), rademacher_coeffs(degree, rng))
 
 
+_TRIAL_BITS = 20  # at most 2^_TRIAL_BITS trials per scale keep every row's stream apart
+
+
 def _row_rng(seed: int, scale: int, trial: int) -> np.random.Generator:
     """The generator of one Rademacher trial row at one scale of a sweep."""
-    return trial_rng(seed, (scale << 20) + trial)
+    return trial_rng(seed, (scale << _TRIAL_BITS) + trial)
 
 
 # Cap on partial quotients: a step this long is past every scan range, and
@@ -139,11 +145,13 @@ def _sweep(name: str, scales: list[int], trials: int, seed: int, ratios, worst=m
     """The report and the (trial, seed, scale, ratio) rows of one verify sweep.
 
     ratios(scales) yields the per-trial ratios scale by scale; it runs only
-    once the trial count is valid. The trend keeps the worst ratio at each
-    scale, and the fitted constant is the trend value at scales[fitted].
+    once the trial count is valid: at least 1 and at most 2^20, past which
+    _row_rng would give a row the stream of a row at another scale. The trend
+    keeps the worst ratio at each scale, and the fitted constant is the trend
+    value at scales[fitted].
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= trials <= 1 << _TRIAL_BITS:
+        raise ValueError(f"need at least one trial and at most 2^{_TRIAL_BITS}, got {trials}")
     rows = [(trial, seed, scale, float(ratio))
             for scale, per_trial in zip(scales, ratios(scales))
             for trial, ratio in enumerate(per_trial)]
@@ -316,8 +324,7 @@ def check_derivative_bound(f: TrigPoly, n: int, p) -> float:
     p = validate_norm_exponent(p)
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     deriv = f.truncate(n).derivative()
-    num = deriv.norm(math.inf) if len(deriv) else 0.0
-    return float(num / (math.log(n) * n ** (1.0 + inv_p) * f.norm(p)))
+    return float(deriv.norm(math.inf) / (math.log(n) * n ** (1.0 + inv_p) * f.norm(p)))
 
 
 # A float whose logarithm lies within +-708 is normal and finite (the range is
@@ -430,11 +437,9 @@ def check_holo_bounds(params: CombParams, M: int) -> HoloBounds:
     c3 = sup |f|/omega, c4 = sup |f'/f| / (omega k). c4 must stay at or
     below 1 (no constant in that bound).
     """
-    if not is_pow2(M):
-        raise ValueError("grid size must be a power of two")
+    if not (is_pow2(M) and M < 1 << 63):  # numpy's arange(M) holds 0, the centre of a tooth, below 2^63
+        raise ValueError(f"grid size must be a power of two below 2^63, got {M}")
     js = np.flatnonzero(comb_membership(params, np.arange(M) / M))
-    if not js.size:
-        raise ValueError("boundary grid resolves no comb point; increase M")
     # the expression of holo_boundary, on the comb points only, so c2 is the same to the bit
     comb = holo_kernel(params, np.exp(2j * np.pi * js / M))
     t = params.k * math.log1p(params.eps)

@@ -154,6 +154,19 @@ CALLS = [
     # exit 0: fitted tails of 8 or more entries (10 and 9), one on a grid that is not a power of two
     "analyze index --in pj.json --x 0.3 --mlo 4 --mhi 22",
     "analyze spectrum --in pj.json --p 2 --grid 1000 --smlo 4 --smhi 21 --mhi 8",
+    # exit 1 before any work: counts past which a row would reuse another scale's random stream
+    # (2^20 trials), a frequency would have no exact phase (2^53) or an array no int64 index
+    "verify maximal --N 64 --trials 4611686018427387904 --csv trials_huge.csv",
+    "verify dirichlet --N 9223372036854775808 --csv n_huge.csv",
+    "construct family --s 4611686018427387904 --alpha 2 --p 2 --jmax 8",
+    "construct pj --j 53 --alpha 2 --p 2",
+    "probe prevalence --s 4611686018427387904",
+    "probe prevalence --jmax 70",
+    "probe prevalence --depth 4611686018427387904",
+    "analyze levelset --in pj.json --beta 0.2 --grid 2147483648 --csv grid_huge.csv",
+    "construct holo --k 16 --grid 9223372036854775808",
+    # exit 1: --threads above 1 on a subcommand that runs no worker pool
+    "construct pj --j 6 --alpha 2 --p 2 --threads 4 --out threads4.json",
 ]
 
 

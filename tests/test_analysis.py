@@ -271,8 +271,10 @@ def test_loglog_fit_of_long_c_rows_is_the_row_wise_fit_to_the_bit(n):
 def test_partial_sums_schedule_must_increase():
     with pytest.raises(ValueError):
         partial_sums_at(TrigPoly({1: 1.0}), [0.1], [8, 8])
-    zeros = partial_sums_at(TrigPoly(), [0.1, 0.2], [8, 16])
-    assert zeros.shape == (2, 2) and not zeros.any()
+    # off the grid, on a 1024-point grid and on the one-point grid: +0 in every part of every sum
+    for xs in ([0.1, 0.2], np.arange(1024) / 1024, [0.0]):
+        zeros = partial_sums_at(TrigPoly(), xs, [8, 16])
+        assert zeros.shape == (len(xs), 2) and not _bits([zeros.real, zeros.imag]).any()
 
 
 def test_divergence_fits_need_three_schedule_entries():
@@ -408,9 +410,11 @@ def test_level_set_oracle_mapping():
     assert box_dimension(oracle, 4, 8).slope == pytest.approx(1.0)
     with pytest.raises(ValueError):
         level_set(TrigPoly({1: 1.0}), 0.0, 0.05, 8, schedule)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        level_set(TrigPoly({1: 1.0}), 0.0, 0.05, 1 << 8, [64, 256, 128])
 
 
-@pytest.mark.parametrize("grid, tolerance", [(0, 0.05), (8, 0.05), (256, -1.0)])
+@pytest.mark.parametrize("grid, tolerance", [(0, 0.05), (8, 0.05), (256, -1.0), (1 << 31, 0.05)])
 def test_level_set_and_spectrum_share_their_grid_and_tolerance_rules(grid, tolerance):
     f, schedule = TrigPoly({1: 1.0}), dyadic_schedule(6, 10)
     with pytest.raises(ValueError):
@@ -508,8 +512,9 @@ def test_probe_config_validation():
             ProbeConfig(R=R)
     with pytest.raises(ValueError):
         ProbeConfig(trials=0)
-    with pytest.raises(ValueError):
-        ProbeConfig(depth=0)
+    for depth in (0, 54):  # up to depth 53 every centre K/2^depth is an exact float
+        with pytest.raises(ValueError, match="1..53"):
+            ProbeConfig(depth=depth)
     for m_thresh in (0.0, math.nan):
         with pytest.raises(ValueError):
             ProbeConfig(m_thresh=m_thresh)

@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
+import re
 import struct
+import sys
 from unittest import mock
 
 import numpy as np
@@ -69,6 +71,16 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
     assert not rows.exists()
 
 
+def test_threads_above_one_only_where_a_pool_runs(tmp_path, capsys):
+    pools = {key for key, entry in cli._COMMANDS.items() if entry.pool}
+    assert pools == {("verify", "nikolsky"), ("verify", "derivative"), ("verify", "localization")}
+    out = tmp_path / "pj.json"
+    assert cli.run(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2", "--threads", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --threads must be 1: construct pj runs no worker pool, got 4\n"
+    assert not out.exists()
+    run_ok(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2", "--threads", "1", "--out", str(out)])
+
+
 def test_domain_validation_maps_to_exit_1(tmp_path, capsys):
     out = tmp_path / "d.json"
     code = cli.run(["verify", "dirichlet", "--N", "3", "--out", str(out)])
@@ -84,6 +96,16 @@ def test_assertion_failure_maps_to_exit_2(monkeypatch, capsys):
     code = cli.run(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2"])
     assert code == 2
     assert "assertion failed" in capsys.readouterr().err
+
+
+def test_an_error_without_a_message_prints_its_type(monkeypatch, capsys):
+    def out_of_memory(cfg, threads):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, ("construct", "pj"),
+                        cli._COMMANDS[("construct", "pj")]._replace(handler=out_of_memory))
+    assert cli.run(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_help_exits_zero():
@@ -190,6 +212,19 @@ def test_out_and_csv_naming_one_file_is_usage_error(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "same.txt").exists()
 
 
+def test_config_file_skips_blank_and_comment_lines_and_refuses_a_line_without_equals(tmp_path, capsys):
+    conf, out = tmp_path / "run.conf", tmp_path / "run.json"
+    conf.write_text("\n# alpha = 9\n   \nalpha = 3  # the only entry\n\n")
+    argv = ["construct", "pj", "--j", "6", "--p", "2", "--config", str(conf), "--out", str(out)]
+    run_ok(argv)
+    assert json.loads(out.read_text())["config"]["alpha"] == 3.0
+    conf.write_text("alpha = 3\nseed\n")
+    out.unlink()
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err == "error: config line without '=': 'seed'\n"
+    assert not out.exists()
+
+
 def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
     conf = tmp_path / "twice.conf"
     conf.write_text("alpha = 2\nalpha = 3\n")
@@ -253,6 +288,17 @@ def test_spectrum_rejects_bad_arguments(tmp_path):
     ("analyze spectrum --in g.json --p 2 --steps 0", "--steps"),
     # the interval 2.5e-321 has a subnormal trapezoid step, which rounds the 513 points apart
     ("verify localization --N 4 --trials 1 --p 2 --ifrac 1e-320", "--ifrac"),
+    # refused before any work: past 2^20 trials a row would reuse another scale's random stream,
+    # past 2^53 a frequency has no exact phase, past 2^52 neither has a Dirichlet order 2N + 1
+    ("verify maximal --N 64 --trials 4611686018427387904", "2^20"),
+    ("verify dirichlet --N 9223372036854775808", "2^52"),
+    ("construct family --s 4611686018427387904 --alpha 2 --p 2 --jmax 8", "2^53"),
+    ("construct pj --j 53 --alpha 2 --p 2", "2^53"),
+    ("probe prevalence --s 4611686018427387904", "2^53"),
+    ("probe prevalence --jmax 70", "2^53"),
+    ("probe prevalence --depth 4611686018427387904", "depth must lie in 1..53"),
+    ("analyze levelset --in g.json --beta 0.2 --grid 2147483648", "2^31"),
+    ("construct holo --k 16 --grid 9223372036854775808", "2^63"),
 ])
 def test_refusals_name_their_flag(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -384,6 +430,8 @@ def test_missing_input_file_maps_to_exit_1(tmp_path):
     {"coeffs": [[1, 1.0, math.inf]]},
     {"coeffs": [[10**30, 1.0, 0.0]]},
     {"coeffs": [[1, 1.0, 0.0], [1, 2.0, 0.0]]},
+    [],
+    {},
 ])
 def test_malformed_coefficient_json_maps_to_exit_1(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
@@ -545,11 +593,11 @@ def test_nan_or_overflowing_flag_maps_to_exit_1(tmp_path, capsys, argv):
 
 # --- the one-walk report writer against the two-step writer it replaced ---
 
-def _old_round_sig(x, digits=12):
-    """util.round_sig as it was, with numpy's scalar finiteness test."""
+def _old_round_sig(x):
+    """The rounding to 12 significant digits that the two-step writer applied to each float."""
     if x == 0 or not np.isfinite(x):
         return float(x)
-    return float(format(float(x), f".{digits}g"))
+    return float(format(float(x), ".12g"))
 
 
 def _old_jsonable(value, path="payload"):
@@ -562,7 +610,7 @@ def _old_jsonable(value, path="payload"):
             raise AssertionError(f"{path} is NaN")
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
-        return fdl.util.round_sig(x)
+        return _old_round_sig(x)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, dict):
@@ -700,21 +748,99 @@ def test_float_text_is_repr_of_round_sig_on_random_bit_patterns():
     xs = np.concatenate([xs, decades, decades * (1 - 4e-13), decades * (1 + 4e-13), -decades])
     xs = xs[np.isfinite(xs)].tolist()
     assert len(xs) > 100_000
-    assert [x for x in xs if cli._json_text(x) != repr(fdl.util.round_sig(x))] == []
+    assert [x for x in xs if cli._json_text(x) != repr(_old_round_sig(x))] == []
     # the CSV cells as the two-step writer formatted them
     assert cli._render_csv(("x",), [(x,) for x in xs]) == "x\n" + "".join(
-        f"{format(fdl.util.round_sig(x), '.12g')}\n" for x in xs)
+        f"{format(_old_round_sig(x), '.12g')}\n" for x in xs)
     assert [cli._json_text(x) for x in (math.inf, -math.inf)] == ['"inf"', '"-inf"']
 
 
-def test_round_sig_is_bitwise_the_numpy_checked_one():
-    rng = np.random.default_rng(2011)
-    doubles = np.frombuffer(rng.bytes(8 * 20_000), dtype=np.float64)
-    inputs = [*doubles.tolist(), *doubles[:2000], 0.0, -0.0, math.inf, -math.inf, math.nan, 7, -3, 0,
-              *np.frombuffer(rng.bytes(4 * 2000), dtype=np.float32),
-              *np.frombuffer(rng.bytes(2 * 2000), dtype=np.float16),
-              *rng.integers(-2**62, 2**62, size=200), np.float32(-0.0), np.int32(0)]
-    for digits in (12, 3, 17):
-        old = [struct.pack("<d", _old_round_sig(x, digits)) for x in inputs]
-        new = [struct.pack("<d", fdl.util.round_sig(x, digits)) for x in inputs]
-        assert new == old
+# --- the CLI contract over typed flag values ---
+
+_CONTRACT_INPUTS = {"poly.json": json.dumps({"coeffs": [[0, 1.0, 0.0], [3, 0.25, 0.0], [40, 0.5, 0.5]]}),
+                    "list.json": "[]", "object.json": "{}"}
+# small valid values of each count flag, capped so that no draw does real work
+_SMALL_COUNTS = {
+    "j": (6, 8, 10), "s": (1, 2, 3), "jmax": (6, 8, 10), "k": (3, 8, 16), "grid": (16, 64, 1000, 4096),
+    "n": (128, 1024, 4096), "N": (4, 8, 16, 64), "trials": (1, 2, 4), "mlo": (4, 6), "mhi": (8, 10),
+    "smlo": (4, 6), "smhi": (8, 12), "steps": (1, 3), "depth": (1, 3), "seed": (0, 5, 20127),
+}
+_SMALL_COUNTS_OF = {("construct", "witness", "j"): (128, 256)}  # the witness needs a degree with 3 comb teeth
+_REFUSED_COUNTS = (0, -1, 1 << 62, 1 << 63, 1 << 100)
+_ODD_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, -1.0)
+
+
+def _either_side(*bounds):
+    return tuple(v for b in bounds for v in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)))
+
+
+# each float flag's values well inside its documented bounds, then the floats either side of those bounds
+_FLOATS_INSIDE = {
+    "alpha": (2.0, 3.0), "p": (2.0, 3.0), "q": (4.0, math.inf), "eps": (0.03, 0.5), "ifrac": (0.5, 1.0),
+    "eta": (0.05,), "omega": (5.0,), "x": (0.0, 0.3), "beta": (0.0, 0.2), "tol": (0.05,), "beta-min": (0.0,),
+    "beta-max": (0.5,), "thresh": (1e-4,), "R": (1.0,),
+}
+_FLOAT_BOUNDS = {
+    "alpha": _either_side(0.0, 1.0) + (962.0, 963.0),  # the maximal weights overflow past about 962.6
+    "p": _either_side(1.0), "q": _either_side(1.0), "eps": _either_side(0.0) + (10.0,),
+    "ifrac": _either_side(0.0, 1.0) + (1e-320,), "eta": _either_side(0.0) + (1e305,),
+    "omega": _either_side(math.log(8), math.log(16)) + (1e17,), "x": _either_side(0.0, 1.0),
+    "beta": _either_side(0.0), "tol": _either_side(0.0), "thresh": _either_side(0.0),
+    "R": _either_side(0.0, sys.float_info.max / 2),
+}
+
+
+def _flag_text(command, param, clean):
+    """A strategy for the text of one flag: a small valid value, or when not clean any typed value."""
+    if param.key == "in":
+        names = st.sampled_from(["poly.json"] if clean else [*_CONTRACT_INPUTS, "absent.json"])
+        return names if param.required else st.one_of(st.none(), names)
+    if param.key == "strategy":
+        return st.sampled_from(param.choices if clean else (*param.choices, "other"))
+    if param.conv is int:
+        small = _SMALL_COUNTS_OF.get((*command, param.key), _SMALL_COUNTS[param.key])
+        return st.sampled_from(small if clean else (*small, *_REFUSED_COUNTS)).map(str)
+    inside = _FLOATS_INSIDE[param.key]
+    return st.sampled_from(inside if clean else (*inside, *_FLOAT_BOUNDS.get(param.key, ()), *_ODD_FLOATS)).map(repr)
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("contract")
+    for name, text in _CONTRACT_INPUTS.items():
+        (directory / name).write_text(text)
+    return directory
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_subcommand_exits_0_1_or_2_on_typed_flag_values(contract_dir, data):
+    command = data.draw(st.sampled_from(sorted(cli._COMMANDS)), label="command")
+    params = cli._COMMANDS[command].params
+    clean = data.draw(st.booleans(), label="clean")
+    argv = list(command)
+    for param in params:
+        if param.key not in ("out", "csv"):
+            text = data.draw(_flag_text(command, param, clean), label=param.key)
+            if text is not None:
+                argv.append(f"--{param.key}={contract_dir / text if param.key == 'in' else text}")
+    outputs = []
+    for param in params:
+        if param.key in ("out", "csv"):
+            path = contract_dir / f"output.{param.key}"
+            path.unlink(missing_ok=True)
+            if data.draw(st.booleans(), label=param.key):
+                argv.append(f"--{param.key}={path}")
+                outputs.append(path)
+    argv += data.draw(st.sampled_from([[], ["--threads", "1"], ["--threads", "2"]]), label="threads")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run(argv)
+    err = stderr.getvalue()
+    if code == 0:
+        texts = [stdout.getvalue()] + [path.read_text() for path in outputs]
+        assert not any(re.search(r"\bnan\b", text, re.IGNORECASE) for text in texts)
+    elif code == 1:
+        assert re.search(r"(^|: )error: \S", err, re.MULTILINE), err
+    else:
+        assert code == 2 and err.startswith("assertion failed: "), (code, err)

@@ -41,7 +41,7 @@ def test_chi_coefficients_match_fft_of_samples():
     M = 1 << 15
     spec = np.fft.fft(_bump_chi(params, M)) / M
     chi = chi_coefficients(params)
-    for k in chi.frequencies():
+    for k in chi.k.tolist():
         assert abs(chi.coeff(k) - spec[k % M]) < 1e-5
     # off-lattice frequencies carry no mass beyond aliasing leakage
     assert abs(spec[params.J + 1]) < 1e-12 or (params.J + 1) % (1 << params.J) == 0
@@ -51,14 +51,15 @@ def test_chi_mean_is_closed_form():
     params = DyadicFamilyParams(8, 2.0)
     chi = chi_coefficients(params)
     assert chi.coeff(0) == pytest.approx(3.0 * 2.0 ** (params.J - params.j), abs=1e-15)
-    assert chi.coeff(0) == pytest.approx(1.5 * params.measure, abs=1e-15)
+    # 1.5 times the measure of the union: 2^J intervals of length 2^(1-j)
+    assert chi.coeff(0) == pytest.approx(1.5 * params.center_count * 2.0 ** (1 - params.j), abs=1e-15)
 
 
 def test_chi_spectrum_lives_on_center_lattice():
     params = DyadicFamilyParams(8, 2.0)
     chi = chi_coefficients(params)
     step = 1 << params.J
-    assert all(k % step == 0 for k in chi.frequencies())
+    assert all(k % step == 0 for k in chi.k.tolist())
     assert chi.degree <= (1 << params.j) - 1
 
 
@@ -70,6 +71,8 @@ def test_saturator_spectrum_window_and_center_coefficient():
     assert window.contains_spectrum(poly)
     want = saturator_scale(params, 2) * 3.0 * 2.0 ** (params.J - params.j)
     assert poly.coeff(n) == pytest.approx(want, abs=1e-15)
+    with pytest.raises(ValueError, match="above 2\\^53"):  # the spectrum of level 53 reaches 2^54 - 1
+        saturator_pj(DyadicFamilyParams(53, 2.0), 2)
 
 
 def test_saturator_scale_paths():
@@ -152,11 +155,16 @@ def test_disjoint_family_refuses_a_block_that_escaped_its_window(monkeypatch):
         disjoint_family(1, 2.0, 2, 6)
 
 
-def test_disjoint_family_validation():
+def test_disjoint_family_validation(monkeypatch):
     with pytest.raises(ValueError):
         disjoint_family(0, 2.0, 2, 8)
     with pytest.raises(ValueError):
         disjoint_family(3, 2.0, 2, 4)  # below the smallest admissible level
+    # a top frequency 2(2s + 1) 2^jmax past 2^53 is refused before any saturator is built
+    monkeypatch.setattr(fdl.construct, "saturator_pj", None)
+    for s, jmax in ((1, 51), (1 << 62, 8), (9, 70), (2, 1 << 62)):
+        with pytest.raises(ValueError, match="exceeds 2\\^53"):
+            disjoint_family(s, 2.0, 2, jmax)
 
 
 def _pole_sum(params, z):
@@ -213,7 +221,7 @@ def test_log_saturator_matches_grid_log_lift(n):
     got = np.array([sat.poly.coeff(n + int(f)) for f in q])
     assert np.max(np.abs(got - grid)) < 1e-13
     mk = sat.comb.k * np.arange(1, (n - 1) // sat.comb.k + 1)
-    assert sorted(sat.poly.frequencies()) == sorted(np.concatenate([n - mk, n + mk]).tolist())
+    assert sat.poly.k.tolist() == sorted(np.concatenate([n - mk, n + mk]).tolist())
 
 
 def test_eps_floor_formula_and_guard():

@@ -57,6 +57,8 @@ def test_smallest_admissible_levels():
     for alpha in alphas:
         assert smallest_admissible_level(alpha) == _smallest_admissible_level_by_steps(alpha), alpha
     assert smallest_admissible_level(1.0 + 1e-8) == 200000005  # the step search takes about 2e8 steps
+    with pytest.raises(ValueError, match="exceed 1"):
+        smallest_admissible_level(1.0)
 
 
 def test_membership_geometry():
@@ -69,7 +71,8 @@ def test_membership_geometry():
     assert fam.contains(edge)
     outside = centers[3] + 2.0 ** -8 + 2.0 ** -11
     assert not fam.contains(outside)
-    assert params.measure == pytest.approx(2.0 ** (5 - 8 + 1))
+    # the union's measure: 2^J intervals of length 2^(1-j)
+    assert params.center_count * 2.0 ** (1 - params.j) == 2.0 ** (5 - 8 + 1)
 
 
 def test_membership_wraps_around_the_circle():
@@ -81,7 +84,7 @@ def test_comb_membership_and_measure():
     params = CombParams(8, 4.0)
     assert params.half_width == pytest.approx(1.0 / 64.0)
     assert params.tooth == params.half_width * params.k == 0.125  # the half-width in y = k x
-    assert params.measure == pytest.approx(0.25)
+    assert params.k * 2.0 * params.half_width == pytest.approx(1.0 / params.omega)  # the comb's measure
     teeth = np.arange(8) / 8.0
     assert comb_membership(params, teeth).all()
     assert comb_membership(params, teeth[2] + params.half_width)
@@ -129,6 +132,8 @@ def test_cantor_counts_frozen():
     assert list(est.counts) == [14, 22, 38, 60, 100, 148, 230]
     assert est.slope == pytest.approx(0.6789420556062413, abs=1e-9)
     assert est.scales == list(range(4, 11))
+    with pytest.raises(ValueError, match="depth must be positive"):
+        middle_thirds_cantor(0)
 
 
 def test_count_occupied_boxes_dilates_cyclically():

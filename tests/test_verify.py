@@ -18,6 +18,7 @@ from fdl.verify import (
     _greedy_orders,
     _max_dirichlet_values,
     _maximal_ratios,
+    _row_rng,
     check_derivative_bound,
     check_holo_bounds,
     check_localization,
@@ -129,6 +130,9 @@ def test_verify_sweeps_share_one_scale_ladder():
     assert scale_ladder(64) == [8, 16, 32, 64]
     assert scale_ladder(8) == [4, 8]
     assert scale_ladder(4) == [4]
+    assert scale_ladder(1 << 52)[-1] == 1 << 52
+    with pytest.raises(ValueError, match="at most 2\\^52"):  # an order 2n + 1 past 2^53 has no exact phase
+        scale_ladder((1 << 52) + 1)
     _, rows = dirichlet_rows(8, "constant", 1)
     assert [r[2] for r in rows] == [4, 8]
     _, rows = maximal_rows(8, 0.5, 1)
@@ -142,7 +146,7 @@ def test_dirichlet_rows_validation():
         dirichlet_rows(64, "clever", 2)
 
 
-@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("trials", [0, -1, (1 << 20) + 1])
 @pytest.mark.parametrize("sweep", [
     lambda trials: dirichlet_rows(64, "greedy", trials),
     lambda trials: maximal_rows(64, 0.5, trials),
@@ -153,6 +157,12 @@ def test_dirichlet_rows_validation():
 def test_verify_sweeps_need_a_trial(sweep, trials):
     with pytest.raises(ValueError, match="need at least one trial"):
         sweep(trials)
+
+
+def test_row_streams_repeat_past_2_20_trials():
+    # why a sweep takes at most 2^20 trials: trial 5 * 2^20 at scale 5 would draw scale 10's trial 0
+    rows = [rademacher_coeffs(10, _row_rng(DEFAULT_SEED, scale, trial)) for scale, trial in ((5, 5 << 20), (10, 0))]
+    assert np.array_equal(*rows)
 
 
 @pytest.mark.parametrize("sweep", [
@@ -405,6 +415,8 @@ def test_localization_guards():
         check_localization(d8, 0.0, 1.0 / 8, math.inf, 0.5)
     with pytest.raises(ValueError):
         check_localization(d8, 0.0, 1.0 / 8, 2, 0.0)
+    with pytest.raises(ValueError, match="degree must be at least 2"):
+        check_localization(TrigPoly.dirichlet(1), 0.0, 1.0, 2, 0.5)
     for p in (1, 2):  # log 2 < 1: a large eps overflows the rate at degree 2 and underflows it at 8
         with pytest.raises(ValueError, match="eps 4400 .* degree 2"):
             check_localization(TrigPoly.dirichlet(2), 0.0, 0.5, p, 4400)
@@ -459,14 +471,12 @@ def test_holo_c2_is_the_masked_boundary_minimum_to_the_bit():
             for omega in omegas:
                 params = CombParams(k, omega or CombParams.default_omega(k))
                 mask = comb_membership(params, np.arange(M) / M)
-                if not mask.any():
-                    with pytest.raises(ValueError, match="resolves no comb point"):
-                        check_holo_bounds(params, M)
-                    continue
                 want = float(np.abs(holo_boundary(params, M)[mask]).min() / params.omega)
                 assert check_holo_bounds(params, M).c2 == want, (M, k, omega)
-    with pytest.raises(ValueError, match="power of two"):
-        check_holo_bounds(CombParams(16, 4.0), 1000)
+    # every grid holds 0, the centre of tooth 0; numpy's arange(2^63) holds nothing, and is refused
+    for M in (1000, 1 << 63):
+        with pytest.raises(ValueError, match="power of two below 2\\^63"):
+            check_holo_bounds(CombParams(16, 4.0), M)
 
 
 @pytest.mark.parametrize("N, ks", [(8, [8]), (100, [8, 16, 32, 64]), (256, [8, 16, 32, 64, 128, 256])])
