@@ -8,9 +8,11 @@ needs at least 3 entries. Partial sums on a uniform grid, shifted or not,
 come from trig.grid_sums, the grid kernel that TrigPoly.sample also runs;
 at any other points from trig.point_sums, the exact-phase off-grid kernel.
 _envelope_fits folds them one schedule entry at a time. A level set asks
-partial_sums_at for one entry per call, so its grid profile holds the
+partial_sums_at for a group of entries per call, as many as fit in
+_PROFILE_CHUNK points x entries (at least one), whose rows grid_sums
+transforms in one batched inverse FFT; so its grid profile holds the
 fitted tail of the log envelope (8 bytes per point per fitted entry) and
-one entry's sums, never every partial sum.
+one group's sums, never every partial sum.
 The prevalence probe draws all its trials at once
 (util.trial_uniform_rows), bit for bit the per-trial trial_rng rows. A
 level set is a mask over a uniform grid of such estimates, a
@@ -33,6 +35,7 @@ _LOG_FLOOR = 1e-300
 _TRIAL_CHUNK = 1 << 15  # points x trials per chunk of _trial_passes
 _FIT_CHUNK = 1 << 15  # points x fitted entries per loglog_fit call of _envelope_fits: a view, and two fit buffers
 _GRID_CHUNK = 1 << 15  # points per comparison of _on_unit_grid
+_PROFILE_CHUNK = 1 << 17  # points x schedule entries per partial_sums_at call of _grid_profile
 
 
 def dyadic_schedule(m_lo: int, m_hi: int) -> list[int]:
@@ -52,8 +55,9 @@ def _sorted_terms(f: TrigPoly, schedule: list[int]) -> tuple[np.ndarray, np.ndar
 def _on_unit_grid(xs: np.ndarray) -> bool:
     """Whether xs is the uniform grid arange(M) / M, M >= 1, compared a block at a time.
 
-    A level set asks for one schedule entry per call, and a whole-grid
-    arange per call would churn two grid-sized temporaries through the heap.
+    A level set asks for one group of schedule entries per call, one entry
+    per call from 2^17 points up, and a whole-grid arange per call would
+    churn two grid-sized temporaries through the heap.
     """
     M = xs.size
     return M >= 1 and xs.ndim == 1 and all(
@@ -123,6 +127,7 @@ def _envelope_fits(rows, schedule: list[int], keep: int | None = None):
         else:
             np.maximum(env[0], np.abs(sums, out=env[1]), out=env[0])
         del sums  # before the next row is computed
+    del rows  # a generator holds its last group of rows until it is dropped
     vanishing = env[-1] < _VANISH_TOL
     np.maximum(env, _LOG_FLOOR, out=env)
     np.log(env, out=env)
@@ -157,14 +162,26 @@ def divergence_profile(f: TrigPoly, xs, schedule) -> tuple[np.ndarray, np.ndarra
 
 
 def _grid_profile(f: TrigPoly, grid: int, schedule: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """divergence_profile(f, arange(grid) / grid, schedule), one partial_sums_at call per entry.
+    """divergence_profile(f, arange(grid) / grid, schedule), one partial_sums_at call per group of entries.
 
-    Each call is one grid fold of f's terms up to that entry and one
-    inverse FFT, whose row _envelope_fits folds and drops before the next
-    call: the profile holds one entry's sums instead of every entry's.
+    A group is max(1, _PROFILE_CHUNK // grid) consecutive schedule entries:
+    each call folds f's terms up to the group's last entry and transforms
+    the group's rows in one batched inverse FFT (trig.grid_sums), and
+    _envelope_fits folds those rows and drops them before the next call.
+    So the profile holds one group's sums, at most _PROFILE_CHUNK complex
+    values (2 MiB) or one entry's row from 2^17 points up, instead of
+    every entry's.
     """
     xs = np.arange(grid) / grid
-    betas, r2s, _, _ = _envelope_fits((partial_sums_at(f, xs, [n])[:, 0] for n in schedule), schedule)
+    group = max(1, _PROFILE_CHUNK // grid)
+
+    def rows():
+        for i in range(0, len(schedule), group):
+            sums = partial_sums_at(f, xs, schedule[i : i + group]).T
+            yield from sums  # a for loop's variable would keep the last row, and so the group, alive
+            del sums  # before the next group is computed
+
+    betas, r2s, _, _ = _envelope_fits(rows(), schedule)
     return betas, r2s
 
 

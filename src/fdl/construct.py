@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sets import CombParams, DyadicFamilyParams, smallest_admissible_level
-from .trig import SpectrumInterval, TrigPoly, fejer_mean, lp_norm, modulate, validate_norm_exponent
+from .trig import PRUNE_TOL, SpectrumInterval, TrigPoly, fejer_mean, lp_norm, modulate, validate_norm_exponent
 from .util import is_pow2, next_pow2
 
 
@@ -363,7 +363,11 @@ def residual_witness(g: TrigPoly, eta_j: float, sat: LogSaturator) -> TrigPoly:
     scale = eta_j / sat.eps_n
     if not 0 < scale < math.inf:
         raise ValueError(f"target rate eta_j must be positive, with eta_j / eps_n finite; got {eta_j}")
-    return g + scale * modulate(sat.poly, j)
+    block = scale * modulate(sat.poly, j)
+    if not len(block):  # the difference S_2j - S_j would be zero and miss the rate by eta_j log j
+        raise ValueError(f"target rate eta_j = {eta_j} scales every saturator coefficient to at most "
+                         f"the prune tolerance {PRUNE_TOL}, which drops the whole block")
+    return g + block
 
 
 def witness_certificate(witness: TrigPoly, eta_j: float, sat: LogSaturator) -> dict:

@@ -404,20 +404,27 @@ def grid_sums(k: np.ndarray, c: np.ndarray, cuts, M: int, shift: float = 0.0) ->
 
     The grid kernel, for integer |k| <= 2^53 and increasing cuts into k: a
     grid point sees k only through k mod M and e(k shift), k shift reduced
-    mod 1 by _phase. Each segment between cuts is folded into one spectrum,
-    and row r is M times its inverse FFT in place, so one cut copies nothing.
+    mod 1 by _phase. Row r starts as a copy of row r - 1 (row 0 as zeros)
+    and folds the segment between cuts r - 1 and r into it, so each row is
+    the spectrum of its cut with every bin's additions in term order. One
+    inverse FFT along axis 1 then transforms all rows in place, and M times
+    it is the sums: numpy transforms each row of a batch to the same bits
+    as that row alone, and a batch of rows costs less per row than single
+    transforms. The scaling is the default norm and a multiply by M, since
+    norm="forward" rounds differently on grids that are not powers of two.
     """
     if shift:
         c = c * np.exp(2j * np.pi * _phase(k, shift))
-    spec = np.zeros(M, dtype=complex)
-    out = np.empty((len(cuts), M), dtype=complex)
+    out = np.zeros((len(cuts), M), dtype=complex)
     bins = k % M
     start = 0
-    for row, stop in zip(out, cuts):
-        np.add.at(spec, bins[start:stop], c[start:stop])
-        np.fft.ifft(spec, out=row)
-        row *= M
+    for r, stop in enumerate(cuts):
+        if r:
+            out[r] = out[r - 1]
+        np.add.at(out[r], bins[start:stop], c[start:stop])
         start = stop
+    np.fft.ifft(out, axis=1, out=out)
+    out *= M
     return out
 
 

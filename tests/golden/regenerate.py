@@ -167,6 +167,8 @@ CALLS = [
     "construct holo --k 16 --grid 9223372036854775808",
     # exit 1: --threads above 1 on a subcommand that runs no worker pool
     "construct pj --j 6 --alpha 2 --p 2 --threads 4 --out threads4.json",
+    # exit 1: an eta so small that the prune tolerance drops the whole scaled saturator block
+    "construct witness --j 256 --eta 1e-17 --out eta_tiny.json",
 ]
 
 

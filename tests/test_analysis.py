@@ -378,6 +378,24 @@ def test_streamed_grid_profile_matches_the_materialised_one(seed, terms, log_top
     assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
 
 
+def test_grid_profile_in_groups_is_the_materialised_one_to_the_bit(monkeypatch):
+    # at 2^15 points a call takes _PROFILE_CHUNK // 2^15 = 4 entries, so 13 entries take four
+    # calls of 4, 4, 4 and 1
+    f, schedule, M = disjoint_family(3, 2.0, 2.0, 14).member(1), dyadic_schedule(6, 18), 1 << 15
+    betas, r2s, _ = _materialised_profile(f, np.arange(M) / M, schedule)
+    groups = []
+
+    def recorded(f, xs, schedule):
+        groups.append(list(schedule))
+        return partial_sums_at(f, xs, schedule)
+
+    monkeypatch.setattr(analysis, "partial_sums_at", recorded)
+    got = _grid_profile(f, M, schedule)
+    assert groups == [schedule[0:4], schedule[4:8], schedule[8:12], schedule[12:]]
+    assert np.array_equal(got[0].view(np.uint64), betas.view(np.uint64))
+    assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
+
+
 def test_divergence_index_keeps_the_whole_envelope():
     f, schedule = disjoint_family(2, 2.0, 2.0, 9).member(1), dyadic_schedule(3, 11)
     est = divergence_index(f, 0.3, schedule)

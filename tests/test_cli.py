@@ -354,13 +354,14 @@ def test_construct_holo_evaluates_the_boundary_once(tmp_path, monkeypatch):
 
 
 def _transform_lengths(monkeypatch):
-    """Records the length of every FFT and inverse FFT."""
+    """Records the length of every FFT and inverse FFT: n, or else the size of the last axis, which
+    the callers transform (len would give the row count of a batch of rows)."""
     lengths = []
     for name in ("fft", "ifft"):
         transform = getattr(np.fft, name)
 
         def counted(a, n=None, *args, _transform=transform, **kwargs):
-            lengths.append(len(a) if n is None else n)
+            lengths.append(np.shape(a)[-1] if n is None else n)
             return _transform(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)

@@ -23,7 +23,7 @@ from fdl.construct import (
     witness_certificate,
 )
 from fdl.sets import CombParams, DyadicFamily, DyadicFamilyParams, comb_membership, smallest_admissible_level
-from fdl.trig import SpectrumInterval, TrigPoly, lp_norm, modulate
+from fdl.trig import PRUNE_TOL, SpectrumInterval, TrigPoly, lp_norm, modulate
 from fdl.util import DEFAULT_SEED, next_pow2, trial_rng
 from fdl.verify import check_holo_bounds, rademacher_poly
 
@@ -303,6 +303,18 @@ def test_residual_witness_guards():
         residual_witness(TrigPoly(), 1e308, sat)
 
 
+@pytest.mark.parametrize("j", [256, 1024])
+def test_residual_witness_refuses_an_eta_whose_block_is_pruned_whole(j):
+    # eta = 1e-16 keeps a few of the scaled coefficients above trig.PRUNE_TOL and still certifies;
+    # from 3e-17 down none survives, and the two-scale difference would be zero
+    sat = log_saturator(j)
+    assert witness_certificate(residual_witness(TrigPoly(), 1e-16, sat), 1e-16, sat)["margin"] >= 0
+    for eta in (3e-17, 1e-17, 5e-324):
+        assert eta / sat.eps_n * np.abs(sat.poly.c).max() <= PRUNE_TOL
+        with pytest.raises(ValueError, match=f"eta_j = {eta} .* prune tolerance {PRUNE_TOL}"):
+            residual_witness(TrigPoly(), eta, sat)
+
+
 def _coset_poly(rng, r, g, q):
     """Random coefficients on r + g i for |i| <= q: every difference is a multiple of g."""
     ks = r + g * np.arange(-q, q + 1)
@@ -387,13 +399,14 @@ def test_tooth_bounds_l2_is_the_hypot_of_the_coefficients(coeffs):
 
 
 def _transform_lengths(monkeypatch):
-    """Records the length of every FFT and inverse FFT."""
+    """Records the length of every FFT and inverse FFT: n, or else the size of the last axis, which
+    the callers transform (len would give the row count of a batch of rows)."""
     lengths = []
     for name in ("fft", "ifft"):
         transform = getattr(np.fft, name)
 
         def counted(a, n=None, *args, _transform=transform, **kwargs):
-            lengths.append(len(a) if n is None else n)
+            lengths.append(np.shape(a)[-1] if n is None else n)
             return _transform(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)

@@ -257,6 +257,40 @@ def test_grid_sums_past_the_grid_size_match_point_sums(shift):
     assert np.abs(got.T - point_sums(k, c, cuts, xs)).max() <= 1e-14 * np.abs(c).sum()
 
 
+def _per_cut_grid_sums(k, c, cuts, M, shift=0.0):
+    """grid_sums as a loop over the cuts: one running spectrum, one inverse FFT per cut into its row."""
+    if shift:
+        c = c * np.exp(2j * np.pi * _phase(k, shift))
+    spec = np.zeros(M, dtype=complex)
+    out = np.empty((len(cuts), M), dtype=complex)
+    start = 0
+    for row, stop in zip(out, cuts):
+        np.add.at(spec, k[start:stop] % M, c[start:stop])
+        np.fft.ifft(spec, out=row)
+        row *= M
+        start = stop
+    return out
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+@pytest.mark.parametrize("M", [16, 1000, 12345, 1 << 14, 1 << 16])
+def test_grid_sums_transform_all_rows_as_the_per_cut_loop_does(M, shift):
+    # frequencies up to 3M share bins, so each bin's additions must come in the same order; the
+    # coefficients hold signed zeros, and a repeated cut leaves an empty segment
+    rng = trial_rng(14, M)
+    n = 400
+    k = rng.integers(-3 * M, 3 * M + 1, size=n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    c[::7] = complex(-0.0, 1.0)
+    c[::11] = complex(1.0, -0.0)
+    many = sorted(rng.choice(np.arange(1, n), size=16, replace=False).tolist()) + [n]
+    for cuts in ([n], many, [0, 57, 57, 200, n]):
+        got = grid_sums(k, c, cuts, M, shift)
+        want = _per_cut_grid_sums(k, c, cuts, M, shift)
+        assert got.shape == (len(cuts), M)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _peak(f):
     """The largest sample of f on its default grid, as check_localization's callers pick a."""
     M = grid_for_degree(f.degree)
