@@ -7,12 +7,13 @@ of the schedule where the block constructions have settled, so a schedule
 needs at least 3 entries. Partial sums on a uniform grid, shifted or not,
 come from trig.grid_sums, the grid kernel that TrigPoly.sample also runs;
 at any other points from trig.point_sums, the exact-phase off-grid kernel.
-_envelope_fits folds them one schedule entry at a time. A level set asks
-partial_sums_at for a group of entries per call, as many as fit in
-_PROFILE_CHUNK points x entries (at least one), whose rows grid_sums
-transforms in one batched inverse FFT; so its grid profile holds the
-fitted tail of the log envelope (8 bytes per point per fitted entry) and
-one group's sums, never every partial sum.
+_envelope_fits folds them one schedule entry at a time. On the unit grid
+divergence_profile asks partial_sums_at for a group of entries per call,
+as many as fit in _PROFILE_CHUNK points x entries (at least one), whose
+rows grid_sums transforms in one batched inverse FFT; so a grid profile,
+a level set's among them, holds the fitted tail of the log envelope
+(8 bytes per point per fitted entry) and one group's sums, never every
+partial sum. At any other points it makes one call.
 The prevalence probe draws all its trials at once
 (util.trial_uniform_rows), bit for bit the per-trial trial_rng rows. A
 level set is a mask over a uniform grid of such estimates, a
@@ -35,7 +36,7 @@ _LOG_FLOOR = 1e-300
 _TRIAL_CHUNK = 1 << 15  # points x trials per chunk of _trial_passes
 _FIT_CHUNK = 1 << 15  # points x fitted entries per loglog_fit call of _envelope_fits: a view, and two fit buffers
 _GRID_CHUNK = 1 << 15  # points per comparison of _on_unit_grid
-_PROFILE_CHUNK = 1 << 17  # points x schedule entries per partial_sums_at call of _grid_profile
+_PROFILE_CHUNK = 1 << 17  # points x schedule entries per partial_sums_at call of a unit-grid divergence_profile
 
 
 def dyadic_schedule(m_lo: int, m_hi: int) -> list[int]:
@@ -55,9 +56,9 @@ def _sorted_terms(f: TrigPoly, schedule: list[int]) -> tuple[np.ndarray, np.ndar
 def _on_unit_grid(xs: np.ndarray) -> bool:
     """Whether xs is the uniform grid arange(M) / M, M >= 1, compared a block at a time.
 
-    A level set asks for one group of schedule entries per call, one entry
-    per call from 2^17 points up, and a whole-grid arange per call would
-    churn two grid-sized temporaries through the heap.
+    A grid profile asks for one group of schedule entries per call, one
+    entry per call from 2^17 points up, and a whole-grid arange per call
+    would churn two grid-sized temporaries through the heap.
     """
     M = xs.size
     return M >= 1 and xs.ndim == 1 and all(
@@ -155,25 +156,17 @@ def divergence_index(f: TrigPoly, x: float, schedule) -> DivergenceEstimate:
 
 
 def divergence_profile(f: TrigPoly, xs, schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized beta_hat and fit quality across many points."""
-    schedule = list(schedule)
-    betas, r2s, _, _ = _envelope_fits(partial_sums_at(f, xs, schedule).T, schedule)
-    return betas, r2s
+    """Vectorized beta_hat and fit quality across many points.
 
-
-def _grid_profile(f: TrigPoly, grid: int, schedule: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """divergence_profile(f, arange(grid) / grid, schedule), one partial_sums_at call per group of entries.
-
-    A group is max(1, _PROFILE_CHUNK // grid) consecutive schedule entries:
-    each call folds f's terms up to the group's last entry and transforms
-    the group's rows in one batched inverse FFT (trig.grid_sums), and
-    _envelope_fits folds those rows and drops them before the next call.
-    So the profile holds one group's sums, at most _PROFILE_CHUNK complex
-    values (2 MiB) or one entry's row from 2^17 points up, instead of
-    every entry's.
+    On the unit grid arange(M) / M each partial_sums_at call takes the next
+    max(1, _PROFILE_CHUNK // M) schedule entries, and _envelope_fits folds
+    their rows and drops them before the next call: the profile holds one
+    group's sums, at most _PROFILE_CHUNK complex values (2 MiB) or one
+    entry's row, not every entry's. Any other points take one call.
     """
-    xs = np.arange(grid) / grid
-    group = max(1, _PROFILE_CHUNK // grid)
+    schedule = list(schedule)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    group = max(1, _PROFILE_CHUNK // xs.size) if _on_unit_grid(xs) else len(schedule)
 
     def rows():
         for i in range(0, len(schedule), group):
@@ -191,7 +184,7 @@ def _level_sets(f: TrigPoly, tolerance: float, grid: int, schedule):
         raise ValueError(f"level-set grid must lie in 16..2^31 - 1, got {grid}")
     if not tolerance >= 0:
         raise ValueError(f"level-set tolerance must be nonnegative, got {tolerance}")
-    betas, _ = _grid_profile(f, grid, list(schedule))
+    betas, _ = divergence_profile(f, np.arange(grid) / grid, schedule)
     return lambda beta: GridOracle(np.abs(betas - beta) <= tolerance)
 
 

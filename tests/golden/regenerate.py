@@ -4,7 +4,8 @@ Each call of CALLS is one ``fdl`` command line, run in process through
 ``fdl.cli.run`` from a scratch directory that holds the INPUTS files, so
 every ``--in``, ``--out`` and ``--csv`` path is relative. A call's record is
 its exit code, the sha256 of its stdout, and the sha256 of each file that its
-``--out``/``--csv`` flags name (null when the call left no such file). The
+``--out``/``--csv`` flags name (null when the call left no such file). Its
+stderr is kept for ``tests/test_golden.py`` to read, not digested. The
 calls run in list order, so a later call may read an earlier call's output.
 
     python tests/golden/regenerate.py
@@ -169,6 +170,8 @@ CALLS = [
     "construct pj --j 6 --alpha 2 --p 2 --threads 4 --out threads4.json",
     # exit 1: an eta so small that the prune tolerance drops the whole scaled saturator block
     "construct witness --j 256 --eta 1e-17 --out eta_tiny.json",
+    # exit 0: the spectrum of the p = 1 saturator against its 1 - beta line
+    "analyze spectrum --in pj_p1.json --p 1 --steps 5 --beta-max 1 --grid 1024 --smhi 10 --mhi 8 --csv spectrum_p1.csv",
 ]
 
 
@@ -181,7 +184,7 @@ def _named_outputs(argv: list[str]) -> list[str]:
 
 
 def run_calls(directory: Path) -> dict:
-    """Runs CALLS in directory; maps each call to (exit code, stdout, {output name: bytes or None}).
+    """Runs CALLS in directory; maps each call to (exit code, stdout, stderr, {output name: bytes or None}).
 
     RuntimeWarnings are errors, as in the test suite: a call that starts to
     warn fails here instead of passing with a changed digest.
@@ -196,14 +199,13 @@ def run_calls(directory: Path) -> dict:
         results = {}
         for call in CALLS:
             argv = call.split()
-            stdout = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 warnings.simplefilter("error", RuntimeWarning)
                 code = fdl.cli.run(argv)
             files = {name: Path(name).read_bytes() if Path(name).exists() else None
                      for name in _named_outputs(argv)}
-            results[call] = (code, stdout.getvalue(), files)
+            results[call] = (code, stdout.getvalue(), stderr.getvalue(), files)
         return results
     finally:
         os.chdir(cwd)
@@ -218,7 +220,7 @@ def _sha(data: bytes) -> str:
 def digests(results: dict) -> dict:
     return {call: {"exit": code, "stdout": _sha(stdout.encode()),
                    "files": {name: None if data is None else _sha(data) for name, data in files.items()}}
-            for call, (code, stdout, files) in results.items()}
+            for call, (code, stdout, _, files) in results.items()}
 
 
 def main() -> int:

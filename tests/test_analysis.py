@@ -18,7 +18,6 @@ from fdl import analysis
 from fdl.analysis import (
     _LOG_FLOOR,
     ProbeConfig,
-    _grid_profile,
     _test_point_sums,
     _test_shifts,
     _trial_passes,
@@ -345,15 +344,14 @@ _STREAM_CASES = {
 
 @pytest.mark.parametrize("case", list(_STREAM_CASES))
 def test_streamed_profile_is_the_materialised_one_to_the_bit(case):
-    # a level set's grid profile streams one partial_sums_at call per entry into the running
-    # maximum; divergence_profile feeds the same fold the columns of one call, on the grid and off
-    # it; each must be the all-at-once fit bit for bit
+    # divergence_profile streams the grid's partial sums a group of entries per call into the
+    # running maximum, and the rows of one call off it; each must be the all-at-once fit bit for bit
     f, schedule, M = _STREAM_CASES[case]
     assert 3 <= len(schedule) <= 13
     grid = np.arange(M) / M
     off = trial_rng(DEFAULT_SEED, M).uniform(0.0, 1.0, 257)
-    for xs, got in ((grid, _grid_profile(f, M, schedule)), (grid, divergence_profile(f, grid, schedule)),
-                    (off, divergence_profile(f, off, schedule))):
+    for xs in (grid, off):
+        got = divergence_profile(f, xs, schedule)
         betas, r2s, vanishing = _materialised_profile(f, xs, schedule)
         assert np.array_equal(got[0].view(np.uint64), betas.view(np.uint64))
         assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
@@ -364,7 +362,7 @@ def test_streamed_profile_is_the_materialised_one_to_the_bit(case):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10**6), terms=st.integers(0, 40), log_top=st.integers(1, 53),
        log_m=st.integers(4, 14), entries=st.integers(3, 13))
-def test_streamed_grid_profile_matches_the_materialised_one(seed, terms, log_top, log_m, entries):
+def test_streamed_profile_on_the_grid_matches_the_materialised_one(seed, terms, log_top, log_m, entries):
     rng = trial_rng(seed, 61)
     top = 1 << log_top
     f = TrigPoly({int(k): complex(*rng.normal(size=2)) for k in rng.integers(-top, top + 1, size=terms)})
@@ -373,16 +371,15 @@ def test_streamed_grid_profile_matches_the_materialised_one(seed, terms, log_top
         schedule.append(schedule[-1] + 1)
     M = 1 << log_m
     betas, r2s, _ = _materialised_profile(f, np.arange(M) / M, schedule)
-    got = _grid_profile(f, M, schedule)
+    got = divergence_profile(f, np.arange(M) / M, schedule)
     assert np.array_equal(got[0].view(np.uint64), betas.view(np.uint64))
     assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
 
 
-def test_grid_profile_in_groups_is_the_materialised_one_to_the_bit(monkeypatch):
-    # at 2^15 points a call takes _PROFILE_CHUNK // 2^15 = 4 entries, so 13 entries take four
-    # calls of 4, 4, 4 and 1
+def test_profile_takes_grid_entries_in_groups_and_off_grid_points_in_one_call(monkeypatch):
+    # at 2^15 grid points a call takes _PROFILE_CHUNK // 2^15 = 4 entries, so 13 entries take four
+    # calls of 4, 4, 4 and 1; 257 points off the grid take one call for the whole schedule
     f, schedule, M = disjoint_family(3, 2.0, 2.0, 14).member(1), dyadic_schedule(6, 18), 1 << 15
-    betas, r2s, _ = _materialised_profile(f, np.arange(M) / M, schedule)
     groups = []
 
     def recorded(f, xs, schedule):
@@ -390,10 +387,16 @@ def test_grid_profile_in_groups_is_the_materialised_one_to_the_bit(monkeypatch):
         return partial_sums_at(f, xs, schedule)
 
     monkeypatch.setattr(analysis, "partial_sums_at", recorded)
-    got = _grid_profile(f, M, schedule)
-    assert groups == [schedule[0:4], schedule[4:8], schedule[8:12], schedule[12:]]
-    assert np.array_equal(got[0].view(np.uint64), betas.view(np.uint64))
-    assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
+    grid = np.arange(M) / M
+    off = trial_rng(DEFAULT_SEED, M).uniform(0.0, 1.0, 257)
+    for xs, want in ((grid, [schedule[0:4], schedule[4:8], schedule[8:12], schedule[12:]]),
+                     (off, [schedule])):
+        groups.clear()
+        got = divergence_profile(f, xs, schedule)
+        assert groups == want
+        betas, r2s, _ = _materialised_profile(f, xs, schedule)
+        assert np.array_equal(got[0].view(np.uint64), betas.view(np.uint64))
+        assert np.array_equal(got[1].view(np.uint64), r2s.view(np.uint64))
 
 
 def test_divergence_index_keeps_the_whole_envelope():

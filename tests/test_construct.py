@@ -1,5 +1,6 @@
 """Saturating polynomials, pole-comb kernels, log saturators, residual witnesses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -290,6 +291,52 @@ def test_residual_witness_comb_margin_frozen():
     assert observed == pytest.approx(0.632954, abs=5e-4)
     assert target <= observed <= 0.642431
     assert cert["margin"] == observed - target
+
+
+def test_logsat_certificate_refuses_a_saturator_whose_polynomial_was_scaled_down():
+    sat = log_saturator(1024)
+    with pytest.raises(AssertionError, match="comb minimum misses the rate by"):
+        logsat_certificate(dataclasses.replace(sat, poly=0.1 * sat.poly))
+
+
+def test_witness_certificate_refuses_a_witness_without_its_top_block():
+    j = 256
+    sat = log_saturator(j)
+    w = residual_witness(TrigPoly({0: 1.0, 3: 0.25}), 0.05, sat)
+    with pytest.raises(AssertionError, match="two-scale difference misses the rate by"):
+        witness_certificate(w.truncate(j), 0.05, sat)
+
+
+def _logsat_case(t):
+    sat = log_saturator(1024)
+    return logsat_certificate(dataclasses.replace(sat, poly=t * sat.poly))
+
+
+def _witness_case(t):
+    sat = log_saturator(256)
+    return witness_certificate(t * residual_witness(TrigPoly({0: 1.0, 3: 0.25}), 0.05, sat), 0.05, sat)
+
+
+def _pj_case(t):
+    params = DyadicFamilyParams(10, 2.0)
+    return saturator_certificate(t * saturator_pj(params, 2), params, 2)
+
+
+@pytest.mark.parametrize("certify, minimum, required, t_star, message", [
+    (_logsat_case, "min_partial_on_comb", "target_level", 0.3775, "comb minimum misses the rate by"),
+    (_witness_case, "min_difference_on_comb", "target_level", 0.3804, "two-scale difference misses the rate by"),
+    (_pj_case, "min_on_target_set", "bound_required", 0.3111, "target-set minimum misses the bound by"),
+], ids=["logsat", "witness", "pj"])
+def test_certificates_flip_at_the_scale_where_the_minimum_meets_its_target(certify, minimum, required, t_star,
+                                                                          message):
+    # the sampled minimum, the Bernstein term and the rounding slack all scale with the polynomial,
+    # so the certificate of t * poly passes exactly from t* = required / minimum up
+    cert = certify(1.0)
+    t = cert[required] / cert[minimum]
+    assert t == pytest.approx(t_star, abs=5e-5)
+    assert certify(t * (1 + 1e-9))["margin"] > 0.0
+    with pytest.raises(AssertionError, match=message):
+        certify(t * (1 - 1e-9))
 
 
 def test_residual_witness_guards():
