@@ -190,8 +190,12 @@ def disjoint_family(s: int, alpha: float, p, jmax: int) -> SaturatorFamily:
     Member r is the sum over levels j of (1/j^2) times the level-j saturator
     modulated to start at (s+r)*2^(j+1). Blocks from different members and
     levels never overlap, so partial-sum differences isolate single blocks
-    exactly on coefficients. Every spectrum lies below 2(2s+1) 2^jmax, which
-    must not pass 2^53, the largest frequency with an exact float64 phase.
+    exactly on coefficients: the level-j blocks of members 1..s tile
+    [(s+1) 2^(j+1), (2s+1) 2^(j+1)) in order, which ends below (s+1) 2^(j+2),
+    where level j+1 starts; within a member, a collision would also be a
+    repeated frequency, which TrigPoly.from_arrays refuses. Every spectrum
+    lies below 2(2s+1) 2^jmax, which must not pass 2^53, the largest
+    frequency with an exact float64 phase.
     """
     if s < 1:
         raise ValueError("family size must be positive")
@@ -211,11 +215,6 @@ def disjoint_family(s: int, alpha: float, p, jmax: int) -> SaturatorFamily:
              for r in range(1, s + 1)]
     members = [TrigPoly.from_arrays(np.concatenate([b.k for b in row]), np.concatenate([b.c for b in row]))
                for row in parts]
-
-    windows = sorted(blocks.values(), key=lambda w: w.lo)
-    for a, b in zip(windows, windows[1:]):
-        if a.overlaps(b):
-            raise AssertionError("block windows must be pairwise disjoint")
 
     tail = 1.0 / jmax
     return SaturatorFamily(
@@ -281,8 +280,9 @@ def log_saturator(n: int, eps_n: float | None = None) -> LogSaturator:
     rate; the polynomial is (2/pi) e_n sigma_n(Im g) with g = -log(1 - a^k)
     the boundary logarithm of the comb kernel. Its series sum_m q^m z^(km) / m,
     q = (1+eps)^-k, gives the Fejer-weighted coefficients in closed form,
-    one conjugate pair per multiple of k below n. Its spectrum is n mod k,
-    so tooth_bounds certifies the sup norm here, once, from the polynomial
+    one conjugate pair per multiple mk below n: 1 <= m <= (n - 1) // k puts
+    n - mk and n + mk in [1, 2n - 1]. Its spectrum is n mod k, so
+    tooth_bounds certifies the sup norm here, once, from the polynomial
     decimated by k; a bound above 1 raises AssertionError.
     """
     floor = eps_floor(n)
@@ -304,9 +304,6 @@ def log_saturator(n: int, eps_n: float | None = None) -> LogSaturator:
     coeffs.imag = np.concatenate((c / 2.0, -c / 2.0))
     poly = TrigPoly.from_arrays(np.concatenate((n - m * k, n + m * k)), coeffs)
 
-    window = SpectrumInterval(0, 2 * n - 1)
-    if not window.contains_spectrum(poly):
-        raise AssertionError("saturator spectrum escaped [1, 2n-1]")
     bounds = tooth_bounds(poly, k)
     if bounds.sup > 1.0:
         raise AssertionError(f"sup norm certificate failed: {bounds.sup}")

@@ -199,8 +199,10 @@ def _probe_hits(oracle, probe_exponent: int, m: int) -> np.ndarray:
 
 
 def _dilated_counts(hits: np.ndarray, m_lo: int, m_hi: int) -> list[int]:
-    """count_occupied_boxes(hits, m) for m = m_lo..m_hi, from one pass down the scales.
+    """Occupied dyadic boxes of size 2^-m, with circular one-box dilation, for m = m_lo..m_hi.
 
+    hits holds 2^P >= 2^m_hi equal cells of the circle; a box is occupied
+    when any of its 2^(P - m) cells is. Any other size is a ValueError.
     From the occupancy of the hits' 2^P boxes, each coarser occupancy ORs
     pairs of adjacent boxes of the finer; OR is associative, so every scale
     reads the same boxes as a direct grouping of the hits. At scales m_hi
@@ -222,15 +224,6 @@ def _dilated_counts(hits: np.ndarray, m_lo: int, m_hi: int) -> list[int]:
         if m > m_lo:
             occ = occ[0::2] | occ[1::2]
     return counts[::-1]
-
-
-def count_occupied_boxes(hits: np.ndarray, m: int) -> int:
-    """Occupied dyadic boxes of size 2^-m, with circular one-box dilation.
-
-    hits holds 2^P >= 2^m equal cells of the circle; a box is occupied
-    when any of its 2^(P - m) cells is. Any other size is a ValueError.
-    """
-    return _dilated_counts(hits, m, m)[0]
 
 
 def _box_scales(m_lo: int, m_hi: int) -> list[int]:

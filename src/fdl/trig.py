@@ -59,9 +59,6 @@ class SpectrumInterval:
     def contains_spectrum(self, poly: "TrigPoly") -> bool:
         return not len(poly) or bool(self.contains(poly.k[0]) and self.contains(poly.k[-1]))
 
-    def overlaps(self, other: "SpectrumInterval") -> bool:
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
-
 
 class TrigPoly:
     """Trigonometric polynomial with sparse integer spectrum.

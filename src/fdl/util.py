@@ -118,63 +118,67 @@ def trial_rng(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
 
 
-# numpy's SeedSequence hash constants and the PCG64 (XSL-RR) multiplier
-_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants and the PCG64 (XSL-RR) multiplier's high and low words
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = [(0x2360ED051FC65DA44385DF649FCCF645 >> (32 * i)) & _MASK32 for i in range(4)]
+_MULT_HIGH, _MULT_LOW = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 
 
-def _hash(value, const):
-    """SeedSequence's hash of value by const, uint64 arrays of 32-bit words."""
-    value = (value ^ const) * (const * _MULT_A & _MASK32) & _MASK32
+def _hash(value, consts):
+    """SeedSequence's hashmix by consts[:-1], each stepped to the next constant to multiply; uint32 wraps as in C."""
+    value = (value ^ consts[:-1]) * consts[1:]
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    """SeedSequence's mix of pool word x with hashed word y."""
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    """SeedSequence's mix of pool word x with hashed word y, uint32 arrays."""
+    value = _MIX_L * x - _MIX_R * y
     return value ^ (value >> 16)
 
 
-def _carry(cols: list) -> list:
-    """Four 32-bit limbs, least significant first, from four column sums below 2^64 (mod 2^128)."""
-    out, carry = [], 0
-    for col in cols:
-        col = col + carry
-        out.append(col & _MASK32)
-        carry = col >> 32
-    return out
+def _spawn_pools(seed: int, words: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(t,)).pool for each uint32 spawn word t of words, one row each.
 
-
-def _lcg_step(state: list, inc: list) -> list:
-    """PCG64's step state * multiplier + inc mod 2^128 on four 32-bit limbs.
-
-    Each limb product is below 2^64; its halves go to two columns, and no
-    column sum reaches 2^64 before the carries run.
+    t is hashed into each word of SeedSequence(seed).pool by constants that do not depend on t:
+    the seed's words (at least 4) took hash constants 0..15 and 4 more per word past the 4th.
     """
-    cols = list(inc)
-    for i in range(4):
-        for j in range(4 - i):
-            product = state[i] * _PCG_MULT[j]
-            cols[i + j] = cols[i + j] + (product & _MASK32)
-            if i + j < 3:
-                cols[i + j + 1] = cols[i + j + 1] + (product >> 32)
-    return _carry(cols)
+    pool = np.random.SeedSequence(seed).pool
+    first = 16 + 4 * max(0, -(-seed.bit_length() // 32) - 4)
+    consts = np.array([_INIT_A * pow(_MULT_A, first + i, 1 << 32) % (1 << 32) for i in range(5)], np.uint32)
+    return _mix(pool, _hash(words[:, None], consts))
+
+
+def _mult64_high(x, y):
+    """High word of the 128-bit product of uint64 words x and y, from 32-bit halves (numpy's _pcg_mult64)."""
+    x0, x1, y0, y1 = x & 0xFFFFFFFF, x >> 32, y & 0xFFFFFFFF, y >> 32
+    t = x1 * y0 + ((x0 * y0) >> 32)
+    w1 = (t & 0xFFFFFFFF) + x0 * y1
+    return x1 * y1 + (t >> 32) + (w1 >> 32)
+
+
+def _add(a, b):
+    """numpy's pcg128_add: a + b mod 2^128 on (high, low) uint64 words."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _step(state, inc):
+    """PCG64's step state * multiplier + inc mod 2^128: numpy's pcg128_mult, whose words wrap mod 2^64."""
+    high, low = state
+    high = high * _MULT_LOW + low * _MULT_HIGH + _mult64_high(low, _MULT_LOW)
+    return _add((high, low * _MULT_LOW), inc)
 
 
 def trial_uniform_rows(seed: int, trials: int, low: float, high: float, size: int) -> np.ndarray:
     """Row t is trial_rng(seed, t).uniform(low, high, size), bit for bit, for t < trials.
 
-    numpy's generator, rebuilt once over all trials: the spawn word t is
-    hashed into each word of the seed's pool, SeedSequence(seed).pool, with
-    constants that do not depend on t; the pool's 8 state words seed PCG64,
-    whose 128-bit LCG runs here on 32-bit limbs held in uint64 arrays; each
-    draw is low + (high - low) * (output >> 11) / 2^53.
+    numpy's generator, rebuilt once over all trials: each trial's pool
+    (_spawn_pools) gives the 8 state words that seed PCG64, whose 128-bit
+    LCG runs on (high, low) uint64 words as in the portable fallback of
+    numpy's pcg64.h; each draw is low + (high - low) * (output >> 11) / 2^53.
     t must fit one 32-bit spawn word, so trials <= 2^32.
     """
     seed, trials, size = int(seed), int(trials), int(size)
-    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
     if not 0 <= trials <= 1 << 32:
         raise ValueError(f"trial indices must fit one 32-bit word, got {trials} trials")
     span = float(high) - float(low)
@@ -182,25 +186,20 @@ def trial_uniform_rows(seed: int, trials: int, low: float, high: float, size: in
         raise OverflowError("high - low range exceeds valid bounds")
     if span < 0:
         raise ValueError("high - low < 0")
-    # the seed's words (at least 4) took hash constants 0..15 and 4 more per word past the 4th
-    first = 16 + 4 * max(0, -(-seed.bit_length() // 32) - 4)
-    consts = np.array([_INIT_A * pow(_MULT_A, first + i, 1 << 32) & _MASK32 for i in range(4)], np.uint64)
-    pool = _mix(pool, _hash(np.arange(trials, dtype=np.uint64)[:, None], consts))  # (trials, 4)
-    # generate_state(4, uint64): word i hashes pool word i % 4 by _INIT_B * _MULT_B^i and ^(i + 1)
-    consts = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)], np.uint64)
-    value = (np.tile(pool, 2) ^ consts[:8]) * consts[1:] & _MASK32
-    w = list((value ^ (value >> 16)).T)
-    initstate = [w[2], w[3], w[0], w[1]]  # (w0 | w1 << 32) << 64 | (w2 | w3 << 32), low limb first
-    initseq = [w[6], w[7], w[4], w[5]]
-    inc = [(initseq[0] << 1 | 1) & _MASK32] + [(initseq[i] << 1 | initseq[i - 1] >> 31) & _MASK32
-                                                for i in range(1, 4)]
-    # PCG's srandom: one step from 0 gives inc, then add initstate and step again
-    state = _lcg_step(_carry([a + b for a, b in zip(inc, initstate)]), inc)
+    pool = _spawn_pools(seed, np.arange(trials, dtype=np.uint32))  # (trials, 4)
+    # generate_state(4, uint64): word i hashes pool word i % 4 by _INIT_B * _MULT_B^i, times _MULT_B^(i + 1)
+    consts = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) % (1 << 32) for i in range(9)], np.uint32)
+    w = _hash(np.tile(pool, 2), consts).astype(np.uint64)
+    words = w[:, 0::2] | w[:, 1::2] << 32  # little-endian uint64 words 0..3
+    # PCG's srandom: the state is (words 0, 1), the increment (words 2, 3) << 1 | 1;
+    # one step from 0 gives inc, then add the state and step again
+    inc = (words[:, 2] << 1 | words[:, 3] >> 63, words[:, 3] << 1 | 1)
+    state = _step(_add(inc, (words[:, 0], words[:, 1])), inc)
     out = np.empty((trials, size))
     for j in range(size):
-        state = _lcg_step(state, inc)
-        x = (state[2] | state[3] << 32) ^ (state[0] | state[1] << 32)
-        rot = state[3] >> 26
+        state = _step(state, inc)
+        x = state[0] ^ state[1]
+        rot = state[0] >> 58
         x = x >> rot | x << ((64 - rot) & 63)
         out[:, j] = float(low) + span * ((x >> 11).astype(float) * (1.0 / 9007199254740992.0))
     return out

@@ -31,9 +31,9 @@ from fdl.analysis import (
     spectrum_curve,
 )
 from fdl.construct import disjoint_family
-from fdl.sets import GridOracle, _probe_hits, box_dimension, count_occupied_boxes
+from fdl.sets import GridOracle, _dilated_counts, _probe_hits, box_dimension
 from fdl.trig import TrigPoly
-from fdl.util import DEFAULT_SEED, _series_sums, loglog_fit, trial_rng, trial_uniform_rows
+from fdl.util import DEFAULT_SEED, _series_sums, _spawn_pools, loglog_fit, trial_rng, trial_uniform_rows
 from fdl.verify import rademacher_poly
 
 
@@ -489,7 +489,7 @@ def test_level_set_box_count_reads_every_grid_point(grid):
     for mask in residues + [sparse, box_edges]:
         oracle = GridOracle(mask)
         occ = _probe_hits(_probed(oracle), grid.bit_length(), 10)
-        assert box_dimension(oracle, 4, 10).counts == [count_occupied_boxes(occ, m) for m in range(4, 11)]
+        assert box_dimension(oracle, 4, 10).counts == _dilated_counts(occ, 4, 10)
 
 
 def test_probing_a_level_set_at_its_grid_size_misses_residue_classes():
@@ -571,14 +571,27 @@ def test_prevalence_probe_small_frozen():
     assert prevalence_probe(TrigPoly(), cfg) == res
 
 
-@pytest.mark.parametrize("seed", [0, 20127, (1 << 64) + 5, (1 << 96) + 11, (1 << 130) + 3])
-@pytest.mark.parametrize("R, size", [(1.0, 9), (0.3, 2), (1e-3, 1), (7.77, 5)])
-@pytest.mark.parametrize("count", [1, 97])
+# every (seed, cube, count) pairing, then the probe-offgrid workload's 2002 trials in s = 9
+_DRAW_CASES = [(seed, R, size, count) for count in (1, 97) for R, size in [(1.0, 9), (0.3, 2), (1e-3, 1), (7.77, 5)]
+               for seed in (0, 20127, (1 << 64) + 5, (1 << 96) + 11, (1 << 130) + 3)] + [(20127, 1.0, 9, 2002)]
+
+
+@pytest.mark.parametrize("seed, R, size, count", _DRAW_CASES,
+                         ids=[f"{count}-{R}-{size}-{seed}" for seed, R, size, count in _DRAW_CASES])
 def test_trial_uniform_rows_are_bit_identical_to_trial_rng(seed, R, size, count):
     rows = trial_uniform_rows(seed, count, -R, R, size)
     want = np.array([trial_rng(seed, t).uniform(-R, R, size) for t in range(count)])
     assert rows.shape == (count, size)
     assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 20127, (1 << 130) + 3])
+def test_spawn_pools_are_seed_sequence_pools_up_to_the_top_spawn_word(seed):
+    # the uint32 hash wraps as numpy's C does at every spawn word, the top one 2^32 - 1 included
+    words = np.array([0, 1, 1 << 31, (1 << 32) - 1], dtype=np.uint32)
+    pools = _spawn_pools(seed, words)
+    assert pools.dtype == np.uint32
+    assert np.array_equal(pools, [np.random.SeedSequence(seed, spawn_key=(int(t),)).pool for t in words])
 
 
 def test_trial_uniform_rows_refusals():

@@ -102,6 +102,9 @@ def test_saturator_certificate_raises_on_failed_bounds():
         saturator_certificate(2.0 * poly, params, 2)
 
 
+_FAMILIES = [(9, 2.0, 2, 12), (3, 2.0, 2, 14), (2, 1.5, 3, 10), (4, 2.5, math.inf, 13)]
+
+
 def test_disjoint_family_blocks_are_isolated_by_truncation():
     fam = disjoint_family(3, 2.0, 2, 8)
     assert fam.j_min == 5
@@ -114,10 +117,12 @@ def test_disjoint_family_blocks_are_isolated_by_truncation():
 
 
 def test_disjoint_family_windows_never_overlap():
-    fam = disjoint_family(3, 2.0, 2, 8)
-    windows = sorted(fam.blocks.values(), key=lambda w: w.lo)
-    for a, b in zip(windows, windows[1:]):
-        assert a.hi < b.lo
+    # the invariant disjoint_family relies on without a check: windows sorted by level, then by member
+    for s, alpha, p, jmax in _FAMILIES:
+        fam = disjoint_family(s, alpha, p, jmax)
+        windows = [fam.blocks[(j, r)] for j in range(fam.j_min, jmax + 1) for r in range(1, s + 1)]
+        for a, b in zip(windows, windows[1:]):
+            assert a.hi < b.lo, (s, alpha, p, jmax)
 
 
 def test_disjoint_family_summary_fields():
@@ -138,8 +143,7 @@ def _running_sum_member(s, alpha, p, jmax, r):
     return g
 
 
-@pytest.mark.parametrize("s, alpha, p, jmax", [(9, 2.0, 2, 12), (3, 2.0, 2, 14), (2, 1.5, 3, 10),
-                                               (4, 2.5, math.inf, 13)])
+@pytest.mark.parametrize("s, alpha, p, jmax", _FAMILIES)
 def test_disjoint_family_members_are_the_running_sum_of_their_blocks(s, alpha, p, jmax):
     fam = disjoint_family(s, alpha, p, jmax)
     for r in range(1, s + 1):
@@ -256,6 +260,15 @@ def test_log_saturator_refuses_a_rate_whose_sharpness_overflows(eps):
     # omega = exp(4 pi log(n) eps) would overflow: no tooth is left, and exp is not called
     with pytest.raises(ValueError, match="rate too aggressive at degree 4096: tooth count 0 < 3"):
         log_saturator(4096, eps)
+
+
+@pytest.mark.parametrize("n, eps, k", [(1 << e, None, None) for e in range(7, 15)] + [(1024, 0.0437, 3)])
+def test_log_saturator_spectrum_stays_in_its_window(n, eps, k):
+    # the invariant log_saturator relies on without a check: 1 <= m <= (n - 1) // k puts n -+ mk in [1, 2n - 1].
+    # Below 2^7 even the floor rate leaves fewer than 3 teeth; eps 0.0437 at 1024 leaves the fewest, k = 3.
+    sat = log_saturator(n, eps)
+    assert SpectrumInterval(0, 2 * n - 1).contains_spectrum(sat.poly)
+    assert k in (None, sat.comb.k)
 
 
 def test_log_saturator_certificate():

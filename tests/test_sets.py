@@ -14,11 +14,11 @@ from fdl.sets import (
     DyadicFamilyParams,
     GridOracle,
     _box_fit,
+    _dilated_counts,
     _probe_exponent,
     _probe_hits,
     box_dimension,
     comb_membership,
-    count_occupied_boxes,
     middle_thirds_cantor,
     scale_matched_dyadic_counts,
     smallest_admissible_level,
@@ -139,7 +139,7 @@ def test_cantor_counts_frozen():
 def test_count_occupied_boxes_dilates_cyclically():
     hits = np.zeros(1 << 10, dtype=bool)
     hits[0] = True  # occupies box 0; dilation adds boxes 1 and 2^m - 1
-    assert count_occupied_boxes(hits, 4) == 3
+    assert _dilated_counts(hits, 4, 4) == [3]
 
 
 def _grouped_box_count(hits, m):
@@ -153,7 +153,7 @@ def _grouped_box_count(hits, m):
 def test_count_occupied_boxes_refuses_hits_that_are_not_2_to_the_P_ge_m(size, m):
     # 48 hits at m = 4 would group by 3, which are not dyadic boxes; 8 cannot fill 16 boxes
     with pytest.raises(ValueError, match=rf"scale {m} need 2\^P hits with P >= {m}, got {size}$"):
-        count_occupied_boxes(np.ones(size, dtype=bool), m)
+        _dilated_counts(np.ones(size, dtype=bool), m, m)
 
 
 def test_count_occupied_boxes_is_the_grouped_count_at_every_scale():
@@ -162,7 +162,8 @@ def test_count_occupied_boxes_is_the_grouped_count_at_every_scale():
         for density in (0.0, 0.01, 0.3, 1.0):
             hits = rng.random(1 << P) < density
             for m in range(P + 1):
-                assert count_occupied_boxes(hits, m) == _grouped_box_count(hits, m), (P, density, m)
+                grouped = [_grouped_box_count(hits, k) for k in range(m + 1)]
+                assert _dilated_counts(hits, 0, m) == grouped, (P, density, m)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -183,7 +184,7 @@ def test_box_counts_are_the_grouped_counts_for_every_scale_pair(grid, kind, dens
         est = box_dimension(oracle, m_lo, m_hi)
         assert est.counts == [grouped[m] for m in scales]
         assert est == _box_fit(scales, [grouped[m] for m in scales])
-    assert [count_occupied_boxes(occ, m) for m in grouped] == list(grouped.values())
+    assert _dilated_counts(occ, 4, m_hi) == list(grouped.values())
 
 
 def test_probe_hits_collapse_each_chunk_into_its_boxes():
@@ -228,7 +229,7 @@ def test_scale_matched_counts_are_the_probed_family_counts(alpha):
     # oracle: the level-m family probed at 2^(m+6) box centres and dilated
     m_lo = max(4, smallest_admissible_level(alpha))
     est = scale_matched_dyadic_counts(alpha, m_lo, 13)
-    probed = [count_occupied_boxes(_probe_hits(DyadicFamily(DyadicFamilyParams(m, alpha)).contains, m + 6, m), m)
+    probed = [_dilated_counts(_probe_hits(DyadicFamily(DyadicFamilyParams(m, alpha)).contains, m + 6, m), m, m)[0]
               for m in est.scales]
     assert list(est.counts) == probed
 

@@ -438,6 +438,16 @@ def test_holo_bounds_frozen_at_k16():
     assert b.min_re == pytest.approx(0.5617006628654388, rel=1e-9)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.one_of(st.integers(3, 64), st.integers(3, 10**12)), u=st.floats(0.0, 1.0))
+def test_holo_c4_stays_at_most_1_for_every_admitted_comb(k, u):
+    # the invariant check_holo_bounds relies on without a check (Bernoulli: rho <= omega/(1 + omega));
+    # omega runs from log k to 1e16 on a log scale, below 2^52/k so that 1 + 1/(omega k) is not 1
+    lo, hi = math.log(math.log(k)), math.log(min(1e16, 2.0**52 / k))
+    params = CombParams(k, max(math.exp(lo + u * (hi - lo)), math.log(k)))
+    assert check_holo_bounds(params, 16).c4 <= 1.0 + 1e-6
+
+
 def _holo_grid_oracle(params, M=1 << 14, interior_samples=1000, seed=DEFAULT_SEED):
     """Grid estimates of the kernel bounds: the boundary grid plus seeded interior points."""
     rng = trial_rng(seed, params.k)
