@@ -4,8 +4,8 @@ Every subcommand resolves its parameters from flags, then an optional flat
 key=value config file, then defaults; the resolved set, less the output
 paths, is embedded in each JSON report. A table goes to --csv, or to stdout;
 the JSON report goes to --out, or to stdout when the subcommand writes no
-table. Exit codes: 0 success, 1 usage or validation error, 2 failed
-certificate or inequality.
+table. Exit codes: 0 success, 1 usage or validation error, 2 a failed
+construct certificate or a NaN in an output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -59,15 +58,14 @@ from .verify import (
 
 
 def _pnorm(text):
-    t = str(text).strip().lower()
-    if t in ("inf", "infinity"):
-        return math.inf
-    return float(t)
+    """A norm exponent; float reads "inf" as the sup norm. A function of its own, since _resolve
+    refuses infinities where a parameter's conv is float."""
+    return float(text)
 
 
 _Param = collections.namedtuple("_Param", "key conv default help required choices", defaults=(False, None))
 
-_SEED_PARAM = _Param("seed", int, None, "master seed (FDL_SEED overrides the default)")
+_SEED_PARAM = _Param("seed", int, DEFAULT_SEED, "master seed")
 _OUT_PARAM = _Param("out", str, None, "JSON report path (default: stdout, when there is no table)")
 _CSV_PARAM = _Param("csv", str, None, "CSV table path (stdout when omitted)")
 _PATH_KEYS = ("out", "csv")  # where the outputs go, not what they hold: left out of the recorded config
@@ -377,13 +375,9 @@ def _resolve(ns: argparse.Namespace) -> dict:
         if value is None and param.key in filecfg:
             value = param.conv(filecfg[param.key])
         if value is None:
-            if param is _SEED_PARAM:
-                env = os.environ.get("FDL_SEED")
-                value = int(env) if env else DEFAULT_SEED
-            elif param.required:
+            if param.required:
                 raise ValueError(f"missing required parameter --{param.key}")
-            else:
-                value = param.default
+            value = param.default
         if isinstance(value, float) and math.isnan(value):
             raise ValueError(f"--{param.key} must be a number, got nan")
         if param.conv is float and value is not None and math.isinf(value):

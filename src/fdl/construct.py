@@ -284,6 +284,21 @@ def log_saturator(n: int, eps_n: float | None = None) -> LogSaturator:
     n - mk and n + mk in [1, 2n - 1]. Its spectrum is n mod k, so
     tooth_bounds certifies the sup norm here, once, from the polynomial
     decimated by k; a bound above 1 raises AssertionError.
+
+    That branch is a certificate, but no input below n of about 2.6e6
+    reaches it. In theta = 2 pi k x, |poly| is (2/pi) times the mean of
+    h = -arg(1 - q e^(i theta)) against the kernel with coefficients
+    (1 - |m| k/n) for |m| k < n. That kernel is nonnegative with mean 1
+    (the triangle (1 - |t| k/n)_+ is positive definite), and |h| <= asin q,
+    so |poly| <= (2/pi) asin q. Bernoulli gives q <= omega/(1 + omega).
+    tooth_bounds samples at least 32 points per unit of span, so its
+    Ehlich-Zeller factor is at most 1/sqrt(cos(pi/32)), about 1.0024. The
+    certified sup then stays below 1, up to a slack of about 1e-8, whenever
+    omega is below about 1.4e5. k >= 3 forces omega <= n/(6 pi), so this
+    covers every admitted rate below n of about 2.6e6, where the tooth grid
+    alone holds 2^26 complex values. At n = 2^16 and the largest admitted
+    rate (k = 3, omega about 3477) the certified sup is 0.98462, against
+    (2/pi) asin q = 0.98473.
     """
     floor = eps_floor(n)
     floored = eps_n is None or eps_n < floor

@@ -455,11 +455,11 @@ def modulate(f: TrigPoly, m: int) -> TrigPoly:
 
 
 def lp_norm(samples, p) -> float:
-    """L^p norm of grid samples under the normalized counting measure."""
+    """L^p norm of grid samples under the normalized counting measure; empty samples are refused."""
     p = validate_norm_exponent(p)
     v = np.abs(np.asarray(samples, dtype=complex))
     if v.size == 0:
-        return 0.0
+        raise ValueError("the L^p norm of no samples is undefined")
     if math.isinf(p):
         return float(v.max())
     if p == 1:

@@ -191,7 +191,7 @@ def run_calls(directory: Path) -> dict:
     """
     import fdl.cli  # here, so that the script can put src on the path first
 
-    cwd, seed = Path.cwd(), os.environ.pop("FDL_SEED", None)
+    cwd = Path.cwd()
     os.chdir(directory)
     try:
         for name, text in INPUTS.items():
@@ -209,8 +209,6 @@ def run_calls(directory: Path) -> dict:
         return results
     finally:
         os.chdir(cwd)
-        if seed is not None:
-            os.environ["FDL_SEED"] = seed
 
 
 def _sha(data: bytes) -> str:

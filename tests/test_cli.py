@@ -122,24 +122,22 @@ def test_verify_maximal_csv_shape(tmp_path):
     assert all(line.split(",")[1] == "20127" for line in lines[1:])
 
 
-def test_seed_precedence_env_file_flag(tmp_path, monkeypatch):
+def test_seed_precedence_flag_file_default(tmp_path, monkeypatch):
     def recorded_seed(extra):
         out = tmp_path / "run.json"
         run_ok(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2",
                 "--out", str(out)] + extra)
         return json.loads(out.read_text())["config"]["seed"]
 
-    monkeypatch.setenv("FDL_SEED", "99")
-    assert recorded_seed([]) == 99
+    monkeypatch.setenv("FDL_SEED", "99")  # the environment sets nothing
+    assert recorded_seed([]) == 20127
     conf = tmp_path / "run.conf"
     conf.write_text("seed = 5\n")
     assert recorded_seed(["--config", str(conf)]) == 5
     assert recorded_seed(["--config", str(conf), "--seed", "7"]) == 7
 
 
-def test_runs_share_one_parser_and_keep_their_own_defaults(tmp_path, monkeypatch):
-    monkeypatch.delenv("FDL_SEED", raising=False)
-
+def test_runs_share_one_parser_and_keep_their_own_defaults(tmp_path):
     def recorded_config(argv):
         out = tmp_path / "run.json"
         run_ok(argv + ["--out", str(out)])
@@ -815,7 +813,7 @@ def contract_dir(tmp_path_factory):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_every_subcommand_exits_0_1_or_2_on_typed_flag_values(contract_dir, data):
+def test_every_subcommand_exits_0_or_1_on_typed_flag_values(contract_dir, data):
     command = data.draw(st.sampled_from(sorted(cli._COMMANDS)), label="command")
     params = cli._COMMANDS[command].params
     clean = data.draw(st.booleans(), label="clean")
@@ -841,7 +839,5 @@ def test_every_subcommand_exits_0_1_or_2_on_typed_flag_values(contract_dir, data
     if code == 0:
         texts = [stdout.getvalue()] + [path.read_text() for path in outputs]
         assert not any(re.search(r"\bnan\b", text, re.IGNORECASE) for text in texts)
-    elif code == 1:
-        assert re.search(r"(^|: )error: \S", err, re.MULTILINE), err
-    else:
-        assert code == 2 and err.startswith("assertion failed: "), (code, err)
+    else:  # no typed value fails a certificate: exit 2 here would be a defect
+        assert code == 1 and re.search(r"(^|: )error: \S", err, re.MULTILINE), (code, err)

@@ -1,4 +1,5 @@
-"""Package surface: the names fdl exports, the README Quick start, and the methods the benchmark tracer wraps."""
+"""Package surface: the names fdl exports, the README Quick start, no environment reads, and the methods the
+benchmark tracer wraps."""
 
 import ast
 import importlib
@@ -27,6 +28,19 @@ def test_readme_quick_start_runs():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_reads_the_environment():
+    # a run is fixed by its command line and its config file; any name of os's environment
+    # readers counts, through whatever alias the module was imported as
+    readers = ("environ", "environb", "getenv", "getenvb")
+    found = []
+    for path in sorted((ROOT / "src" / "fdl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in readers]
+    assert not found
 
 
 def _tracer_targets():

@@ -616,6 +616,13 @@ def test_lp_norm_paths_consistent():
         assert lp_norm(np.full(8, 5.0), p) == pytest.approx(5.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_lp_norm_of_no_samples_is_refused(p):
+    # not 0, and not the NaN or reduction error of an empty mean or max
+    with pytest.raises(ValueError, match="no samples"):
+        lp_norm(np.array([]), p)
+
+
 def test_norm_exponent_validation():
     with pytest.raises(ValueError):
         validate_norm_exponent(0.5)

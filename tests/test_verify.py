@@ -335,6 +335,39 @@ def test_nikolsky_closed_forms():
     assert check_nikolsky(TrigPoly({5: 3.0}), 1000, math.inf) == pytest.approx(5.0 ** (-1.0 / 1000), rel=1e-12)
 
 
+_NIKOLSKY_EXPONENTS = (1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 1000.0, math.inf)
+
+
+def _nikolsky_poly(kind: str, degree: int, rng: np.random.Generator) -> TrigPoly:
+    """A polynomial of the given degree: Dirichlet, Fejer, one frequency, sparse, Gaussian or +-1."""
+    k = np.arange(-degree, degree + 1)
+    if kind == "dirichlet":
+        c = np.ones(k.size)
+    elif kind == "fejer":
+        c = 1.0 - np.abs(k) / (degree + 1)
+    elif kind == "single":
+        return TrigPoly({degree: 1.0})
+    elif kind == "sparse":  # the top frequency and up to three random ones
+        low = rng.integers(-degree, degree + 1, size=3)
+        return TrigPoly({int(f): complex(*rng.standard_normal(2)) for f in low} | {degree: 1.0})
+    elif kind == "gaussian":
+        c = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+    else:
+        c = rademacher_coeffs(degree, rng)
+    return TrigPoly.from_arrays(k, c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("dirichlet", "fejer", "single", "sparse", "gaussian", "pm1")),
+       degree=st.integers(0, 128), exponents=st.lists(st.sampled_from(_NIKOLSKY_EXPONENTS), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_nikolsky_ratio_stays_at_most_3(kind, degree, exponents, seed):
+    # check_nikolsky's docstring proves ratio <= 3^(1 - p/q) on the sampling grid; it raises nothing past 3
+    p, q = sorted(exponents)
+    ratio = check_nikolsky(_nikolsky_poly(kind, degree, np.random.default_rng(seed)), p, q)
+    assert 0.0 < ratio <= 3.0 ** (1.0 - (0.0 if math.isinf(q) else p / q)) * (1.0 + 1e-12)
+
+
 def test_nikolsky_validation():
     with pytest.raises(ValueError):
         check_nikolsky(TrigPoly({5: 1.0}), math.inf, 2)
