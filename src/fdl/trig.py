@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ def validate_norm_exponent(p) -> float:
 
 @dataclass(frozen=True)
 class SpectrumInterval:
-    """Half-open frequency window (lo, hi]."""
+    """Half-open frequency window (lo, hi]; a closed window [a, b] is SpectrumInterval(a - 1, b)."""
 
     lo: int
     hi: int
@@ -267,16 +266,15 @@ _EXACT_LIMIT = 1 << 53
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant for float64
 _LIMB = float(1 << 26)
 _POINT_CHUNK = 1 << 17  # points x terms per block of point_sums: a criterion-08 panel is one block
-_WORKSPACE = threading.local()  # each thread's point_sums block buffers, see _block_workspace
 
 
-def _frac(v: np.ndarray, scratch=None) -> np.ndarray:
-    """v minus its nearest integer in place, exact for every float64; scratch, if given, takes the integers."""
-    v -= np.rint(v, out=scratch)
+def _frac(v: np.ndarray) -> np.ndarray:
+    """v minus its nearest integer in place, exact for every float64."""
+    v -= np.rint(v)
     return v
 
 
-def _phase(n, x, out=None, scratch=(None, None)) -> np.ndarray:
+def _phase(n, x) -> np.ndarray:
     """n x mod 1 within a few ulp, for integers |n| <= 2^53 (larger n raise), as a float below 2 in modulus.
 
     n (integer or integer-valued float) and x broadcast against each other.
@@ -287,9 +285,7 @@ def _phase(n, x, out=None, scratch=(None, None)) -> np.ndarray:
     only the small n lo is rounded. Larger n split as n1 2^26 + n0 with
     0 <= n0 < 2^26: n1 (2^26 hi), n1 (2^26 lo) and n0 hi are then exact
     products, each reduced exactly, and n0 lo is small. The terms are
-    summed left to right into out, a float64 array of the broadcast shape,
-    with the products and their integers in scratch, a pair of such arrays;
-    numpy allocates whichever is not given.
+    summed left to right into the first product.
     """
     top = np.abs(n).max(initial=0)
     if top > _EXACT_LIMIT:
@@ -300,31 +296,31 @@ def _phase(n, x, out=None, scratch=(None, None)) -> np.ndarray:
     c = _SPLIT * x
     hi = c - (c - x)
     lo = x - hi
-    integers, term = scratch
     if top < _PHASE_LIMIT:
-        out = _frac(np.multiply(n, hi, out=out), integers)
-        out += np.multiply(n, lo, out=term)
+        out = _frac(n * hi)
+        out += n * lo
         return out
     n1 = np.floor(n / _LIMB)
     n0 = n - n1 * _LIMB
-    out = _frac(np.multiply(n1, hi * _LIMB, out=out), integers)
-    out += _frac(np.multiply(n1, lo * _LIMB, out=term), integers)
-    out += _frac(np.multiply(n0, hi, out=term), integers)
-    out += np.multiply(n0, lo, out=term)
+    out = _frac(n1 * (hi * _LIMB))
+    out += _frac(n1 * (lo * _LIMB))
+    out += _frac(n0 * hi)
+    out += n0 * lo
     return out
 
 
-def _turns(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _turns(theta: np.ndarray) -> np.ndarray:
     """exp(2 pi i theta) from t = tan(pi theta), overwriting the float64 array theta.
 
     cos 2 pi theta = (1 - t^2)/(1 + t^2) and sin 2 pi theta = 2t/(1 + t^2)
-    are written straight into the real and imaginary parts of out, a
-    complex array of theta's shape; theta holds
-    the denominator once t is spent. tan has period pi, so any finite theta
-    works, and at theta = +-1/2 the tangent of the rounded pi/2 is about
-    1.6e16, whose square is still finite.
+    are written straight into the real and imaginary parts of a new complex
+    array of theta's shape; theta holds the denominator once t is spent.
+    tan has period pi, so any finite theta works, and at theta = +-1/2 the
+    tangent of the rounded pi/2 is about 1.6e16, whose square is still
+    finite.
     """
     t = np.tan(np.multiply(theta, np.pi, out=theta), out=theta)
+    out = np.empty(theta.shape, dtype=complex)
     re, im = out.real, out.imag
     np.multiply(t, 2, out=im)
     np.multiply(t, t, out=re)
@@ -335,40 +331,23 @@ def _turns(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """A float64 and a complex buffer of at least size entries for one point_sums block.
-
-    Up to _POINT_CHUNK entries they are this thread's pair, allocated at
-    that size on its first call and kept for the thread's life (3 MB), so a
-    run of calls reuses pages the first one faulted in instead of asking the
-    allocator for fresh ones each time; threading.local keeps concurrent
-    calls apart. A larger block (two points of more than _POINT_CHUNK / 2
-    terms) takes a pair of its own.
-    """
-    if size > _POINT_CHUNK:
-        return np.empty(size), np.empty(size, dtype=complex)
-    buffers = getattr(_WORKSPACE, "buffers", None)
-    if buffers is None:
-        buffers = _WORKSPACE.buffers = (np.empty(_POINT_CHUNK), np.empty(_POINT_CHUNK, dtype=complex))
-    return buffers
-
-
 def point_sums(k: np.ndarray, c: np.ndarray, cuts, xs) -> np.ndarray:
     """sum_{j < cut} c_j e(k_j x) for every x in xs and every cut, shape (xs.size, len(cuts)).
 
     The off-grid kernel, for integer |k| <= 2^53, increasing cuts into k and
     finite xs (others raise). Each phase theta = k x is reduced mod 1 from
     the exact integer k (_phase), rather than rounded at the magnitude of
-    2 pi k x. Per block of points, _turns fills one complex buffer with
+    2 pi k x. Per block of points, _turns makes one complex array of
     e(theta) by the half-angle forms of the single tangent tan(pi theta).
     numpy's float64 tan is vectorised and its cos and sin are not: on a
     2-core Xeon with numpy 2.4.6 the 124,416 phases of one criterion-08
     panel (256 points x 486 terms) take a median of 1.4-1.6 ms this way
-    against 3.5-3.8 ms for cos and sin. The phases, their scratch products
-    (in the complex buffer's memory, unused until _turns) and the turns all
-    live in the thread's block workspace (_block_workspace). Each segment
-    of k between consecutive cuts is then one matrix-vector product, and a
-    cumulative sum over the segments gives the partial sums at the cuts.
+    against 3.5-3.8 ms for cos and sin. Each call allocates its blocks of
+    at most _POINT_CHUNK = 2^17 points x terms (two points where a point
+    has more than 2^16 terms) and keeps none of them once it returns. Each
+    segment of k between consecutive cuts is then one matrix-vector
+    product, and a cumulative sum over the segments gives the partial sums
+    at the cuts.
     numpy takes the product of a one-row matrix by dot, which rounds
     otherwise, so a block holds at least two points (a last point alone is
     recomputed beside its neighbour) and a point's sums do not depend on
@@ -380,15 +359,9 @@ def point_sums(k: np.ndarray, c: np.ndarray, cuts, xs) -> np.ndarray:
     out = np.empty((xs.size, len(cuts)), dtype=complex)
     segments = list(zip([0, *cuts[:-1]], cuts))
     chunk = max(2, _POINT_CHUNK // max(k.size, 1))
-    phases, turns = _block_workspace(min(xs.size, chunk) * k.size)
     for i in range(0, xs.size, chunk):
         i = max(0, min(i, xs.size - 2))  # a last point alone would be summed by dot, not gemv: pair it
-        x = xs[i : i + chunk, None]
-        shape, size = (x.size, k.size), x.size * k.size
-        theta = phases[:size].reshape(shape)
-        terms = turns[:size].reshape(shape)
-        _phase(k, x, out=theta, scratch=terms.view(float).reshape(2, *shape))
-        _turns(theta, out=terms)
+        terms = _turns(_phase(k, xs[i : i + chunk, None]))
         block = out[i : i + chunk]
         for col, (start, stop) in enumerate(segments):
             block[:, col] = terms[:, start:stop] @ c[start:stop]

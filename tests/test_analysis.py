@@ -1,19 +1,14 @@
 """Divergence-index fits, level sets, spectrum curves, prevalence probe."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fdl
 from fdl import analysis
 from fdl.analysis import (
     _LOG_FLOOR,
@@ -740,30 +735,3 @@ def test_prevalence_probe_at_the_workload_shape_peaks_below_4_5_mb(base):
         tracemalloc.stop()
     assert peak <= 9 << 19
 
-
-_PANEL_FAULTS = """
-import resource
-from fdl.analysis import divergence_profile, dyadic_schedule
-from fdl.construct import disjoint_family
-from fdl.util import DEFAULT_SEED, trial_rng
-f = disjoint_family(3, 2.0, 2.0, 14).member(1)
-schedule = dyadic_schedule(6, 18)
-panels = [trial_rng(DEFAULT_SEED, 8000 + i).uniform(0.0, 1.0, 256) for i in range(10)]
-divergence_profile(f, panels[0], schedule)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for xs in panels:
-    divergence_profile(f, xs, schedule)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def test_divergence_panels_reuse_their_pages():
-    # criterion 08's panel calls in a fresh interpreter, whose heap this suite has not shaped:
-    # point_sums keeps its block buffers per thread, so once warm a panel touches no fresh page;
-    # fresh phase and turn arrays per call cost about 940 faults a panel there
-    pytest.importorskip("resource")
-    proc = subprocess.run([sys.executable, "-c", _PANEL_FAULTS],
-                          env={**os.environ, "PYTHONPATH": str(Path(fdl.__file__).parents[1])},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 100

@@ -81,6 +81,13 @@ def test_threads_above_one_only_where_a_pool_runs(tmp_path, capsys):
     run_ok(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2", "--threads", "1", "--out", str(out)])
 
 
+def test_main_returns_the_exit_code_of_run_for_an_explicit_argv(capsys):
+    assert cli.main(["construct", "pj", "--j", "6", "--alpha", "2", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["j"] == 6
+    assert cli.main(["verify", "dirichlet", "--N", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_domain_validation_maps_to_exit_1(tmp_path, capsys):
     out = tmp_path / "d.json"
     code = cli.run(["verify", "dirichlet", "--N", "3", "--out", str(out)])

@@ -272,14 +272,16 @@ def test_log_saturator_spectrum_stays_in_its_window(n, eps, k):
 
 
 def test_log_saturator_certificate():
-    sat = log_saturator(256)
-    window = SpectrumInterval(1, 2 * 256 - 1)
-    assert window.contains_spectrum(sat.poly)
-    cert = logsat_certificate(sat)
-    assert cert["sup_norm"] <= 1.0 + 1e-9
-    assert cert["margin"] >= 0.0
-    assert cert["points_per_tooth"] >= 32
-    assert cert["target_level"] == pytest.approx(sat.eps_n * math.log(256))
+    # the documented window [1, 2n - 1], closed, is SpectrumInterval(0, 2n - 1); the k = 3 saturator
+    # at 1024 reaches both of its ends
+    for n, eps in [(256, None), (1024, 0.0437)]:
+        sat = log_saturator(n, eps)
+        assert SpectrumInterval(0, 2 * n - 1).contains_spectrum(sat.poly)
+        cert = logsat_certificate(sat)
+        assert cert["sup_norm"] <= 1.0 + 1e-9
+        assert cert["margin"] >= 0.0
+        assert cert["points_per_tooth"] >= 32
+        assert cert["target_level"] == pytest.approx(sat.eps_n * math.log(n))
 
 
 def test_residual_witness_two_scale_identity_is_exact():

@@ -2,6 +2,8 @@
 
 import math
 import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +66,11 @@ def test_basis_and_dirichlet_constructors():
     assert all(d2.coeff(k) == 1.0 for k in d2.k.tolist())
     with pytest.raises(ValueError, match="nonnegative"):
         TrigPoly.dirichlet(-1)
+
+
+def test_repr_names_term_count_and_degree():
+    assert repr(TrigPoly({1: 1, -3: 2})) == "TrigPoly(2 terms, degree 3)"
+    assert repr(TrigPoly()) == "TrigPoly(0 terms, degree 0)"
 
 
 def test_exact_equality_and_hash():
@@ -349,13 +356,18 @@ def _exact_phases(ks, x):
     return (hi * np.longdouble(2.0**32) + lo) / np.longdouble(2.0**64)
 
 
-def test_point_sums_on_the_panel_shape_are_within_1e_15_of_long_double():
-    # criterion 08's function, schedule and a 256-point panel; the oracle's phases are exact
+def _panel_spectrum():
+    """criterion 08's function and schedule, its terms sorted by |k| and the schedule's cuts into them."""
     f = disjoint_family(3, 2.0, 2.0, 14).member(1)
     schedule = dyadic_schedule(6, 18)
     order = np.argsort(np.abs(f.k), kind="stable")
     ks, cs = f.k[order], f.c[order]
-    cuts = np.searchsorted(np.abs(ks), schedule, side="right")
+    return f, schedule, ks, cs, np.searchsorted(np.abs(ks), schedule, side="right")
+
+
+def test_point_sums_on_the_panel_shape_are_within_1e_15_of_long_double():
+    # criterion 08's function, schedule and a 256-point panel; the oracle's phases are exact
+    f, schedule, ks, cs, cuts = _panel_spectrum()
     xs = trial_rng(DEFAULT_SEED, 8000).uniform(0.0, 1.0, 256)
     got = point_sums(ks, cs, cuts, xs)
     re, im = cs.real.astype(np.longdouble), cs.imag.astype(np.longdouble)
@@ -383,11 +395,7 @@ def _cos_sin_point_sums(k, c, cuts, xs):
 
 
 def test_point_sums_match_the_cos_sin_kernel_on_the_panel_shape():
-    f = disjoint_family(3, 2.0, 2.0, 14).member(1)
-    schedule = dyadic_schedule(6, 18)
-    order = np.argsort(np.abs(f.k), kind="stable")
-    ks, cs = f.k[order], f.c[order]
-    cuts = np.searchsorted(np.abs(ks), schedule, side="right")
+    _, _, ks, cs, cuts = _panel_spectrum()
     for panel in range(3):
         xs = trial_rng(DEFAULT_SEED, 8000 + panel).uniform(0.0, 1.0, 256)
         gap = np.abs(point_sums(ks, cs, cuts, xs) - _cos_sin_point_sums(ks, cs, cuts, xs)).max()
@@ -406,14 +414,13 @@ def test_point_sums_match_the_cos_sin_kernel_up_to_frequency_2_53():
 
 
 def _one_block_point_sums(k, c, cuts, xs):
-    """point_sums in one block of fresh arrays: _turns(_phase(k, x)), then the segment matvecs."""
-    theta = _phase(k, np.asarray(xs, dtype=float)[:, None])
-    terms = _turns(theta, out=np.empty(theta.shape, dtype=complex))
+    """point_sums with every point in one block: _turns(_phase(k, x)), then the segment matvecs."""
+    terms = _turns(_phase(k, np.asarray(xs, dtype=float)[:, None]))
     segments = [terms[:, start:stop] @ c[start:stop] for start, stop in zip([0, *cuts[:-1]], cuts)]
     return np.cumsum(np.stack(segments, axis=1), axis=1)
 
 
-def _workspace_case(seed, top, terms, points):
+def _point_case(seed, top, terms, points):
     rng = trial_rng(DEFAULT_SEED, seed)
     ks = np.unique(rng.integers(-top, top, size=terms, endpoint=True))
     cs = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
@@ -426,23 +433,45 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("top", [(1 << 27) - 1, 1 << 53])  # both branches of _phase
-def test_point_sums_workspace_matches_one_fresh_block_bit_for_bit(top):
-    # 700 points x 480 terms span three blocks of the thread's workspace; the smaller call that
-    # follows reads a slice of it; points of more terms than a block holds go two by two into
-    # buffers of their own, the third beside the second again
-    cases = [_workspace_case(1, top, 480, 700), _workspace_case(2, top, 37, 5),
-             _workspace_case(3, top, (1 << 17) + 200, 3)]
+def test_point_sums_matches_one_fresh_block_bit_for_bit(top):
+    # 700 points x 480 terms span three blocks; 5 points x 37 terms fit in one; points of more
+    # terms than a block holds go two by two, the third beside the second again
+    cases = [_point_case(1, top, 480, 700), _point_case(2, top, 37, 5),
+             _point_case(3, top, (1 << 17) + 200, 3)]
     assert cases[0][0].size * cases[0][3].size > 2 * trig._POINT_CHUNK
     assert cases[2][0].size > trig._POINT_CHUNK
     for ks, cs, cuts, xs in cases:
         assert _same_bits(point_sums(ks, cs, cuts, xs), _one_block_point_sums(ks, cs, cuts, xs))
-    assert sum(buffer.nbytes for buffer in trig._block_workspace(1)) <= 4 << 20
+
+
+def test_point_sums_keeps_no_memory_between_calls():
+    # a criterion-08 panel, 256 points x 486 terms, in a thread that has not called point_sums
+    # before: its blocks are freed when the call returns, and the thread holds no buffer after it
+    _, _, ks, cs, cuts = _panel_spectrum()
+    xs = trial_rng(DEFAULT_SEED, 8000).uniform(0.0, 1.0, 256)
+    assert xs.size * ks.size == 124416
+    point_sums(ks, cs, cuts, xs)  # numpy's lazy set-up happens outside the traced call
+    kept = []
+
+    def panel():
+        before = tracemalloc.get_traced_memory()[0]
+        point_sums(ks, cs, cuts, xs)
+        kept.append(tracemalloc.get_traced_memory()[0] - before)
+
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=panel)
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        tracemalloc.stop()
+    assert not thread.is_alive() and len(kept) == 1 and kept[0] <= 64 << 10
 
 
 def test_point_sums_on_concurrent_threads_match_one_thread():
-    # each thread fills its own workspace; four threads switching every microsecond interleave
+    # each call fills blocks of its own; four threads switching every microsecond interleave
     # their blocks, through point_sums directly and through TrigPoly.evaluate
-    cases = [_workspace_case(seed, 1 << 40, 300 + 40 * seed, 500) for seed in range(8)]
+    cases = [_point_case(seed, 1 << 40, 300 + 40 * seed, 500) for seed in range(8)]
     run = lambda case: (point_sums(*case), TrigPoly.from_arrays(*case[:2]).evaluate(case[3]))
     serial = indexed_map(run, cases, threads=1)
     interval = sys.getswitchinterval()
@@ -458,7 +487,7 @@ def test_point_sums_on_concurrent_threads_match_one_thread():
 def test_half_angle_turns_are_unit_phasors_up_to_and_past_a_half():
     past = [np.nextafter(0.5, 1.0), np.nextafter(np.nextafter(0.5, 1.0), 1.0), 0.5 + 4 * 2.0**-53]
     theta = np.array([0.0, 0.25, -0.25, 0.5, -0.5, *past, *(-np.array(past))])
-    got = _turns(theta.copy(), out=np.empty(theta.shape, dtype=complex))
+    got = _turns(theta.copy())
     angle = _TWO_PI * theta.astype(np.longdouble)
     assert np.isfinite(got.real).all() and np.isfinite(got.imag).all()
     assert np.abs((got.real - np.cos(angle)).astype(float)).max() <= 4e-16
